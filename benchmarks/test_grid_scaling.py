@@ -9,12 +9,14 @@ dispatches as slots free — through every engine and records the sweep in
 
 * ``legacy`` — the pre-epoch sequential loop (baseline),
 * ``serial`` — in-process engine, epoch batching only (workers=1),
-* ``sharded-2`` / ``sharded-4`` — persistent worker shards.
+* ``supervised-2`` / ``supervised-4`` — persistent worker shards under
+  supervision (the grid's only worker-process engine).
 
 Engines must agree bitwise — job fingerprints and per-node counter tables
 are asserted equal on every run, smoke or full (this is the CI guard that
-sharded == serial). Timing targets only apply to the full run:
-epoch batching alone >= 1.5x, and sharded-4 >= 3x on the 16-node fleet.
+supervised == serial). Timing targets only apply to the full run:
+epoch batching alone >= 1.5x, and supervised-4 >= 3x on the 16-node
+fleet.
 
 A second sweep scales the *fleet* engine (two-level supervision tree)
 across the shard-transport axis — inproc / fork / socket — at 64 and 256
@@ -46,13 +48,13 @@ NODE_COUNTS = (4,) if SMOKE else (4, 16)
 SPAN_SECONDS = 45.0 if SMOKE else 480.0
 REPEATS = 1 if SMOKE else 3
 SERIAL_MIN_SPEEDUP = 1.5
-SHARDED4_MIN_SPEEDUP = 3.0
+SUPERVISED4_MIN_SPEEDUP = 3.0
 
 ENGINES = (
     ("legacy", "legacy", 1),
     ("serial", "serial", 1),
-    ("sharded-2", "sharded", 2),
-    ("sharded-4", "sharded", 4),
+    ("supervised-2", "supervised", 2),
+    ("supervised-4", "supervised", 4),
 )
 
 
@@ -182,7 +184,7 @@ def test_grid_scaling():
         },
         "targets": {
             "serial_min_speedup": SERIAL_MIN_SPEEDUP,
-            "sharded4_min_speedup": SHARDED4_MIN_SPEEDUP,
+            "supervised4_min_speedup": SUPERVISED4_MIN_SPEEDUP,
         },
         "sweeps": sweeps,
     }
@@ -193,12 +195,12 @@ def test_grid_scaling():
 
     if not SMOKE:
         serial = speedups[16]["serial"]
-        sharded4 = speedups[16]["sharded-4"]
+        supervised4 = speedups[16]["supervised-4"]
         assert serial >= SERIAL_MIN_SPEEDUP, (
             f"epoch batching alone is only {serial:.2f}x on 16 nodes"
         )
-        assert sharded4 >= SHARDED4_MIN_SPEEDUP, (
-            f"sharded-4 is only {sharded4:.2f}x on 16 nodes"
+        assert supervised4 >= SUPERVISED4_MIN_SPEEDUP, (
+            f"supervised-4 is only {supervised4:.2f}x on 16 nodes"
         )
 
 

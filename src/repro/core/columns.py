@@ -65,8 +65,13 @@ class Column:
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind is ColumnKind.EXPR and self.expression is None:
-            raise ConfigError(f"column {self.header!r} needs an expression")
+        # EXPR columns, and only they, carry an expression: consumers
+        # find the derived columns by ``expression is not None``.
+        if (self.kind is ColumnKind.EXPR) != (self.expression is not None):
+            raise ConfigError(
+                f"column {self.header!r}: an expression goes with kind "
+                f"EXPR and only with it (kind {self.kind.value})"
+            )
         if self.width <= 0:
             raise ConfigError(f"column {self.header!r} needs a positive width")
 

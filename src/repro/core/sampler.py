@@ -251,8 +251,7 @@ class Sampler:
         env["cpu_pct"] = cpu_pct
         metrics: dict[str, np.ndarray] = {}
         for column in self.screen.columns:
-            if column.kind is ColumnKind.EXPR:
-                assert column.expression is not None
+            if column.expression is not None:
                 # With zero tasks there are no delta columns to evaluate
                 # over (the row pipeline never evaluated either).
                 metrics[column.header] = (

@@ -204,16 +204,15 @@ class WorkloadError(SimulationError):
 class WorkerFailure(SimulationError):
     """A grid worker process failed its round-trip contract.
 
-    Raised by the sharded engines when a worker crashes (pipe closed,
+    Raised by the shard transports when a worker crashes (pipe closed,
     process exited), misses its epoch deadline (hang), replies with a
     message that does not parse as an epoch report (garbled), is cut off
     by a network partition while possibly still alive (unreachable —
     the supervisor must fence, not double-apply), or is spoken to after
     the transport was deliberately shut down (closed — e.g. a send
-    racing :meth:`close` during interpreter teardown). The supervised
-    engine catches this internally and recovers; the unsupervised
-    :class:`~repro.sim.parallel.ShardedEngine` lets it propagate instead
-    of leaking a raw ``EOFError``/``BrokenPipeError``.
+    racing :meth:`close` during interpreter teardown), instead of
+    leaking a raw ``EOFError``/``BrokenPipeError``. The supervised
+    engine catches it and walks its recovery ladder.
 
     ``"unreachable"`` is deliberately distinct from ``"crash"``: a
     partitioned worker may be slow-but-alive, so its late replies carry

@@ -12,6 +12,8 @@ from __future__ import annotations
 import ctypes
 import enum
 
+from repro.errors import PerfError
+
 #: x86_64 syscall number for perf_event_open.
 SYSCALL_NR_X86_64 = 298
 
@@ -134,9 +136,11 @@ class PerfEventAttr(ctypes.Structure):
     ]
 
 
-assert ctypes.sizeof(PerfEventAttr) == PERF_ATTR_SIZE_VER0 + 8, (
-    "PerfEventAttr layout drifted"
-)
+if ctypes.sizeof(PerfEventAttr) != PERF_ATTR_SIZE_VER0 + 8:
+    raise PerfError(
+        f"PerfEventAttr layout drifted: {ctypes.sizeof(PerfEventAttr)} "
+        f"bytes, expected {PERF_ATTR_SIZE_VER0 + 8}"
+    )
 
 
 def counting_attr(

@@ -173,7 +173,8 @@ class CollectorDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        assert task is not None
+        if task is None:
+            raise SessionError("client handler is not running as a task")
         self._handlers.add(task)
         stream = MessageStream(reader, writer)
         client_id: str | None = None

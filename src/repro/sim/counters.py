@@ -91,7 +91,10 @@ class KernelCounter:
             # Standalone counter (tests, ad-hoc use): own a private slot.
             columns = CounterColumns(capacity=1)
             slot = columns.alloc()
-        assert slot is not None
+        elif slot is None:
+            raise CounterStateError(
+                f"counter {counter_id} shares columns but has no slot"
+            )
         self.counter_id = counter_id
         self.event = event
         self.tid = tid

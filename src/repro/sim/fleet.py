@@ -9,17 +9,21 @@ second level on top: nodes partition across *hosts*, each host is a full
 supervised engine with its own workers and restart budget, and the fleet
 supervisor watches the hosts themselves. A host whose own ladder is
 exhausted (the engine degraded to serial) is torn down and resurrected
-wholesale from the fleet's epoch journal — every epoch since t=0 is
-replayed through a fresh supervised engine, whose epoch counters then
-start *past* the replayed history so seeded chaos that already fired can
-never refire.
+wholesale: its replacement engine takes over the retiring engine's
+per-worker epoch journals and replays every epoch since t=0, then starts
+its epoch counters *past* the replayed history so seeded chaos that
+already fired can never refire.
 
-Determinism is unchanged from the single-host engines: node *i* maps to
-global worker ``i % total_workers`` with seed ``base_seed + i``
-regardless of how nodes group into hosts, so the fleet digest is bitwise
-identical to the serial engine's. Worker ids are globally numbered
-(``host * workers_per_host + slot``) so chaos schedules and event logs
-stay host-invariant too.
+Determinism is unchanged from the single-host engines: node *i* keeps
+seed ``base_seed + i`` however nodes group into hosts, so the fleet
+digest is bitwise identical to the serial engine's. With ``W`` workers
+over ``H`` hosts, node *i* goes to host ``h = i % H``, and that host's
+*k*-th node (``k = i // H``) to global worker ``h·(W/H) + k % (W/H)``.
+Worker ids are numbered fleet-wide like this so chaos schedules and
+event logs stay host-distinct and transport-invariant. ``W`` must be a
+positive multiple of ``H``, so every host gets the same ``W/H`` worker
+slots; like a single supervised engine, a host never runs more workers
+than it has nodes, and the fleet never has more hosts than nodes.
 
 Epochs pipeline across hosts: the fleet calls every host's
 ``begin_advance`` before any ``finish_advance``, so all hosts' workers
@@ -49,8 +53,8 @@ class FleetSupervision:
 
     Attributes:
         host_restart_budget: how many times a degraded host engine is
-            torn down and resurrected from the fleet journal before the
-            fleet stops restarting it and leaves it degraded-but-correct.
+            torn down and resurrected from its journals before the fleet
+            stops restarting it and leaves it degraded-but-correct.
     """
 
     host_restart_budget: int = 4
@@ -65,15 +69,12 @@ class FleetSupervision:
 
 @dataclass
 class _Host:
-    """One supervised engine plus the state needed to resurrect it."""
+    """One supervised engine plus the nodes it was built over."""
 
     index: int
     specs: list = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
     engine: SupervisedShardedEngine | None = None
-    #: Full epoch history for this host (its slice of every fleet epoch),
-    #: the replay source for host-level resurrection.
-    journal: list[tuple[list, int, float]] = field(default_factory=list)
     restarts: int = 0
 
 
@@ -104,9 +105,10 @@ class FleetEngine:
     ) -> None:
         if hosts < 1:
             raise SimulationError(f"fleet needs >= 1 host, got {hosts}")
-        if workers < 1:
+        if workers < 1 or workers % hosts:
             raise SimulationError(
-                f"fleet engine needs >= 1 worker, got {workers}"
+                f"fleet engine needs a positive multiple of {hosts} "
+                f"workers (one share per host), got {workers}"
             )
         #: Shared-nothing, like every multi-process engine.
         self.nodes: dict[str, Any] = {}
@@ -117,22 +119,11 @@ class FleetEngine:
         self.config = config if config is not None else Supervision()
         self.fleet_config = fleet if fleet is not None else FleetSupervision()
         self.hosts = min(hosts, len(specs)) if specs else hosts
-        self.host_workers = max(1, workers // self.hosts)
+        self.host_workers = workers // hosts
         self._node_host: dict[str, int] = {}
-        #: Stats of engines retired by host restarts, folded in so the
-        #: aggregate survives resurrection.
-        self._retired_stats: dict[str, Any] = {
-            "restarts": 0,
-            "replayed_epochs": 0,
-            "adopted_shards": 0,
-            "failures": {
-                "crash": 0, "hang": 0, "garbled": 0, "unreachable": 0,
-            },
-        }
-        self._retired_bytes = [0, 0]  # sent, received
-        self._retired_messages = 0
-        self._retired_fenced = 0
-        self._retired_net_faults = 0
+        #: Engines closed by host restarts: their counters still count,
+        #: so every aggregate survives resurrection.
+        self._retired: list[SupervisedShardedEngine] = []
         #: Host-tagged events from retired engines + fleet-level events,
         #: in emission order; current engines' events append after these.
         self._event_base: list[dict[str, Any]] = []
@@ -146,7 +137,9 @@ class FleetEngine:
         for host in self._hosts:
             host.engine = self._build_engine(host)
 
-    def _build_engine(self, host: _Host) -> SupervisedShardedEngine:
+    def _build_engine(
+        self, host: _Host, journals: list | None = None
+    ) -> SupervisedShardedEngine:
         return SupervisedShardedEngine(
             host.specs, self.tick, 0,
             workers=self.host_workers,
@@ -155,7 +148,7 @@ class FleetEngine:
             chaos=self.chaos,
             config=self.config,
             worker_base=host.index * self.host_workers,
-            prior_epochs=list(host.journal),
+            journals=journals,
             netchaos=self.netchaos,
         )
 
@@ -166,13 +159,11 @@ class FleetEngine:
         by_host: dict[int, list] = {}
         for cmd in commands:
             by_host.setdefault(self._node_host[cmd.node], []).append(cmd)
-        for host in self._hosts:
-            host.journal.append(
-                (by_host.get(host.index, []), n_ticks, frac)
-            )
         # Pipeline: start every host before collecting any.
         for host in self._hosts:
-            host.engine.begin_advance(*host.journal[-1])
+            host.engine.begin_advance(
+                by_host.get(host.index, []), n_ticks, frac
+            )
         reports: list[dict[str, Any]] = []
         for host in self._hosts:
             reports.extend(host.engine.finish_advance())
@@ -185,39 +176,29 @@ class FleetEngine:
         return reports
 
     def _restart_host(self, host: _Host) -> None:
+        journals = host.engine.journals
+        epoch = len(journals[0])
         if host.restarts >= self.fleet_config.host_restart_budget:
             if not self._fleet_degraded:
                 self._fleet_degraded = True
                 self._event_base.append(
                     {"event": "fleet-degrade", "host": host.index,
-                     "epoch": len(host.journal)}
+                     "epoch": epoch}
                 )
             return  # degraded-but-correct: adopted shards keep serving.
-        self._retire(host)
+        self._retired.append(host.engine)
+        self._event_base.extend(
+            {**event, "host": host.index} for event in host.engine.events
+        )
         host.engine.close()
         host.restarts += 1
-        host.engine = self._build_engine(host)
+        host.engine = self._build_engine(host, journals)
         self._event_base.append(
             {"event": "host-restart", "host": host.index,
-             "epoch": len(host.journal),
-             "replayed": len(host.journal),
+             "epoch": epoch,
+             "replayed": epoch,
              "restarts": host.restarts}
         )
-
-    def _retire(self, host: _Host) -> None:
-        """Fold a doomed engine's counters/events into the fleet base."""
-        engine = host.engine
-        for key in ("restarts", "replayed_epochs", "adopted_shards"):
-            self._retired_stats[key] += engine.stats[key]
-        for kind, n in engine.stats["failures"].items():
-            self._retired_stats["failures"][kind] += n
-        self._retired_bytes[0] += engine.bytes_sent
-        self._retired_bytes[1] += engine.bytes_received
-        self._retired_messages += engine.messages
-        self._retired_fenced += engine.fenced_replies()
-        self._retired_net_faults += engine.net_faults()
-        for event in engine.events:
-            self._event_base.append({**event, "host": host.index})
 
     def process_of(self, job_id: int) -> None:
         return None
@@ -240,21 +221,23 @@ class FleetEngine:
         return out
 
     # -- introspection / lifecycle ------------------------------------------
+    def _engines(self) -> list[SupervisedShardedEngine]:
+        """Every engine this fleet has run, retired ones first."""
+        return self._retired + [h.engine for h in self._hosts]
+
     @property
     def stats(self) -> dict[str, Any]:
-        agg = {
-            "restarts": self._retired_stats["restarts"],
-            "replayed_epochs": self._retired_stats["replayed_epochs"],
-            "adopted_shards": self._retired_stats["adopted_shards"],
-            "degraded": any(h.engine.degraded for h in self._hosts),
-            "failures": dict(self._retired_stats["failures"]),
-            "host_restarts": sum(h.restarts for h in self._hosts),
+        engines = self._engines()
+        agg: dict[str, Any] = {
+            key: sum(e.stats[key] for e in engines)
+            for key in ("restarts", "replayed_epochs", "adopted_shards")
         }
-        for host in self._hosts:
-            for key in ("restarts", "replayed_epochs", "adopted_shards"):
-                agg[key] += host.engine.stats[key]
-            for kind, n in host.engine.stats["failures"].items():
-                agg["failures"][kind] += n
+        agg["degraded"] = self.degraded
+        agg["failures"] = {
+            kind: sum(e.stats["failures"][kind] for e in engines)
+            for kind in engines[0].stats["failures"]
+        }
+        agg["host_restarts"] = sum(h.restarts for h in self._hosts)
         return agg
 
     @property
@@ -271,21 +254,15 @@ class FleetEngine:
 
     @property
     def messages(self) -> int:
-        return self._retired_messages + sum(
-            h.engine.messages for h in self._hosts
-        )
+        return sum(e.messages for e in self._engines())
 
     @property
     def bytes_sent(self) -> int:
-        return self._retired_bytes[0] + sum(
-            h.engine.bytes_sent for h in self._hosts
-        )
+        return sum(e.bytes_sent for e in self._engines())
 
     @property
     def bytes_received(self) -> int:
-        return self._retired_bytes[1] + sum(
-            h.engine.bytes_received for h in self._hosts
-        )
+        return sum(e.bytes_received for e in self._engines())
 
     @property
     def _procs(self) -> list:
@@ -297,15 +274,11 @@ class FleetEngine:
     def fenced_replies(self) -> int:
         """Stale replies rejected across every host, including hosts
         since retired — the fleet-wide split-brain rejection count."""
-        return self._retired_fenced + sum(
-            h.engine.fenced_replies() for h in self._hosts
-        )
+        return sum(e.fenced_replies() for e in self._engines())
 
     def net_faults(self) -> int:
         """Net-chaos faults injected across every host's links."""
-        return self._retired_net_faults + sum(
-            h.engine.net_faults() for h in self._hosts
-        )
+        return sum(e.net_faults() for e in self._engines())
 
     def close(self) -> None:
         for host in self._hosts:

@@ -128,8 +128,8 @@ class NodeSpec:
 
     @property
     def n_pus(self) -> int:
-        """Logical cores, derivable without building the machine (the
-        sharded engine's nodes live in worker processes)."""
+        """Logical cores, derivable without building the machine (a
+        supervised grid's nodes live in worker processes)."""
         return self.sockets * self.cores_per_socket * self.arch.smt_per_core
 
 
@@ -146,8 +146,8 @@ class Job:
         memory_bytes: declared memory need (admission only).
         submitted_at: submission time.
         process: the spawned process, when it lives in this process
-            (legacy/serial engines; None under the sharded engine, whose
-            processes live in workers — use ``pid``).
+            (legacy/serial engines; None under the supervised engines,
+            whose processes live in workers — use ``pid``).
         pid: pid on the target node once dispatched.
         node: the node name it landed on.
         started_at / finished_at: dispatch / completion times (a
@@ -197,14 +197,13 @@ class Grid:
         workers: 1 (default) runs every node in-process through the
             epoch-batched serial engine; N > 1 shards the fleet over N
             persistent worker processes under supervision.
-        engine: explicit engine override ("legacy", "serial", "sharded",
+        engine: explicit engine override ("legacy", "serial",
             "supervised", "fleet"); None derives it — "fleet" when
             ``hosts`` is given, "supervised" when workers/chaos/
             supervision/transport ask for worker processes, "serial"
-            otherwise (worker processes are only trusted behind the
-            supervision tree; "sharded" remains as the unsupervised
-            baseline). "legacy" is the pre-epoch per-tick loop, kept as
-            the reference and benchmark baseline.
+            otherwise (worker processes only run behind the supervision
+            tree). "legacy" is the pre-epoch per-tick loop, kept as the
+            reference and benchmark baseline.
         profile: print per-epoch engine timings, message counts, wire
             bytes and RateCache statistics to stderr (plus restart/
             replay/degrade counters under the supervised engines).
@@ -737,15 +736,17 @@ class Grid:
     # -- introspection -----------------------------------------------------------
     @property
     def nodes(self) -> dict[str, SimMachine]:
-        """In-process machines by name (empty under the sharded engine)."""
+        """In-process machines by name (empty under the supervised
+        engines)."""
         return self.engine.nodes
 
     def node(self, name: str) -> SimMachine:
         """A node's machine (attach tiptop via ``SimHost``).
 
         Raises:
-            SimulationError: unknown node, or a sharded grid (machines
-                live in worker processes; use ``workers=1`` to attach).
+            SimulationError: unknown node, or a supervised grid
+                (machines live in worker processes; use ``workers=1`` to
+                attach).
         """
         if name not in self._spec_by_name:
             raise SimulationError(f"no node {name!r}")
@@ -753,13 +754,14 @@ class Grid:
         if machine is None:
             raise SimulationError(
                 f"node {name!r} lives in a worker process under the "
-                "sharded engine; build the grid with workers=1 to attach"
+                f"{self.engine.name} engine; build the grid with "
+                "workers=1 to attach"
             )
         return machine
 
     def snapshot(self, name: str) -> dict[str, Any]:
         """Exact observable state of one node (works on every engine —
-        the sharded engine fetches it from the owning worker)."""
+        the supervised engines fetch it from the owning worker)."""
         if name not in self._spec_by_name:
             raise SimulationError(f"no node {name!r}")
         return self.engine.snapshot(name)
@@ -807,8 +809,8 @@ class Grid:
         Observability only, never part of :meth:`conformance_digest`:
         fast-vs-fallback slice counts depend on which advance path ran,
         which is exactly the engine-specific detail digests must ignore.
-        Sharded grids return an empty map (their machines live in worker
-        processes); serial and legacy engines report every node.
+        Supervised grids return an empty map (their machines live in
+        worker processes); serial and legacy engines report every node.
         """
         return {
             name: machine.kernel_stats()

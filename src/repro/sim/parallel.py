@@ -9,7 +9,7 @@ or a slot frees. That property is what batch schedulers exploit to fan
 work out across hosts, and what this module exploits to advance nodes
 concurrently between **dispatch epochs**.
 
-Five engines implement the same contract:
+Four engines implement the same contract:
 
 * ``legacy`` — the original per-tick loop (dispatch, advance every node by
   one scalar tick, reap). Kept as the reference semantics and the
@@ -18,23 +18,22 @@ Five engines implement the same contract:
   a whole epoch at a time through the batched
   :meth:`~repro.sim.machine.SimMachine.run_ticks` memo path with a shard-
   shared :class:`~repro.sim.core.RateCache`. The default and the CI path.
-* ``sharded`` — persistent worker agents, each owning a disjoint
-  :class:`Shard` behind a pluggable
+* ``supervised`` (:mod:`repro.sim.supervisor`) — persistent worker
+  agents, each owning a disjoint :class:`Shard` behind a pluggable
   :class:`~repro.sim.transport.ShardTransport` (``inproc`` serial
   zero-copy, ``fork`` multiprocessing pipes, ``socket`` binary frames over
-  a persistent stream socket). Machines are constructed *inside* the agent
-  from (spec, seed) and never cross the process boundary; per epoch
-  exactly one compact message round-trip happens per worker (spawn/preempt
-  commands in, job-exit/bound/cache snapshots out).
-* ``supervised`` (:mod:`repro.sim.supervisor`) — the sharded engine under
-  a supervision tree: deadlines, journal-replay restarts, adoption,
-  degrade-to-serial.
+  a persistent stream socket), under a supervision tree: deadlines,
+  journal-replay restarts, adoption, degrade-to-serial. Machines are
+  constructed *inside* the agent from (spec, seed) and never cross the
+  process boundary; per epoch exactly one compact message round-trip
+  happens per worker (spawn/preempt commands in, job-exit/bound/cache
+  snapshots out). The only engine that runs worker processes.
 * ``fleet`` (:mod:`repro.sim.fleet`) — a two-level tree: a fleet
   supervisor over per-host supervised engines, scaling the same epoch
   protocol to hundreds of simulated nodes.
 
 Determinism. A machine's evolution is a pure function of its spec, seed,
-tick, and the timed sequence of spawns/kills applied to it. All three
+tick, and the timed sequence of spawns/kills applied to it. All the
 engines apply the same commands at the same virtual boundaries and advance
 by the same whole-tick counts, so job states, finish times and per-node
 counter tables are bitwise identical (``run_ticks`` is proven bitwise
@@ -73,7 +72,7 @@ if TYPE_CHECKING:
     from repro.sim.supervisor import GridFaultPlan, Supervision
     from repro.sim.workload import Workload
 
-ENGINE_NAMES = ("legacy", "serial", "sharded", "supervised", "fleet")
+ENGINE_NAMES = ("legacy", "serial", "supervised", "fleet")
 
 #: Shard transport implementations (see :mod:`repro.sim.transport`).
 #: Defined here so the grid can validate without importing the
@@ -201,7 +200,7 @@ def proc_exit_lb(machine: SimMachine, proc: "SimProcess") -> float | None:
 
 def node_snapshot(machine: SimMachine) -> dict[str, Any]:
     """Every grid-observable of one node, exactly (for equivalence tests
-    and the sharded engine's snapshot message)."""
+    and the worker agents' snapshot message)."""
     procs = {}
     for pid, proc in machine.processes.items():
         procs[pid] = (
@@ -276,6 +275,26 @@ class Shard:
         self._jobs: dict[int, tuple[str, int]] = {}
         self._procs: dict[int, "SimProcess"] = {}
         self._killed: set[int] = set()
+
+    @classmethod
+    def replayed(
+        cls,
+        entries: list[tuple["NodeSpec", int]],
+        tick: float,
+        journal: list[tuple[list, int, float]],
+    ) -> "Shard":
+        """Resurrect a shard: rebuild it from (spec, seed) and replay its
+        journal of ``(commands, n_ticks, frac)`` epochs.
+
+        Machine evolution is a pure function of spec, seed, tick and the
+        timed command sequence, so the result is bitwise-equal to a shard
+        that never went away. Worker agents and supervisor-adopted shards
+        both come back to life through here.
+        """
+        shard = cls(entries, tick)
+        for commands, n_ticks, frac in journal:
+            shard.advance(commands, n_ticks, frac)
+        return shard
 
     def process_of(self, job_id: int) -> "SimProcess | None":
         """In-process handle of a job's process (serial engine only)."""
@@ -376,8 +395,8 @@ class Shard:
         return node_snapshot(self.machines[node])
 
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
-        """Snapshots for several nodes in one call (one message on the
-        sharded engines, instead of a round-trip per node)."""
+        """Snapshots for several nodes in one call (one message per worker
+        on the supervised engines, instead of a round-trip per node)."""
         return {name: node_snapshot(self.machines[name]) for name in names}
 
 
@@ -457,135 +476,6 @@ class SerialEpochEngine:
         pass
 
 
-class ShardedEngine:
-    """Persistent worker agents, one disjoint shard of nodes each.
-
-    Node ``i`` of the fleet goes to worker ``i % workers`` — a fixed,
-    deterministic assignment, so pid sequences and RNG streams per node
-    are independent of the worker count *and* of the transport fabric.
-    Machines never cross the process boundary; each epoch costs one
-    message round-trip per worker, over whichever
-    :class:`~repro.sim.transport.ShardTransport` was requested.
-    """
-
-    name = "sharded"
-
-    #: Seconds a worker may take to answer one round-trip (epoch advance,
-    #: snapshot, or the ready handshake) before it is declared hung.
-    deadline = 60.0
-
-    def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        workers: int,
-        *,
-        transport: str = "fork",
-        seeds: list[int] | None = None,
-    ) -> None:
-        from repro.sim.transport import make_transport
-
-        if workers < 1:
-            raise SimulationError(f"sharded engine needs >= 1 worker, got {workers}")
-        self.workers = min(workers, len(specs))
-        self.transport_name = transport
-        #: Sharded nodes live in worker agents; direct access would
-        #: break the shared-nothing contract, so the mapping stays empty.
-        self.nodes: dict[str, SimMachine] = {}
-        self._node_worker: dict[str, int] = {}
-        self.messages = 0
-        self.closed = False
-        entry_list = _entry_list(specs, seed, seeds)
-        self._transports = []
-        for w in range(self.workers):
-            entries = []
-            for index, entry in enumerate(entry_list):
-                if index % self.workers == w:
-                    entries.append(entry)
-                    self._node_worker[entry[0].name] = w
-            self._transports.append(make_transport(transport, w, entries, tick))
-        for t in self._transports:
-            t.spawn([], 0)
-        for w in range(self.workers):
-            self._recv(w)  # ready handshake: shard machines are built
-
-    def _recv(self, worker: int) -> Any:
-        """One guarded round-trip reply.
-
-        The transport enforces the deadline, liveness and shape rules and
-        raises a typed :class:`~repro.errors.WorkerFailure` (never a raw
-        ``EOFError`` or an unbounded block). This engine does not recover
-        — that is the supervised engine's job — but it fails loudly and
-        precisely.
-        """
-        tag, payload = self._transports[worker].recv(self.deadline)
-        if tag != "ok":
-            raise SimulationError(f"grid worker failed: {payload}")
-        return payload
-
-    def _send(self, worker: int, msg: tuple) -> None:
-        self._transports[worker].send(msg)
-        self.messages += 1
-
-    def advance(
-        self, commands: list, n_ticks: int, frac: float
-    ) -> list[dict[str, Any]]:
-        by_worker: dict[int, list] = {}
-        for cmd in commands:
-            by_worker.setdefault(self._node_worker[cmd.node], []).append(cmd)
-        # Send to every worker first so shards advance concurrently, then
-        # collect: one round-trip per worker per epoch.
-        for w in range(self.workers):
-            self._send(w, ("advance", by_worker.get(w, []), n_ticks, frac))
-        return [self._recv(w) for w in range(self.workers)]
-
-    def process_of(self, job_id: int) -> "SimProcess | None":
-        return None
-
-    def snapshot(self, node: str) -> dict[str, Any]:
-        if node not in self._node_worker:
-            raise SimulationError(f"no node {node!r}")
-        return self.snapshot_many([node])[node]
-
-    def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
-        """Snapshots for several nodes: one message per *worker*, not one
-        per node — a whole-fleet refresh is O(workers) round-trips."""
-        by_worker: dict[int, list[str]] = {}
-        for name in names:
-            worker = self._node_worker.get(name)
-            if worker is None:
-                raise SimulationError(f"no node {name!r}")
-            by_worker.setdefault(worker, []).append(name)
-        out: dict[str, dict[str, Any]] = {}
-        for worker, group in by_worker.items():
-            self._send(worker, ("snapshot", group))
-            out.update(self._recv(worker))
-        return out
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(t.bytes_sent for t in self._transports)
-
-    @property
-    def bytes_received(self) -> int:
-        return sum(t.bytes_received for t in self._transports)
-
-    @property
-    def _procs(self) -> list:
-        """Live worker process handles (leak tests poke at these)."""
-        return [t.proc for t in self._transports if t.proc is not None]
-
-    def close(self) -> None:
-        # Mark closed first: a send racing this teardown gets a typed
-        # WorkerFailure(kind="closed"), not a BrokenPipeError.
-        self.closed = True
-        for t in self._transports:
-            t.request_close()
-        for t in self._transports:
-            t.finish_close(grace=5.0)
-
-
 def create_engine(
     engine: str,
     specs: list["NodeSpec"],
@@ -614,9 +504,9 @@ def create_engine(
         raise SimulationError(
             f"supervision config requires the supervised engine, not {engine!r}"
         )
-    if transport is not None and engine not in ("sharded", "supervised", "fleet"):
+    if transport is not None and engine not in ("supervised", "fleet"):
         raise SimulationError(
-            f"a shard transport requires a sharded engine, not {engine!r}"
+            f"a shard transport requires a supervised engine, not {engine!r}"
         )
     if hosts is not None and engine != "fleet":
         raise SimulationError(
@@ -626,17 +516,14 @@ def create_engine(
         return LegacyTickEngine(specs, tick, seed, seeds=seeds)
     if engine == "serial":
         return SerialEpochEngine(specs, tick, seed, seeds=seeds)
-    if engine == "sharded":
-        return ShardedEngine(
-            specs, tick, seed, workers,
-            transport=transport or "fork", seeds=seeds,
-        )
     if engine == "supervised":
-        return _make_supervised(
+        from repro.sim.supervisor import SupervisedShardedEngine
+
+        return SupervisedShardedEngine(
             specs, tick, seed, workers,
-            chaos=chaos, supervision=supervision,
+            chaos=chaos, config=supervision,
             transport=transport or "fork", seeds=seeds,
-            net_chaos=net_chaos,
+            netchaos=net_chaos,
         )
     if engine == "fleet":
         from repro.sim.fleet import FleetEngine
@@ -652,15 +539,3 @@ def create_engine(
         f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"
     )
 
-
-def _make_supervised(
-    specs, tick, seed, workers, *, chaos, supervision, transport, seeds,
-    net_chaos=None,
-):
-    from repro.sim.supervisor import SupervisedShardedEngine
-
-    return SupervisedShardedEngine(
-        specs, tick, seed, workers,
-        chaos=chaos, config=supervision, transport=transport, seeds=seeds,
-        netchaos=net_chaos,
-    )

@@ -1,11 +1,10 @@
-"""Supervision for the sharded grid engine: deadlines, restarts, replay.
+"""The grid's worker-process engine: deadlines, restarts, replay.
 
-The :class:`~repro.sim.parallel.ShardedEngine` trusts its workers
-completely — a hung worker blocks ``advance`` forever and a crashed one
-aborts the run. This module wraps the same worker protocol in a
-supervision tree so that coarse monitoring infrastructure *degrades,
-never deadlocks* (the paper's operational premise, applied to the grid
-layer the ROADMAP's heavy-traffic north-star rides on):
+Worker agents that are trusted completely let a hung worker block
+``advance`` forever and a crashed one abort the run. This module runs
+the worker protocol of :mod:`repro.sim.transport` under a supervision
+tree instead, so that coarse monitoring infrastructure *degrades, never
+deadlocks* (the paper's operational premise, applied to the grid layer):
 
 1. **Detect** — every worker round-trip gets an epoch deadline
    (poll-with-timeout recv) and a liveness check (exitcode / pipe
@@ -261,12 +260,16 @@ class _WorkerState:
 
 
 class SupervisedShardedEngine:
-    """The sharded engine under a supervision tree.
+    """Persistent worker agents, one disjoint shard of nodes each, under
+    a supervision tree.
 
-    Same node-to-worker assignment and per-epoch message protocol as
-    :class:`~repro.sim.parallel.ShardedEngine` — and therefore the same
-    bitwise results — but every round-trip is deadline-checked and every
-    failure walks the detect → restart/replay → adopt → degrade ladder.
+    Node ``i`` goes to worker slot ``i % workers`` — a fixed,
+    deterministic assignment, so pid sequences and RNG streams per node
+    are independent of the worker count *and* of the transport fabric,
+    and results are bitwise those of the serial engine. Machines never
+    cross the process boundary; each epoch costs one message round-trip
+    per worker. Every round-trip is deadline-checked and every failure
+    walks the detect → restart/replay → adopt → degrade ladder:
     ``Grid.run_for`` never deadlocks and never aborts on a worker death.
     """
 
@@ -283,7 +286,7 @@ class SupervisedShardedEngine:
         config: Supervision | None = None,
         transport: str = "fork",
         seeds: list[int] | None = None,
-        prior_epochs: list[tuple[list, int, float]] | None = None,
+        journals: list[list[tuple[list, int, float]]] | None = None,
         worker_base: int = 0,
         netchaos: "NetChaosPlan | None" = None,
     ) -> None:
@@ -303,9 +306,9 @@ class SupervisedShardedEngine:
         #: schedules, failure messages and event logs all use global ids,
         #: so per-host logs stay distinct and transport-invariant.
         self.worker_base = worker_base
-        #: Shared-nothing like the sharded engine: no in-process machines
-        #: are exposed, even for adopted shards (the public surface must
-        #: not depend on the failure history).
+        #: Shared-nothing: no in-process machines are exposed, even for
+        #: adopted shards (the public surface must not depend on the
+        #: failure history).
         self.nodes: dict[str, Any] = {}
         self._node_worker: dict[str, int] = {}
         self.messages = 0
@@ -331,28 +334,19 @@ class SupervisedShardedEngine:
                     entries.append(entry)
                     self._node_worker[entry[0].name] = w
             state = _WorkerState(index=w, entries=entries)
+            if journals is not None:
+                # A fleet supervisor resurrecting a whole host hands over
+                # the retiring engine's journals (same nodes, same
+                # slots): this worker replays its past silently and its
+                # epoch counter starts beyond it — chaos that already
+                # fired can never refire during a host-level replay.
+                state.journal = list(journals[w])
             state.transport = make_transport(
                 transport, worker_base + w, entries, tick, chaos, netchaos
             )
             self._states.append(state)
-        # A fleet supervisor resurrecting a whole host passes the host's
-        # epoch history: split it into the per-shard journals *before*
-        # spawning, so every worker replays its past silently and its
-        # epoch counter starts beyond it — chaos that already fired can
-        # never refire during a host-level replay.
-        if prior_epochs:
-            for commands, n_ticks, frac in prior_epochs:
-                by_worker: dict[int, list] = {}
-                for cmd in commands:
-                    by_worker.setdefault(
-                        self._node_worker[cmd.node], []
-                    ).append(cmd)
-                for state in self._states:
-                    state.journal.append(
-                        (by_worker.get(state.index, []), n_ticks, frac)
-                    )
         for state in self._states:
-            self._spawn(state, replay=list(state.journal))
+            state.transport.spawn(list(state.journal), state.incarnation)
         for state in self._states:
             try:
                 self._await_ready(state, replayed=len(state.journal))
@@ -365,15 +359,6 @@ class SupervisedShardedEngine:
     def _gid(self, state: _WorkerState) -> int:
         """Global worker id of one slot (fleet-wide numbering)."""
         return self.worker_base + state.index
-
-    def _spawn(self, state: _WorkerState, replay: list) -> None:
-        state.transport.spawn(replay, state.incarnation)
-
-    def _reap(self, state: _WorkerState) -> None:
-        """Tear one worker down for good (terminate → kill ladder — a
-        hung worker ignores SIGTERM); the transport keeps whatever it
-        needs to spawn a fresh incarnation."""
-        state.transport.reap()
 
     def _await_ready(self, state: _WorkerState, replayed: int) -> None:
         # Replay costs real simulation work; scale the handshake deadline
@@ -445,11 +430,9 @@ class SupervisedShardedEngine:
         failing epoch's report is still owed (it is then advanced live
         and its report returned).
         """
-        self._reap(state)
-        shard = Shard(state.entries, self.tick)
+        state.transport.reap()
         replay = state.journal[:-1] if need_report else state.journal
-        for commands, n_ticks, frac in replay:
-            shard.advance(commands, n_ticks, frac)
+        shard = Shard.replayed(state.entries, self.tick, replay)
         state.shard = shard
         self.stats["replayed_epochs"] += len(replay)
         self.stats["adopted_shards"] += 1
@@ -483,7 +466,7 @@ class SupervisedShardedEngine:
         while True:
             attempts += 1
             self._note_failure(fail, epoch)
-            self._reap(state)
+            state.transport.reap()
             if attempts >= self.config.poison_limit:
                 self.events.append(
                     {
@@ -513,7 +496,7 @@ class SupervisedShardedEngine:
                 }
             )
             try:
-                self._spawn(state, replay=replay)
+                state.transport.spawn(replay, state.incarnation)
                 self._await_ready(state, replayed=len(replay))
                 if not need_report:
                     return None
@@ -624,6 +607,12 @@ class SupervisedShardedEngine:
         return out
 
     # -- introspection / lifecycle ------------------------------------------
+    @property
+    def journals(self) -> list[list[tuple[list, int, float]]]:
+        """Every worker slot's epoch journal, in slot order: what an
+        engine replacing this one over the same nodes replays."""
+        return [state.journal for state in self._states]
+
     @property
     def bytes_sent(self) -> int:
         return sum(s.transport.bytes_sent for s in self._states)

@@ -1,7 +1,7 @@
 """Pluggable shard transports: one epoch round-trip, three fabrics.
 
-The sharded engines (:mod:`repro.sim.parallel`, :mod:`repro.sim.supervisor`)
-speak one tiny protocol per worker slot — ``("advance", commands, n_ticks,
+The supervised engine (:mod:`repro.sim.supervisor`) speaks one tiny
+protocol per worker slot — ``("advance", commands, n_ticks,
 frac)`` / ``("snapshot", [names])`` / ``("close",)`` in, ``("ok", payload)``
 or ``("error", text)`` out, with ``("ok", "ready")`` as the post-build
 handshake. This module abstracts *how* those tuples travel, mirroring the
@@ -26,11 +26,12 @@ a dead peer raises :class:`~repro.errors.WorkerFailure` ``kind="crash"``,
 a missed deadline ``"hang"``, an unparseable reply ``"garbled"``, a
 message lost to a network fault ``"unreachable"``, and any operation
 after :meth:`ShardTransport.close` ``"closed"`` (so a send racing engine
-teardown is a typed event, not a stray ``BrokenPipeError``). Chaos
-(:class:`~repro.sim.supervisor.GridFaultPlan`) runs inside the agent for
-process transports and is emulated deterministically by the in-process
-transport, so fault schedules and supervisor event logs are
-transport-invariant.
+teardown is a typed event, not a stray ``BrokenPipeError``). One agent
+class answers the protocol at the far end of every fabric, chaos
+(:class:`~repro.sim.supervisor.GridFaultPlan`) included, so fault
+schedules and supervisor event logs are transport-invariant: only how a
+chaos crash or hang is carried out differs (a process agent exits or
+wedges; the in-process one marks its slot dead or raises).
 
 Two concerns ride on the round-trip uniformly across fabrics, both
 implemented once in :class:`ShardTransport` around the subclasses' raw
@@ -62,7 +63,8 @@ import signal
 import socket
 import tempfile
 import time
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from repro.errors import SimulationError, WireError, WorkerFailure
 from repro.serve.protocol import MessageReader
@@ -95,90 +97,102 @@ _LOST_REQUEST = frozenset({"partition", "drop"})
 _LOST_REPLY = frozenset({"half_open", "reorder"})
 
 
-def _hang() -> None:  # pragma: no cover - runs in a worker process
-    """Simulate a wedged worker: ignore SIGTERM, stop replying."""
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    while True:
-        time.sleep(3600)
+# -- the agent (the far end of every transport) -------------------------------
 
+class _Agent:
+    """One shard served over the epoch protocol, whatever the fabric.
 
-# -- the agent loop (runs in the worker, whatever the fabric) -----------------
-
-def _agent_loop(
-    channel,
-    entries: list[tuple["NodeSpec", int]],
-    tick: float,
-    journal: list[tuple[list, int, float]],
-    chaos: "GridFaultPlan | None",
-    worker_id: int,
-    incarnation: int,
-) -> None:  # pragma: no cover - runs in a worker process
-    """Shard-agent loop: rebuild, replay, then serve epochs.
-
-    Identical across pipe and socket fabrics — only the channel differs.
-    Journal replay happens silently before the ready handshake
-    (resurrection); chaos fires at the top of each *live* advance with the
-    epoch counter starting past the replayed entries, so fault schedules
-    line up with the supervisor's global epoch numbering and replay itself
-    is never faulted.
+    The shard comes back to life through :meth:`Shard.replayed` — its
+    journal replays silently before the ready handshake — so the epoch
+    counter starts past the replayed entries: chaos fault schedules line
+    up with the supervisor's global epoch numbering and replay itself is
+    never faulted.
 
     Every reply is fenced with ``(incarnation, reply epoch)`` — captured
     *before* dispatch, so an advance that raises still fences with the
     epoch it was answering, and the parent can tell a genuine error reply
     from a stale straggler.
     """
-    shard = Shard(entries, tick)
-    for commands, n_ticks, frac in journal:
-        shard.advance(commands, n_ticks, frac)
-    epoch = len(journal)
-    channel.send(("ok", "ready", incarnation, epoch))
+
+    def __init__(
+        self,
+        entries: list[tuple["NodeSpec", int]],
+        tick: float,
+        journal: list[tuple[list, int, float]],
+        chaos: "GridFaultPlan | None",
+        worker_id: int,
+        incarnation: int,
+    ) -> None:
+        self.shard = Shard.replayed(entries, tick, journal)
+        self.epoch = len(journal)
+        self.chaos = chaos
+        self.worker_id = worker_id
+        self.incarnation = incarnation
+
+    def ready(self) -> tuple:
+        return ("ok", "ready", self.incarnation, self.epoch)
+
+    def handle(self, msg: tuple, die: Callable[[str], NoReturn]) -> tuple:
+        """The fenced reply ``(tag, payload, incarnation, epoch)`` to one
+        request.
+
+        Chaos fires at the top of a live advance, before the shard moves,
+        so a faulted epoch is never half-applied. A ``"garble"`` answers
+        with a malformed report; a ``"crash"`` or ``"hang"`` is carried
+        out by ``die(kind)``, which never returns — the one thing each
+        fabric does its own way.
+        """
+        tag = msg[0]
+        inc, reply_epoch = self.incarnation, self.epoch
+        try:
+            if tag == "advance":
+                _, commands, n_ticks, frac = msg
+                fault = (
+                    self.chaos.decide(self.worker_id, reply_epoch, inc)
+                    if self.chaos is not None
+                    else None
+                )
+                if fault in ("crash", "hang"):
+                    die(fault)
+                self.epoch = reply_epoch + 1
+                if fault == "garble":
+                    return ("ok", {"garbled": reply_epoch}, inc, reply_epoch)
+                payload = self.shard.advance(commands, n_ticks, frac)
+            elif tag == "snapshot":
+                payload = self.shard.snapshot_many(msg[1])
+            else:
+                return ("error", f"unknown message {tag!r}", inc, reply_epoch)
+        except WorkerFailure:
+            raise  # the in-process die()
+        except Exception as exc:
+            return ("error", f"{type(exc).__name__}: {exc}", inc, reply_epoch)
+        return ("ok", payload, inc, reply_epoch)
+
+
+def _die(kind: str) -> NoReturn:  # pragma: no cover - runs in a worker process
+    """A chaos fault in an agent process: a crash exits with
+    :data:`CRASH_EXIT`; a hang ignores SIGTERM and stops replying."""
+    if kind == "crash":
+        os._exit(CRASH_EXIT)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    while True:
+        time.sleep(3600)
+
+
+def _agent_loop(channel, *agent_args) -> None:  # pragma: no cover
+    """Agent-process main loop, identical across pipe and socket fabrics
+    (only the channel differs): resurrect, hand-shake, then answer every
+    request until a close message or EOF."""
+    agent = _Agent(*agent_args)
+    channel.send(agent.ready())
     while True:
         try:
             msg = channel.recv()
         except EOFError:
             break
-        tag = msg[0]
-        if tag == "close":
+        if msg[0] == "close":
             break
-        reply_epoch = epoch
-        try:
-            if tag == "advance":
-                _, commands, n_ticks, frac = msg
-                fault = (
-                    chaos.decide(worker_id, epoch, incarnation)
-                    if chaos is not None
-                    else None
-                )
-                if fault == "crash":
-                    os._exit(CRASH_EXIT)
-                if fault == "hang":
-                    _hang()
-                epoch += 1
-                if fault == "garble":
-                    channel.send(
-                        ("ok", {"garbled": reply_epoch}, incarnation,
-                         reply_epoch)
-                    )
-                    continue
-                channel.send(
-                    ("ok", shard.advance(commands, n_ticks, frac),
-                     incarnation, reply_epoch)
-                )
-            elif tag == "snapshot":
-                channel.send(
-                    ("ok", shard.snapshot_many(msg[1]), incarnation,
-                     reply_epoch)
-                )
-            else:
-                channel.send(
-                    ("error", f"unknown message {tag!r}", incarnation,
-                     reply_epoch)
-                )
-        except Exception as exc:
-            channel.send(
-                ("error", f"{type(exc).__name__}: {exc}", incarnation,
-                 reply_epoch)
-            )
+        channel.send(agent.handle(msg, _die))
     channel.close()
 
 
@@ -268,27 +282,19 @@ class _SocketChannel:  # pragma: no cover - runs in a worker process
             pass
 
 
-def _fork_agent_main(
-    conn, entries, tick, journal, chaos, worker_id, incarnation
-) -> None:  # pragma: no cover - runs in a worker process
-    _agent_loop(
-        _PipeChannel(conn), entries, tick, journal, chaos, worker_id,
-        incarnation,
-    )
+def _fork_agent_main(conn, *agent_args) -> None:  # pragma: no cover
+    _agent_loop(_PipeChannel(conn), *agent_args)
 
 
 def _socket_agent_main(
-    family, address, entries, tick, journal, chaos, worker_id, incarnation
+    family, address, *agent_args
 ) -> None:  # pragma: no cover - runs in a worker process
     # Connect before building the shard: the parent's accept is then
     # near-instant, and replay cost falls entirely under the engine's
     # replay-scaled ready deadline.
     sock = socket.socket(family, socket.SOCK_STREAM)
     sock.connect(address)
-    _agent_loop(
-        _SocketChannel(sock), entries, tick, journal, chaos, worker_id,
-        incarnation,
-    )
+    _agent_loop(_SocketChannel(sock), *agent_args)
 
 
 # -- parent-side transports ---------------------------------------------------
@@ -296,14 +302,15 @@ def _socket_agent_main(
 class ShardTransport:
     """One worker slot's link: spawn/replay, guarded round-trips, teardown.
 
-    Subclasses implement the fabric through ``_spawn_raw``, ``_send_raw``
-    and ``_recv_raw`` (raw replies are fenced 4-tuples ``(tag, payload,
-    incarnation, epoch)``); the failure taxonomy, byte/message
-    accounting, the closed-state contract, network-chaos injection and
-    epoch fencing are shared and live in the public :meth:`spawn` /
-    :meth:`send` / :meth:`recv` wrappers. ``worker_id`` is the *global*
-    worker index (fleet supervisors offset it per host) used in failure
-    messages and as the chaos *link* id.
+    Subclasses implement the fabric through ``_spawn_raw``, ``_send_raw``,
+    ``_recv_raw`` (raw replies are fenced 4-tuples ``(tag, payload,
+    incarnation, epoch)``) and ``_close_link``; the failure taxonomy,
+    byte/message accounting, the closed-state contract, network-chaos
+    injection, epoch fencing and the agent-process teardown ladder are
+    shared and live in the public :meth:`spawn` / :meth:`send` /
+    :meth:`recv` / :meth:`reap` / :meth:`close` wrappers. ``worker_id``
+    is the *global* worker index (fleet supervisors offset it per host)
+    used in failure messages and as the chaos *link* id.
     """
 
     kind = "base"
@@ -495,6 +502,13 @@ class ShardTransport:
         return self._recv_raw(timeout)
 
     # -- fabric primitives ----------------------------------------------------
+    def _agent_args(self, replay: list, incarnation: int) -> tuple:
+        """What an :class:`_Agent` for this slot is built from."""
+        return (
+            self.entries, self.tick, replay, self.chaos, self.worker_id,
+            incarnation,
+        )
+
     def _spawn_raw(self, replay: list, incarnation: int) -> None:
         raise NotImplementedError
 
@@ -513,9 +527,10 @@ class ShardTransport:
         return self.proc.exitcode if self.proc is not None else None
 
     def reap(self) -> None:
-        """Tear the agent down for good (terminate → kill ladder); keep
-        whatever is needed to :meth:`spawn` a fresh incarnation."""
-        raise NotImplementedError
+        """Tear the agent down for good; keep whatever is needed to
+        :meth:`spawn` a fresh incarnation."""
+        self._close_link()
+        self._end_proc(grace=0.0)
 
     def request_close(self) -> None:
         """Politely ask the agent to exit; mark the transport closed."""
@@ -523,6 +538,8 @@ class ShardTransport:
 
     def finish_close(self, grace: float = 5.0) -> None:
         """Join (then escalate) and release every OS resource."""
+        self._end_proc(grace)
+        self._close_link()
 
     def close(self, grace: float = 5.0) -> None:
         """Full teardown; never raises a transport error.
@@ -537,16 +554,21 @@ class ShardTransport:
             pass
         self.finish_close(grace)
 
-    # shared process teardown helper
+    def _close_link(self) -> None:
+        """Drop this side of the link to the current agent."""
+
     def _end_proc(self, grace: float) -> None:
+        """The one teardown ladder: join for ``grace`` seconds, then
+        SIGTERM, then SIGKILL (a hung agent ignores SIGTERM, and a
+        stopped one never acts on it)."""
         proc = self.proc
         if proc is None:
             return
         proc.join(timeout=grace)
-        if proc.is_alive():  # pragma: no cover - hung worker
+        if proc.is_alive():
             proc.terminate()
             proc.join(timeout=1.0)
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+        if proc.is_alive():
             proc.kill()
             proc.join()
         self.proc = None
@@ -555,15 +577,13 @@ class ShardTransport:
 class InprocTransport(ShardTransport):
     """The shard in the caller's process: serial, zero-copy, zero bytes.
 
-    Chaos is emulated deterministically — the same
-    ``decide(worker, epoch, incarnation)`` schedule yields the same
-    failure kinds at the same epochs as a process transport would, minus
-    the OS: a "crash" marks the slot dead and raises, a "hang" raises
-    without sleeping out a deadline, a "garble" returns the same
-    malformed reply the real agent sends. Net chaos needs no emulation
-    at all: it lives entirely in the base class, so the in-process
-    transport exhibits byte-for-byte the same unreachable/stale-reply
-    schedule as the process fabrics.
+    The same agent as on the process fabrics answers every request, so
+    the ``decide(worker, epoch, incarnation)`` chaos schedule yields the
+    same failure kinds at the same epochs, minus the OS: a "crash" marks
+    the slot dead and raises, a "hang" raises without sleeping out a
+    deadline. Net chaos lives entirely in the base class, so the
+    in-process transport exhibits byte-for-byte the same
+    unreachable/stale-reply schedule as the process fabrics.
     """
 
     kind = "inproc"
@@ -571,20 +591,16 @@ class InprocTransport(ShardTransport):
     def __init__(self, worker_id, entries, tick, chaos=None,
                  netchaos=None) -> None:
         super().__init__(worker_id, entries, tick, chaos, netchaos)
-        self.shard: Shard | None = None
-        self._epoch = 0
+        self.agent: _Agent | None = None
         self._dead = False
         self._inbox: list[tuple] = []
         self._pending: list[tuple] = []
 
     def _spawn_raw(self, replay: list, incarnation: int) -> None:
-        self.shard = Shard(self.entries, self.tick)
-        for commands, n_ticks, frac in replay:
-            self.shard.advance(commands, n_ticks, frac)
-        self._epoch = len(replay)
+        self.agent = _Agent(*self._agent_args(replay, incarnation))
         self._dead = False
         self._inbox = []
-        self._pending = [("ok", "ready", incarnation, len(replay))]
+        self._pending = [self.agent.ready()]
 
     def _send_raw(self, msg: tuple) -> None:
         if self._dead:
@@ -599,57 +615,26 @@ class InprocTransport(ShardTransport):
             raise self._crash_failure()
         if not self._inbox:
             raise self._hang_failure(timeout)
-        msg = self._inbox.pop(0)
-        tag = msg[0]
-        inc = self.incarnation
-        # Fence with the pre-dispatch epoch, like the real agent loop: an
-        # advance that raises must still answer the epoch it was asked.
-        reply_epoch = self._epoch
-        try:
-            if tag == "advance":
-                _, commands, n_ticks, frac = msg
-                fault = (
-                    self.chaos.decide(self.worker_id, reply_epoch, inc)
-                    if self.chaos is not None
-                    else None
-                )
-                if fault == "crash":
-                    self._dead = True
-                    raise self._crash_failure()
-                if fault == "hang":
-                    raise self._hang_failure(timeout)
-                self._epoch = reply_epoch + 1
-                if fault == "garble":
-                    return ("ok", {"garbled": reply_epoch}, inc, reply_epoch)
-                return (
-                    "ok", self.shard.advance(commands, n_ticks, frac),
-                    inc, reply_epoch,
-                )
-            if tag == "snapshot":
-                return ("ok", self.shard.snapshot_many(msg[1]), inc,
-                        reply_epoch)
-            return ("error", f"unknown message {tag!r}", inc, reply_epoch)
-        except WorkerFailure:
-            raise
-        except Exception as exc:
-            return ("error", f"{type(exc).__name__}: {exc}", inc,
-                    reply_epoch)
+
+        def die(kind: str) -> NoReturn:
+            if kind == "crash":
+                self._dead = True
+                raise self._crash_failure()
+            raise self._hang_failure(timeout)
+
+        return self.agent.handle(self._inbox.pop(0), die)
 
     def is_alive(self) -> bool:
-        return self.shard is not None and not self._dead and not self.closed
+        return self.agent is not None and not self._dead and not self.closed
 
     @property
     def exitcode(self) -> int | None:
         return CRASH_EXIT if self._dead else None
 
-    def reap(self) -> None:
-        self.shard = None
+    def _close_link(self) -> None:
+        self.agent = None
         self._inbox = []
         self._pending = []
-
-    def request_close(self) -> None:
-        self.closed = True
-        self.shard = None
 
 
 class ForkTransport(ShardTransport):
@@ -673,10 +658,7 @@ class ForkTransport(ShardTransport):
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_fork_agent_main,
-            args=(
-                child, self.entries, self.tick, replay, self.chaos,
-                self.worker_id, incarnation,
-            ),
+            args=(child, *self._agent_args(replay, incarnation)),
             daemon=True,
         )
         proc.start()
@@ -734,22 +716,6 @@ class ForkTransport(ShardTransport):
             raise self._garbled_failure(f"sent a malformed reply: {msg!r}")
         return msg
 
-    def reap(self) -> None:
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self.conn = None
-        proc = self.proc
-        if proc is not None:
-            proc.terminate()
-            proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join()
-            self.proc = None
-
     def request_close(self) -> None:
         self.closed = True
         if self.conn is not None:
@@ -758,8 +724,7 @@ class ForkTransport(ShardTransport):
             except (BrokenPipeError, OSError):
                 pass
 
-    def finish_close(self, grace: float = 5.0) -> None:
-        self._end_proc(grace)
+    def _close_link(self) -> None:
         if self.conn is not None:
             try:
                 self.conn.close()
@@ -811,20 +776,15 @@ class SocketTransport(ShardTransport):
         self.listener: socket.socket | None = listener
 
     def _spawn_raw(self, replay: list, incarnation: int) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        self.sock = None
+        self._close_link()
         self._reader = MessageReader()
         self._queue = []
         self._sent_refs = set()
         proc = self._ctx.Process(
             target=_socket_agent_main,
             args=(
-                self._family, self._address, self.entries, self.tick,
-                replay, self.chaos, self.worker_id, incarnation,
+                self._family, self._address,
+                *self._agent_args(replay, incarnation),
             ),
             daemon=True,
         )
@@ -945,22 +905,6 @@ class SocketTransport(ShardTransport):
             f"sent an unexpected message type {msg_type}"
         )
 
-    def reap(self) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self.sock = None
-        proc = self.proc
-        if proc is not None:
-            proc.terminate()
-            proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join()
-            self.proc = None
-
     def request_close(self) -> None:
         self.closed = True
         if self.sock is not None:
@@ -972,14 +916,16 @@ class SocketTransport(ShardTransport):
                 # from masking whatever failure triggered it.
                 pass
 
-    def finish_close(self, grace: float = 5.0) -> None:
-        self._end_proc(grace)
+    def _close_link(self) -> None:
         if self.sock is not None:
             try:
                 self.sock.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
             self.sock = None
+
+    def finish_close(self, grace: float = 5.0) -> None:
+        super().finish_close(grace)
         if self.listener is not None:
             try:
                 self.listener.close()
@@ -1006,7 +952,7 @@ def make_transport(
     chaos: "GridFaultPlan | None" = None,
     netchaos: "NetChaosPlan | None" = None,
 ) -> ShardTransport:
-    """Transport factory used by the sharded engines."""
+    """Transport factory used by the supervised engine's worker slots."""
     if name == "inproc":
         return InprocTransport(worker_id, entries, tick, chaos, netchaos)
     if name == "fork":

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.columns import ColumnKind
 from repro.core.expr import canonical_name
 from repro.core.recorder import Recorder
 from repro.core.screen import get_screen
@@ -289,7 +288,7 @@ def _replay_determinism(ex: Execution) -> list[Violation]:
 
 @oracle("engines-agree")
 def _engines_agree(ex: Execution) -> list[Violation]:
-    """Legacy / serial / sharded grid engines: identical digests."""
+    """Every grid engine and shard transport: identical digests."""
     if len(ex.grid) < 2:
         return []
     out: list[Violation] = []
@@ -555,7 +554,7 @@ def _expr_column_vs_scalar(ex: Execution) -> list[Violation]:
     if ex.base is None:
         return []
     screen = get_screen(ex.scenario.screen)
-    columns = [c for c in screen.columns if c.kind is ColumnKind.EXPR]
+    columns = [c for c in screen.columns if c.expression is not None]
     out: list[Violation] = []
     for k, frame in enumerate(ex.base.frames):
         for i in range(len(frame)):
@@ -566,7 +565,6 @@ def _expr_column_vs_scalar(ex: Execution) -> list[Violation]:
             env["delta_t"] = frame.interval if frame.interval > 0 else math.nan
             env["cpu_pct"] = float(frame.cpu_pct[i])
             for column in columns:
-                assert column.expression is not None
                 scalar = column.expression.evaluate(env)
                 vector = float(frame.metrics[column.header][i])
                 if not _eq(scalar, vector):

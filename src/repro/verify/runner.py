@@ -488,8 +488,9 @@ def run_grid(
     still alive after ``close()`` (leak freedom). Chaos, when the
     scenario configures it, is applied to the supervised engine only;
     every other engine runs clean and serves as the recovery reference.
-    ``transport`` pins the shard transport (the transport-invariance
-    sweep); the "fleet" engine always runs clean over two hosts.
+    ``transport`` pins the shard transport for the transport-invariance
+    sweep, whose supervised runs are clean too; the "fleet" engine
+    always runs clean over two hosts.
     """
     arch = get_arch(scenario.arch)
     specs = [
@@ -516,7 +517,7 @@ def run_grid(
         scenario.jobs, key=lambda j: (j.submit_at, scenario.jobs.index(j))
     )
     chaos = netchaos = supervision = None
-    if engine == "supervised":
+    if engine == "supervised" and transport is None:
         chaos = _grid_chaos_plan(scenario)
         netchaos = _net_chaos_plan(scenario)
         # No backoff sleep: recovery wall time stays bounded in fuzz
@@ -604,12 +605,13 @@ def execute(scenario: Scenario) -> Execution:
     else:
         for engine in scenario.engines:
             ex.grid[engine], ex.grid_meta[engine] = run_grid(scenario, engine)
-        # Transport-invariance sweep: the sharded engine re-runs once per
-        # listed transport; the keys join the engines-agree comparison.
+        # Transport-invariance sweep: the supervised engine re-runs clean
+        # once per listed transport; the keys join the engines-agree
+        # comparison.
         for t in scenario.transports:
-            key = f"sharded+{t}"
+            key = f"supervised+{t}"
             ex.grid[key], ex.grid_meta[key] = run_grid(
-                scenario, "sharded", transport=t
+                scenario, "supervised", transport=t
             )
         # Replay the chaotic supervised run when there is one: recovery
         # (not just clean execution) must be byte-deterministic. Link

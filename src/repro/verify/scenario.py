@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.perf.faults import ERROR_CLASSES, OPS
 from repro.sim.netchaos import NET_FAULT_KINDS
+from repro.sim.parallel import ENGINE_NAMES, TRANSPORT_NAMES
 from repro.sim.supervisor import GRID_FAULT_KINDS
 from repro.sim.workloads.synthetic import ARCHETYPES, _ipc_range
 
@@ -218,8 +219,9 @@ class Scenario:
     epoch_deadline: float = 2.0
     restart_budget: int = 8
     #: Extra shard-transport sweep: each listed transport re-runs the
-    #: sharded engine through Grid(transport=...) and its digest joins
-    #: the engines-agree comparison (the transport-invariance oracle).
+    #: supervised engine clean through Grid(transport=...) and its digest
+    #: joins the engines-agree comparison (the transport-invariance
+    #: oracle).
     transports: tuple[str, ...] = ()
     #: Network chaos. Grid scenarios: the supervised engine's shard
     #: links run under a seeded NetChaosPlan (partitions, lost/duplicate
@@ -241,6 +243,16 @@ class Scenario:
                 f"delay {self.delay} must be a whole multiple of "
                 f"tick {self.tick}"
             )
+        for names, known, what in (
+            (self.engines, ENGINE_NAMES, "grid engine"),
+            (self.transports, TRANSPORT_NAMES, "shard transport"),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ConfigError(
+                        f"unknown {what} {name!r} "
+                        f"(have: {', '.join(known)})"
+                    )
 
     @property
     def chaotic(self) -> bool:
@@ -461,8 +473,10 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
     tick = float(rng.choice(GRID_TICKS))
     span = _tick_multiple(rng, tick, 12, 32)
     engines = ["legacy", "serial"]
+    # Sometimes the worker-process engine. Every draw in a generator is
+    # append-only: removing one would shift every later field of a seed.
     if rng.random() < 0.15:
-        engines.append("sharded")
+        engines.append("supervised")
     queues = (
         QueuePlan(
             name="fast",
@@ -510,7 +524,8 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
     grid_faults: tuple[GridFaultClause, ...] = ()
     restart_budget = 8
     if rng.random() < 0.4:
-        engines.append("supervised")
+        if "supervised" not in engines:
+            engines.append("supervised")
         mode = rng.random()
         if mode < 0.45:
             grid_chaos_seed = int(rng.integers(0, 2**31))

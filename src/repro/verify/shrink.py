@@ -100,8 +100,6 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
         yield replace(
             s, engines=tuple(e for e in s.engines if e != "supervised")
         )
-    if "sharded" in s.engines and len(s.engines) > 1:
-        yield replace(s, engines=tuple(e for e in s.engines if e != "sharded"))
     if s.workers > 1:
         yield replace(s, workers=1)
     if s.n_nodes > 1:

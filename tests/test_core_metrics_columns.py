@@ -11,6 +11,7 @@ from repro.core.columns import (
     PID_COLUMN,
     expr_column,
 )
+from repro.core.expr import Expression
 from repro.core.metrics import METRICS, get_metric
 from repro.errors import ConfigError
 
@@ -85,6 +86,10 @@ class TestColumns:
     def test_expr_column_needs_expression(self):
         with pytest.raises(ConfigError):
             Column("X", ColumnKind.EXPR)
+
+    def test_intrinsic_column_takes_no_expression(self):
+        with pytest.raises(ConfigError, match="only with it"):
+            Column("X", ColumnKind.PID, expression=Expression("a / b"))
 
     def test_positive_width(self):
         with pytest.raises(ConfigError):

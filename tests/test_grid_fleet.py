@@ -4,8 +4,8 @@ The two-level supervision tree (fleet supervisor over per-host
 supervised engines) must be a pure failure-domain knob: for any fleet,
 seed and churn script, ``Grid(hosts=N)`` is bitwise identical to the
 serial engine — with chaos on, with hosts dying and being resurrected
-from the fleet journal, and with the restart budget exhausted (the host
-stays degraded-but-correct). Preemption is part of the dispatch state
+from their engines' journals, and with the restart budget exhausted (the
+host stays degraded-but-correct). Preemption is part of the dispatch state
 machine, so it too must decide identically on every engine.
 """
 
@@ -105,7 +105,36 @@ class TestFleetEquivalence:
         with pytest.raises(SimulationError, match="hosts must be >= 1"):
             Grid(_fleet(), _queues(), workers=2, hosts=0)
         with pytest.raises(SimulationError, match="require the fleet engine"):
-            Grid(_fleet(), _queues(), workers=2, engine="sharded", hosts=2)
+            Grid(_fleet(), _queues(), workers=2, engine="supervised", hosts=2)
+
+    @pytest.mark.parametrize("workers,hosts", [(3, 2), (1, 2), (6, 4)])
+    def test_workers_must_split_evenly_over_hosts(self, workers, hosts):
+        # An uneven split used to round each host's share down (or up to
+        # one) and silently run a different number of workers.
+        with pytest.raises(SimulationError, match="multiple"):
+            Grid(_fleet(), _queues(), workers=workers, hosts=hosts)
+
+    def test_node_to_worker_map(self):
+        # Node i goes to host h = i % H; that host's k-th node to global
+        # worker h*(W/H) + k % (W/H). Chaos schedules key on these ids.
+        specs = [
+            NodeSpec(name=f"n{i}", sockets=1, cores_per_socket=1,
+                     memory_bytes=4 * GiB)
+            for i in range(8)
+        ]
+        engine = FleetEngine(specs, 1.0, 0, 4, hosts=2, transport="inproc")
+        try:
+            placed = {
+                node: host.engine._states[slot].transport.worker_id
+                for host in engine._hosts
+                for node, slot in host.engine._node_worker.items()
+            }
+        finally:
+            engine.close()
+        assert placed == {
+            "n0": 0, "n1": 2, "n2": 1, "n3": 3,
+            "n4": 0, "n5": 2, "n6": 1, "n7": 3,
+        }
 
     def test_fleet_stats_aggregate_host_counters(self):
         with Grid(_fleet(), _queues(), tick=1.0, seed=2, workers=4,
@@ -130,7 +159,8 @@ class TestHostResurrection:
     def test_degraded_host_is_restarted_from_the_fleet_journal(self):
         # Worker restart budget 0: the first worker fault degrades its
         # host engine, which the fleet tier then tears down and
-        # resurrects by journal replay — and the digest still matches.
+        # resurrects by replaying the retired engine's per-worker
+        # journals — and the digest still matches.
         reference = _digest(7, "serial")
         chaos = GridFaultPlan.from_seed(1, intensity=8.0)
         tight = Supervision(deadline=0.5, backoff_base=0.0,
@@ -226,10 +256,9 @@ class TestPreemption:
         reference, _, ref_stats = self._run("serial")
         for engine, workers, kw in [
             ("legacy", 1, {}),
-            ("sharded", 2, {}),
             ("supervised", 2, {}),
             ("fleet", 4, {"hosts": 2}),
-            ("sharded", 2, {"transport": "socket"}),
+            ("supervised", 2, {"transport": "socket"}),
         ]:
             digest, _, stats = self._run(engine, workers, **kw)
             assert digest == reference, f"{engine} {kw} diverged"
@@ -345,6 +374,13 @@ class TestFleetCli:
         serial_out = capsys.readouterr().out
         # Same grid behaviour, different engine banner.
         assert serial_out.splitlines()[1:] == fleet_out.splitlines()[1:]
+
+    def test_uneven_hosts_split_is_an_error(self, capsys):
+        assert main(["--sim", "--grid-workers", "3", "--grid-hosts", "2",
+                     "-d", "2", "-n", "6"]) == 1
+        captured = capsys.readouterr()
+        assert "engine=fleet" not in captured.out
+        assert "positive multiple of 2 workers" in captured.err
 
     def test_bad_transport_value_is_exit_2(self, capsys):
         assert main(["--sim", "--grid-workers", "2",

@@ -1,10 +1,11 @@
 """Engine equivalence and epoch semantics for the parallel grid.
 
 The contract under test: the legacy per-tick loop, the in-process serial
-epoch engine, and the sharded multi-process engine produce *bitwise
-identical* grids — job states, dispatch/finish times, per-node counter
-tables — for any fleet, seed and churn script. Determinism is what makes
-``workers=N`` a pure performance knob.
+epoch engine, the supervised multi-process engine and the fleet of
+supervised hosts produce *bitwise identical* grids — job states,
+dispatch/finish times, per-node counter tables — for any fleet, seed and
+churn script. Determinism is what makes ``workers=N`` a pure performance
+knob.
 """
 
 import math
@@ -24,7 +25,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.workloads import datacenter
 
-ENGINES = [("legacy", 1), ("serial", 1), ("sharded", 2), ("supervised", 2)]
+ENGINES = [("legacy", 1), ("serial", 1), ("supervised", 2), ("fleet", 2)]
 
 
 def _job(seconds=60.0, ipc=1.2, name="job"):
@@ -115,15 +116,15 @@ class TestEngineEquivalence:
                 _churn(grid, seed)
                 results[engine] = _observables(grid)
         assert results["legacy"] == results["serial"]
-        assert results["serial"] == results["sharded"]
-        assert results["sharded"] == results["supervised"]
+        assert results["serial"] == results["supervised"]
+        assert results["supervised"] == results["fleet"]
 
     def test_worker_count_does_not_change_results(self):
         results = []
         for workers in (1, 2, 3, 4):
             with Grid(_small_fleet(), _small_queues(), tick=1.0, seed=11,
                       workers=workers,
-                      engine="sharded" if workers > 1 else "serial") as grid:
+                      engine="supervised" if workers > 1 else "serial") as grid:
                 _churn(grid, 11)
                 results.append(_observables(grid))
         assert all(r == results[0] for r in results[1:])
@@ -141,7 +142,7 @@ class TestEngineEquivalence:
                 results[engine] = _observables(grid)
         assert (
             results["legacy"] == results["serial"]
-            == results["sharded"] == results["supervised"]
+            == results["supervised"] == results["fleet"]
         )
 
 
@@ -348,13 +349,12 @@ class TestShardedEngineSurface:
                 grid.engine.snapshot("nope")
 
     def test_invalid_engine_and_workers_rejected(self):
-        with pytest.raises(SimulationError):
-            Grid(_small_fleet(), _small_queues(), engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(SimulationError, match="unknown grid engine"):
+                Grid(_small_fleet(), _small_queues(), engine=engine)
         with pytest.raises(SimulationError):
             Grid(_small_fleet(), _small_queues(), workers=0)
-        assert set(ENGINE_NAMES) == {
-            "legacy", "serial", "sharded", "supervised", "fleet"
-        }
+        assert set(ENGINE_NAMES) == {"legacy", "serial", "supervised", "fleet"}
 
     def test_more_workers_than_nodes_is_clamped(self):
         with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],

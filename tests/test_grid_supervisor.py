@@ -1,4 +1,4 @@
-"""Supervision tree for the sharded grid: detect, restart, adopt, degrade.
+"""Supervision tree for grid workers: detect, restart, adopt, degrade.
 
 The contract under test: a SIGKILLed, hung or garbling worker never
 deadlocks and never aborts ``Grid.run_for`` — the supervisor restarts the
@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.cli import main
-from repro.errors import ConfigError, SimulationError, WorkerFailure
+from repro.errors import ConfigError, SimulationError
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.parallel import create_engine
 from repro.sim.supervisor import (
@@ -179,8 +179,8 @@ class TestGridFaultPlan:
             Supervision(backoff_base=-0.1)
 
     def test_chaos_requires_the_supervised_engine(self):
-        with pytest.raises(SimulationError):
-            create_engine("sharded", _fleet(), 1.0, 7, 2,
+        with pytest.raises(SimulationError, match="supervised engine"):
+            create_engine("legacy", _fleet(), 1.0, 7, 1,
                           chaos=GridFaultPlan.from_seed(1))
         with pytest.raises(SimulationError):
             create_engine("serial", _fleet(), 1.0, 7, 1, supervision=FAST)
@@ -413,64 +413,6 @@ class TestObservability:
         grid.close()
         grid.close()
         assert all(not p.is_alive() for p in procs)
-
-
-class TestUnsupervisedShardedFailures:
-    """Satellite: the plain sharded engine doesn't recover, but it must
-    fail with a typed WorkerFailure under a deadline — never a raw
-    EOFError and never an unbounded block — and close() must always
-    reach a SIGKILL for workers that ignore everything else."""
-
-    def test_killed_worker_surfaces_typed_crash(self):
-        grid = Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
-                    engine="sharded")
-        try:
-            grid.submit("svc", _endless(), queue="quick", memory_bytes=GiB)
-            os.kill(grid.engine._procs[0].pid, signal.SIGKILL)
-            time.sleep(0.05)
-            with pytest.raises(WorkerFailure) as info:
-                grid.run_for(4.0)
-            assert info.value.kind == "crash"
-            assert info.value.worker == 0
-            assert info.value.exitcode == -signal.SIGKILL
-        finally:
-            grid.close()
-        _assert_no_children()
-
-    def test_stopped_worker_surfaces_typed_hang(self):
-        grid = Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
-                    engine="sharded")
-        try:
-            grid.engine.deadline = 0.3
-            grid.submit("svc", _endless(), queue="quick", memory_bytes=GiB)
-            pid = grid.engine._procs[1].pid
-            os.kill(pid, signal.SIGSTOP)
-            try:
-                with pytest.raises(WorkerFailure) as info:
-                    grid.run_for(4.0)
-                assert info.value.kind == "hang"
-                assert info.value.worker == 1
-            finally:
-                os.kill(pid, signal.SIGCONT)
-        finally:
-            grid.close()
-        _assert_no_children()
-
-    def test_close_kill_ladder_reaps_a_stopped_worker(self):
-        # A stopped process never reads the close message and SIGTERM
-        # stays pending while it is stopped, so close() must walk all the
-        # way down to SIGKILL. The join timeouts make this test slow by
-        # design (~6s); it is the only coverage of the last rung.
-        engine = create_engine(
-            "sharded",
-            [NodeSpec(name="n", sockets=1, cores_per_socket=1)],
-            1.0, 7, 1,
-        )
-        proc = engine._procs[0]  # ready handshake consumed by __init__
-        os.kill(proc.pid, signal.SIGSTOP)
-        engine.close()
-        assert not proc.is_alive()
-        _assert_no_children()
 
 
 class TestGridChaosCli:

@@ -1,23 +1,29 @@
 """Transport-axis equivalence and the per-fabric contracts.
 
 ``tests/test_grid_parallel.py`` pins the engine axis (legacy / serial /
-sharded / supervised bitwise-identical under churn); this file pins the
-*transport* axis underneath the sharded engines: inproc, fork and socket
-fabrics must be pure performance knobs too. Plus the per-fabric
-contracts the engines rely on — snapshot batching (one message per
+supervised / fleet bitwise-identical under churn); this file pins the
+*transport* axis underneath the supervised engine: inproc, fork and
+socket fabrics must be pure performance knobs too. Plus the per-fabric
+contracts the engine relies on — snapshot batching (one message per
 worker, not per node), typed ``kind="closed"`` on a send racing
-teardown, byte accounting (zero for inproc, exact for fork/socket), and
-socket workload interning (the pickled workload crosses the wire once
-per connection).
+teardown, typed crash/hang failures from a killed or stopped agent
+process and a teardown ladder that reaps it, byte accounting (zero for
+inproc, exact for fork/socket), and socket workload interning (the
+pickled workload crosses the wire once per connection).
 """
 
+import multiprocessing
+import os
 import random
+import signal
+import time
 
 import pytest
 
 from repro.errors import SimulationError, WorkerFailure
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
-from repro.sim.parallel import ShardedEngine, SpawnCmd, TRANSPORT_NAMES
+from repro.sim.parallel import SpawnCmd, TRANSPORT_NAMES
+from repro.sim.supervisor import SupervisedShardedEngine
 from repro.sim.transport import make_transport
 from repro.sim.workloads import datacenter
 
@@ -113,7 +119,8 @@ class TestChurnEquivalence:
     def test_transports_bitwise_identical_under_churn(self, seed):
         reference = _digest(seed, "serial", 1)
         for name in TRANSPORT_NAMES:
-            assert _digest(seed, "sharded", 2, transport=name) == reference, (
+            digest = _digest(seed, "supervised", 2, transport=name)
+            assert digest == reference, (
                 f"transport {name!r} diverged from serial at seed {seed}"
             )
 
@@ -121,8 +128,8 @@ class TestChurnEquivalence:
 class TestSnapshotBatching:
     @pytest.mark.parametrize("name", TRANSPORT_NAMES)
     def test_snapshot_many_is_one_message_per_worker(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=3, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=3,
+                                         workers=2, transport=name)
         try:
             before = engine.messages
             snaps = engine.snapshot_many([s.name for s in _fleet()])
@@ -134,8 +141,8 @@ class TestSnapshotBatching:
 
     @pytest.mark.parametrize("name", TRANSPORT_NAMES)
     def test_single_snapshot_still_works(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=3, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=3,
+                                         workers=2, transport=name)
         try:
             snap = engine.snapshot("a1")
             assert {"counters", "procs", "now"} <= set(snap)
@@ -171,14 +178,81 @@ class TestClosedRace:
         transport.finish_close(grace=2.0)
 
 
+@pytest.mark.parametrize("name", ["fork", "socket"])
+class TestAgentFailures:
+    """A dead or wedged agent process fails its round-trip with a typed
+    WorkerFailure under the deadline — never a raw EOFError and never an
+    unbounded block — and close() always reaches a SIGKILL for an agent
+    that ignores everything else."""
+
+    def _ready(self, name):
+        t = make_transport(name, 1, _entries(), 0.5)
+        t.spawn([], 0)
+        assert t.recv(30.0) == ("ok", "ready")
+        return t
+
+    def test_killed_agent_surfaces_typed_crash(self, name):
+        t = self._ready(name)
+        try:
+            os.kill(t.proc.pid, signal.SIGKILL)
+            t.proc.join(timeout=5.0)
+            with pytest.raises(WorkerFailure) as info:
+                t.send(("advance", [], 1, 0.0))
+                t.recv(5.0)
+            assert info.value.kind == "crash"
+            assert info.value.worker == 1
+            assert info.value.exitcode == -signal.SIGKILL
+        finally:
+            t.close(grace=2.0)
+        _assert_no_children()
+
+    def test_stopped_agent_surfaces_typed_hang(self, name):
+        t = self._ready(name)
+        try:
+            pid = t.proc.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                t.send(("advance", [], 1, 0.0))
+                with pytest.raises(WorkerFailure) as info:
+                    t.recv(0.3)
+                assert info.value.kind == "hang"
+                assert info.value.worker == 1
+            finally:
+                os.kill(pid, signal.SIGCONT)
+        finally:
+            t.close(grace=2.0)
+        _assert_no_children()
+
+    def test_close_kill_ladder_reaps_a_stopped_agent(self, name):
+        # A stopped process never reads the close message and SIGTERM
+        # stays pending while it is stopped, so close() must walk all the
+        # way down to SIGKILL (grace + 1 s of joins, by design).
+        t = self._ready(name)
+        proc = t.proc
+        os.kill(proc.pid, signal.SIGSTOP)
+        t.close(grace=0.5)
+        assert not proc.is_alive()
+        _assert_no_children()
+
+
+def _assert_no_children():
+    # active_children() joins exited processes as a side effect; a short
+    # grace window absorbs the OS reaping a freshly-SIGKILLed child.
+    for _ in range(50):
+        if not multiprocessing.active_children():
+            return
+        time.sleep(0.02)
+    assert multiprocessing.active_children() == []
+
+
 class TestBytesAccounting:
     def _advance_epochs(self, engine, n=3):
         for _ in range(n):
             engine.advance([], 2, 0.0)
 
     def test_inproc_moves_zero_bytes(self):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=5, workers=2,
-                               transport="inproc")
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=5,
+                                         workers=2, transport="inproc")
         try:
             self._advance_epochs(engine)
             engine.snapshot_many(["a0", "a1", "a2"])
@@ -190,8 +264,8 @@ class TestBytesAccounting:
 
     @pytest.mark.parametrize("name", ["fork", "socket"])
     def test_process_fabrics_account_every_message(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=5, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=5,
+                                         workers=2, transport=name)
         try:
             self._advance_epochs(engine)
             sent_after_advance = engine.bytes_sent
@@ -260,8 +334,8 @@ class TestFactory:
 
     def test_engine_rejects_unknown_transport(self):
         with pytest.raises(SimulationError, match="unknown shard transport"):
-            ShardedEngine(_fleet(), tick=1.0, seed=0, workers=2,
-                          transport="bogus")
+            SupervisedShardedEngine(_fleet(), tick=1.0, seed=0, workers=2,
+                                    transport="bogus")
 
     def test_grid_rejects_unknown_transport(self):
         with pytest.raises(SimulationError, match="unknown shard transport"):

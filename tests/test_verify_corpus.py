@@ -3,7 +3,7 @@
 ``tests/corpus/*.json`` holds curated scenarios pinning the interesting
 regimes the fuzzer only hits probabilistically: fault storms, fd
 exhaustion, multiplexing pressure, per-thread churn, mixed permissions,
-mid-run deaths, read starvation, grid queueing and the sharded engine.
+mid-run deaths, read starvation, grid queueing and worker-process engines.
 The PR-gating CI job replays exactly this corpus; the nightly job fuzzes
 fresh seeds on top.
 """

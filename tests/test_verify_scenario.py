@@ -1,6 +1,8 @@
 """Scenario model and seeded generator."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from repro.verify.scenario import (
     TaskPlan,
     generate,
 )
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestGenerate:
@@ -110,6 +114,19 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             Scenario(kind="fleet", seed=0)
+
+    @pytest.mark.parametrize("engine", ["bogus", "sharded"])
+    def test_unknown_engine_fails_at_load(self, engine):
+        # Rejected when the scenario is built, not after the engines
+        # before it have already run.
+        data = json.loads((CORPUS / "grid-queueing.json").read_text())
+        data["engines"] = ["legacy", engine]
+        with pytest.raises(ConfigError, match="unknown grid engine"):
+            Scenario.from_dict(data)
+
+    def test_unknown_transport_fails_at_load(self):
+        with pytest.raises(ConfigError, match="unknown shard transport"):
+            Scenario(kind="grid", seed=0, transports=("fork", "pigeon"))
 
     def test_delay_must_be_tick_multiple(self):
         with pytest.raises(ConfigError, match="multiple"):
