@@ -1,22 +1,27 @@
-"""Hot-path throughput: the columnar ``run_ticks`` kernel vs scalar ticks.
+"""Hot-path throughput: the columnar tick kernel vs the scalar reference.
 
 The paper's tool promises monitoring overhead in the noise (§2.5); our
 bottleneck is the simulation itself. This benchmark drives two synthetic
 populations — the historical 200-process node and a 1000-process node,
-every task carrying a ten-event screen — through both machine advance
-paths and records the results under ``benchmarks/out/``:
+every task carrying a ten-event screen — through the machine's columnar
+kernel and through the scalar reference tick of
+:mod:`repro.verify.reference`, and records the results under
+``benchmarks/out/``:
 
 * ``BENCH_throughput.json``        — the full run (default).
 * ``BENCH_throughput_smoke.json``  — the CI smoke run
   (``REPRO_BENCH_SMOKE=1``).
 
-The columnar machine is warmed long past the memo-orbit settling point
-(~2000 ticks at 1000 processes: the contention/rate memos key on object
-identities that converge once the scheduler's round-robin orbit has
-revisited every co-schedule) because steady state is the regime a
-long-running monitor lives in. The scalar reference has no memos to warm,
-so its warmup only has to cover allocator/startup jitter. Bitwise
-equivalence of the two paths is proven separately by
+The columnar machine is handed a :class:`~repro.sim.core.RateCache`, as
+a grid :class:`~repro.sim.parallel.Shard` hands its machines one, and is
+warmed long past the memo-orbit settling point (~2000 ticks at 1000
+processes: the contention/rate memos key on object identities that
+converge once the scheduler's round-robin orbit has revisited every
+co-schedule), because steady state is the regime a grid shard lives in.
+The monitor's own host runs the kernel memo-free; perfbench's node
+workloads time that configuration end to end. The reference has no
+memos to warm, so its warmup only has to cover allocator/startup jitter.
+Bitwise equivalence of the two is proven separately by
 ``tests/test_run_ticks_equivalence.py`` and the ``scalar-columnar-machine``
 oracle; this file only times them.
 
@@ -36,9 +41,11 @@ import time
 from _harness import OUT_DIR
 
 from repro.sim.arch import NEHALEM
+from repro.sim.core import RateCache
 from repro.sim.events import Event
 from repro.sim.machine import SimMachine
 from repro.sim.workloads import synthetic
+from repro.verify import reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -58,7 +65,7 @@ EVENTS = (
 
 #: (name, processes, columnar warmup, measured columnar ticks,
 #:  scalar warmup, measured scalar ticks, min speedup, min task-ticks/s).
-#: Scalar tick counts are smaller because the scalar path is the slow one
+#: Reference tick counts are smaller because the reference is the slow one
 #: being measured, not the one under assertion.
 SCENARIOS = (
     ("node200", 200, 600, 1000, 100, 300, 3.0, 10_000.0),
@@ -74,10 +81,11 @@ SMOKE_MIN_SPEEDUP = 2.0
 REPEATS = 1 if SMOKE else 2
 
 
-def build_machine(processes: int) -> SimMachine:
+def build_machine(processes: int, rate_cache: RateCache | None = None) -> SimMachine:
     """A 4-core node oversubscribed ``processes``:8 with monitored tasks."""
     machine = SimMachine(
-        NEHALEM, sockets=1, cores_per_socket=4, tick=0.1, seed=7
+        NEHALEM, sockets=1, cores_per_socket=4, tick=0.1, seed=7,
+        rate_cache=rate_cache,
     )
     for spec in synthetic.generate_specs(processes, seed=3):
         workload = synthetic.build(spec, NEHALEM, seed=11)
@@ -91,11 +99,9 @@ def _time_scalar(processes: int, warmup: int, measured: int) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         machine = build_machine(processes)
-        for _ in range(warmup):
-            machine._step(machine.tick)
+        reference.run_ticks(machine, warmup)
         t0 = time.perf_counter()
-        for _ in range(measured):
-            machine._step(machine.tick)
+        reference.run_ticks(machine, measured)
         best = min(best, time.perf_counter() - t0)
     return best / measured
 
@@ -103,7 +109,7 @@ def _time_scalar(processes: int, warmup: int, measured: int) -> float:
 def _time_columnar(processes: int, warmup: int, measured: int) -> float:
     best = float("inf")
     for _ in range(REPEATS):
-        machine = build_machine(processes)
+        machine = build_machine(processes, RateCache())
         machine.run_ticks(warmup)
         t0 = time.perf_counter()
         machine.run_ticks(measured)

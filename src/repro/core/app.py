@@ -162,20 +162,13 @@ class TipTop:
         timing = self.sampler.last_timing
         if timing is None:
             return
-        # Simulated hosts expose the node's RateCache; its hit rate is the
-        # leading indicator for batched-advance regressions.
-        cache = ""
-        machine = getattr(self.host, "machine", None)
-        rate_cache = getattr(machine, "_rate_cache", None)
-        if rate_cache is not None:
-            cache = f" rate_cache={rate_cache.hits}/{rate_cache.misses}"
         print(
             f"profile: advance={self._advance_seconds * 1e3:8.2f}ms "
             f"read={timing.read_seconds * 1e3:7.2f}ms "
             f"eval={timing.eval_seconds * 1e3:7.2f}ms "
             f"refresh={timing.refresh_seconds * 1e3:7.2f}ms "
             f"render={render_seconds * 1e3:7.2f}ms "
-            f"tasks={timing.tasks}{cache}",
+            f"tasks={timing.tasks}",
             file=sys.stderr,
         )
 

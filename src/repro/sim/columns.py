@@ -4,39 +4,40 @@ Two pieces live here:
 
 * :class:`CounterColumns` — the authoritative storage for every open
   kernel counter's hot state (accumulated value, ``time_enabled``,
-  ``time_running``, enabled bit) as preallocated numpy columns. A
-  :class:`~repro.sim.counters.KernelCounter` is a thin handle into one
-  slot; ``read()`` paths serve straight from the accumulator columns.
-* :class:`ColumnKernel` — the batched tick engine behind
-  :meth:`SimMachine.run_ticks`. It mirrors the per-thread scheduling
-  state (tid, vruntime, runnable, duty, idle-sync arrears) into parallel
-  arrays so one fused pass per tick replaces the scalar path's sorted()
-  call, runnable list comprehension, and per-counter dict walks.
+  ``time_running``, enabled bit, owning tid) as preallocated numpy
+  columns. A :class:`~repro.sim.counters.KernelCounter` is a thin handle
+  into one slot; ``read()`` paths serve straight from the accumulator
+  columns.
+* :class:`ColumnKernel` — the tick engine, the only way a
+  :class:`~repro.sim.machine.SimMachine` moves its clock. It keeps the
+  live threads' scheduling state (tid, vruntime, live bit, duty gate) in
+  parallel arrays across calls, so one pass per tick replaces per-object
+  loops over the population.
 
-Bitwise-equivalence contract: the kernel must reproduce the scalar
-``_step`` path exactly, float by float and RNG draw by RNG draw. The
-vector code therefore only uses elementwise float64 operations (IEEE-754
-correctly rounded, hence identical to the scalar Python arithmetic it
-replaces), never reductions (which reassociate), and keeps every RNG
-draw — per-process CPI noise, duty-cycle gates, sampling loss — on the
-scalar code path in the scalar order. Any task shape the vector path
-cannot reproduce exactly (sampling counters, multiplexed or partially
-disabled counter sets) falls back to the scalar routines on the same
-objects, so correctness never depends on the fast path's coverage.
+Bitwise-equivalence contract: the kernel must reproduce the scalar tick
+kept in :mod:`repro.verify.reference` exactly, float by float and RNG
+draw by RNG draw. The vector code therefore only uses elementwise float64
+operations (IEEE-754 correctly rounded, hence identical to the scalar
+Python arithmetic they replace), never reductions (which reassociate),
+and keeps every RNG draw — per-process CPI noise, duty-cycle gates,
+sampling loss — in the reference's order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.core import compute_rates
 from repro.sim.events import EVENT_CODE, N_EVENT_CODES, Event
 from repro.sim.process import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> columns)
+    from repro.sim.counters import CounterTable
     from repro.sim.machine import SimMachine
     from repro.sim.process import SimThread
 
@@ -47,7 +48,8 @@ class CounterColumns:
     Slots are allocated/freed as counters open and close; the arrays grow
     geometrically and never shrink. ``version`` increments on any change
     to the slot population or enabled bits, invalidating the per-tid slot
-    caches kept by :class:`~repro.sim.counters.CounterTable`.
+    caches kept by :class:`~repro.sim.counters.CounterTable` and the
+    kernel's idle-clock mask.
     """
 
     __slots__ = (
@@ -57,6 +59,7 @@ class CounterColumns:
         "time_running",
         "enabled",
         "in_use",
+        "owner",
         "version",
         "_free",
     )
@@ -70,6 +73,7 @@ class CounterColumns:
         self.time_running = np.zeros(capacity)
         self.enabled = np.zeros(capacity, dtype=bool)
         self.in_use = np.zeros(capacity, dtype=bool)
+        self.owner = np.full(capacity, -1, dtype=np.int64)
         self.version = 0
         # Stack of free slots; popping yields ascending slot numbers.
         self._free = list(range(capacity - 1, -1, -1))
@@ -85,11 +89,15 @@ class CounterColumns:
             arr = np.zeros(new, dtype=bool)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
+        owner = np.full(new, -1, dtype=np.int64)
+        owner[:old] = self.owner
+        self.owner = owner
         self._free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
-    def alloc(self) -> int:
-        """Claim a zeroed slot (enabled, as freshly opened counters are)."""
+    def alloc(self, owner: int = -1) -> int:
+        """Claim a zeroed slot for a counter on tid ``owner`` (enabled, as
+        freshly opened counters are)."""
         if not self._free:
             self._grow()
         slot = self._free.pop()
@@ -98,6 +106,7 @@ class CounterColumns:
         self.time_running[slot] = 0.0
         self.enabled[slot] = True
         self.in_use[slot] = True
+        self.owner[slot] = owner
         self.version += 1
         return slot
 
@@ -107,6 +116,7 @@ class CounterColumns:
             raise SimulationError(f"slot {slot} is not allocated")
         self.in_use[slot] = False
         self.enabled[slot] = False
+        self.owner[slot] = -1
         self._free.append(slot)
         self.version += 1
 
@@ -115,225 +125,229 @@ class CounterColumns:
         return int(self.in_use.sum())
 
 
-#: Dense code of ``Event.CYCLES`` — the one delta the scalar path computes
+#: Dense code of ``Event.CYCLES`` — the one delta the reference computes
 #: with the per-tick noised CPI rather than the published per-instruction
 #: rate, so the kernel overwrites this vector lane after accumulating.
 _CYCLES_CODE = EVENT_CODE[Event.CYCLES]
 
+#: Every event in code order: zipped with a delta vector, it rebuilds the
+#: ``{event: delta}`` dict that :meth:`CounterTable.accrue` takes.
+_EVENTS = tuple(EVENT_CODE)
+
 
 class ColumnKernel:
-    """Batched tick engine: one fused pass advances every scheduled task.
+    """The tick engine: one pass per tick advances every live task.
 
-    Mirrors per-thread scheduling state into parallel arrays (slot order =
-    ``machine._threads`` insertion order, which is also the scalar path's
-    iteration order). One instance persists per machine so the per-event
-    scratch vectors are reused across ticks; the arrays themselves are
-    re-ingested at the start of every batch and after each timer boundary
-    (the only points where the thread population can change).
+    Columns persist across calls: :meth:`add` (from ``spawn``) queues new
+    threads, :meth:`drop` (from ``kill`` and reaping) clears a dead
+    thread's live bit, and :meth:`_settle` folds both into the arrays at
+    the start of every call and after timers fire, where dead threads
+    leave. Per-call cost thus follows the live population, not every
+    thread the machine ever ran. The kernel keeps no reference to its
+    machine (:meth:`run` takes it), so a finished machine is freed by
+    reference counting, columns and all.
 
-    Equivalence with the scalar path, piece by piece:
-
-    * runnable scan — the scalar list comprehension over
-      ``_threads.values()`` becomes a boolean column maintained at the
-      points where state changes (ingest, slice, reap); duty-cycle RNG
-      draws stay scalar, in slot (= insertion) order, gated on the same
-      runnable test.
-    * dispatch — :meth:`Scheduler.dispatch_columns` ranks candidates with
-      one ``np.lexsort`` over the (vruntime, tid) columns; stable sort over
-      unique tids reproduces ``sorted(key=(vruntime, tid))`` exactly, and
-      placement runs the shared scalar walk.
-    * idle arrears — per-task "ticks already accounted" lives in an int64
-      column; folds happen via :meth:`CounterTable.advance_idle` exactly
-      where the scalar ``sync_tid``/``sync_all`` would fold them.
-    * slice accrual — for tasks whose counter set is *simple* (all enabled,
-      none sampling, fits the PMU) the per-segment event deltas accumulate
-      in a dense float64 vector via elementwise ops (bitwise equal to the
-      scalar dict walk) and land on the counter columns with one fancy-
-      indexed add; anything else falls back to ``SimMachine._run_slice``
-      on the same objects.
+    Per tick: duty-cycle draws stay scalar on each thread's own
+    generator; :meth:`Scheduler.dispatch_columns` ranks the live mask
+    with one ``np.lexsort`` over (vruntime, tid); :meth:`_idle_step`
+    advances every unscheduled live task's enabled clock with one masked
+    add; and :meth:`_slice` retires each scheduled task, summing its
+    event deltas in a dense vector. A *simple* counter set (all enabled,
+    none sampling, within the PMU) lands with one fancy-indexed add; any
+    other set lands through :meth:`CounterTable.accrue`, at the same
+    point in slice order as in the reference, so its multiplex window,
+    sampling draws and enabled bits follow the one shared rule.
     """
 
     __slots__ = (
-        "machine",
         "threads",
         "tids",
         "vruntime",
-        "runnable",
-        "alive",
-        "synced",
+        "live",
         "slot_of",
         "duty_slots",
-        "size",
-        "fast_slices",
-        "fallback_slices",
-        "_tid_list",
+        "slices",
+        "_counters",
+        "_pending",
+        "_dead",
+        "_idle",
+        "_idle_any",
+        "_wide",
+        "_version",
         "_dvec",
         "_seg",
     )
 
-    def __init__(self, machine: SimMachine) -> None:
-        self.machine = machine
+    def __init__(self, counters: CounterTable) -> None:
+        self._counters = counters
         self.threads: list[SimThread] = []
-        self._tid_list: list[int] = []
         self.tids = np.empty(0, dtype=np.int64)
         self.vruntime = np.empty(0)
-        self.runnable = np.empty(0, dtype=bool)
-        self.alive = np.empty(0, dtype=bool)
-        self.synced = np.empty(0, dtype=np.int64)
+        self.live = np.empty(0, dtype=bool)
         self.slot_of: dict[int, int] = {}
         self.duty_slots: list[int] = []
-        self.size = 0
-        self.fast_slices = 0
-        self.fallback_slices = 0
+        self.slices = 0
+        self._pending: list[SimThread] = []
+        self._dead = 0
+        # Idle-clock mask over counter slots: enabled counters whose owner
+        # is a live thread; ``_wide`` holds the live tids whose enabled
+        # counters outnumber the PMU. Both are rebuilt whenever
+        # ``columns.version`` moves or the population changes
+        # (``_version = -1`` forces it).
+        self._idle = np.zeros(0, dtype=bool)
+        self._idle_any = False
+        self._wide: set[int] = set()
+        self._version = -1
         self._dvec = np.zeros(N_EVENT_CODES)
         self._seg = np.empty(N_EVENT_CODES)
 
-    # -- column maintenance -------------------------------------------------
-    def _ingest(self, default_synced: int) -> None:
-        """(Re)build the columns from the machine's thread population.
+    # -- population -----------------------------------------------------------
+    def add(self, threads: Iterable[SimThread]) -> None:
+        """Queue freshly spawned threads for the next settle."""
+        self._pending.extend(threads)
 
-        ``default_synced`` is the arrears baseline for threads not seen
-        before: 0 at batch start, the current tick index for threads spawned
-        by a timer callback (matching the scalar path's
-        ``synced.setdefault(tid, t)`` after firing).
-        """
-        m = self.machine
-        carried: dict[int, int] = {}
-        if self.size:
-            carried = dict(zip(self._tid_list, self.synced.tolist()))
-        threads = list(m._threads.values())
-        n = len(threads)
-        tid_list = [t.tid for t in threads]
-        self.threads = threads
-        self._tid_list = tid_list
-        self.tids = np.array(tid_list, dtype=np.int64)
-        self.vruntime = np.array([t.vruntime for t in threads])
-        self.runnable = np.fromiter(
-            (t.state is TaskState.RUNNABLE for t in threads), dtype=bool, count=n
-        )
-        self.alive = np.fromiter(
-            (t.state is not TaskState.DEAD for t in threads), dtype=bool, count=n
-        )
-        self.synced = np.fromiter(
-            (carried.get(tid, default_synced) for tid in tid_list),
-            dtype=np.int64,
-            count=n,
-        )
-        self.slot_of = {tid: i for i, tid in enumerate(tid_list)}
-        self.duty_slots = [
-            i for i, t in enumerate(threads) if t.duty_rng is not None
-        ]
-        self.size = n
+    def drop(self, thread: SimThread) -> None:
+        """Take a dead thread out of dispatch and the idle clock."""
+        slot = self.slot_of.get(thread.tid)
+        if slot is None or not self.live[slot]:
+            return  # still queued (settle filters it) or already dropped
+        self.live[slot] = False
+        self._dead += 1
+        self._version = -1
 
-    def _sync_all(self, upto: int) -> None:
-        """Fold idle-clock arrears of every live task up to tick ``upto``."""
-        synced = self.synced
-        behind = np.flatnonzero(self.alive & (synced < upto))
-        if behind.size:
-            counters = self.machine.counters
-            dt = self.machine.tick
-            tid_list = self._tid_list
-            for slot in behind:
-                counters.advance_idle(
-                    tid_list[slot], dt, int(upto - synced[slot])
-                )
-            synced[behind] = upto
+    def _settle(self) -> None:
+        """Fold queued spawns and deaths into the columns."""
+        if self._pending or self._dead:
+            keep = self.live
+            threads = [t for t, k in zip(self.threads, keep.tolist()) if k]
+            new = [t for t in self._pending if t.state is not TaskState.DEAD]
+            self._pending = []
+            threads.extend(new)
+            self.threads = threads
+            self.tids = np.concatenate(
+                (self.tids[keep], np.array([t.tid for t in new], dtype=np.int64))
+            )
+            self.vruntime = np.concatenate(
+                (self.vruntime[keep], np.array([t.vruntime for t in new]))
+            )
+            self.live = np.ones(len(threads), dtype=bool)
+            self.slot_of = {t.tid: i for i, t in enumerate(threads)}
+            self.duty_slots = [
+                i for i, t in enumerate(threads) if t.duty_rng is not None
+            ]
+            self._dead = 0
+            if new:
+                self._version = -1  # new owners may already hold counters
 
-    # -- the batched tick loop ----------------------------------------------
-    def run(self, n: int) -> None:
-        """Advance ``n`` whole ticks (the body of ``SimMachine.run_ticks``)."""
-        m = self.machine
-        dt = m.tick
-        counters = m.counters
+    def _refresh_idle(self) -> None:
+        counters = self._counters
+        cols = counters.columns
+        self._version = cols.version
+        # Spawn order is tid order, so the live tids are sorted.
+        live = self.tids[self.live]
+        owner = cols.owner
+        if live.size:
+            pos = np.minimum(np.searchsorted(live, owner), live.size - 1)
+            idle = cols.enabled & (live[pos] == owner)
+            per_task = np.bincount(pos[idle], minlength=live.size)
+            wide = live[per_task > counters.pmu_width].tolist()
+        else:
+            idle, wide = np.zeros(cols.capacity, dtype=bool), []
+        self._idle, self._idle_any, self._wide = idle, bool(idle.any()), set(wide)
+
+    # -- the tick loop --------------------------------------------------------
+    def run(self, m: SimMachine, n: int, dt: float) -> None:
+        """Advance ``m`` by ``n`` steps of ``dt`` seconds each."""
+        counters = self._counters
         scheduler = m.scheduler
         timers = m._timers
-        # Fresh batch: arrears bookkeeping restarts at zero, like the
-        # scalar path's empty ``synced`` dict.
-        self.size = 0
-        self._ingest(0)
-        for t in range(n):
+        rate_cache = m._rate_cache
+        self._settle()
+        for _ in range(n):
             if timers and timers[0][0] <= m.now + 1e-12:
-                # Callbacks may read counters, kill tasks or spawn new
-                # ones: bring every live task's clocks current first.
-                self._sync_all(t)
                 m._fire_timers()
-                self._ingest(t)
+                self._settle()
+            threads = self.threads
+            run_mask = self.live
             if self.duty_slots:
-                run_mask = self.runnable.copy()
-                threads = self.threads
+                run_mask = run_mask.copy()
                 for slot in self.duty_slots:
-                    if run_mask[slot]:
-                        thread = threads[slot]
-                        if not (
-                            thread.duty_rng.random()
-                            < thread.process.duty_cycle
-                        ):
-                            run_mask[slot] = False
-            else:
-                run_mask = self.runnable
-            candidates = np.flatnonzero(run_mask)
-            dispatch = scheduler.dispatch_columns(
-                self.threads, self.tids, self.vruntime, candidates, dt
-            )
-            assignment = dispatch.assignment
+                    thread = threads[slot]
+                    if run_mask[slot] and not (
+                        thread.duty_rng.random() < thread.process.duty_cycle
+                    ):
+                        run_mask[slot] = False
+            assignment = scheduler.dispatch_columns(
+                threads, self.tids, self.vruntime, np.flatnonzero(run_mask), dt
+            ).assignment
+            work = []
             if assignment:
                 located = {
                     thread.tid: thread.current_phase()
                     for thread in assignment.values()
                 }
-                rates = m._cached_contention(assignment, located)
-                slot_of = self.slot_of
-                synced = self.synced
-                vruntime = self.vruntime
-                for pu_id, thread in assignment.items():
+                if rate_cache is None:
+                    rates = m._resolve_contention(assignment, located)
+                else:
+                    rates = m._cached_contention(assignment, located)
+                for thread in assignment.values():
                     tid = thread.tid
-                    slot = slot_of[tid]
-                    vruntime[slot] = thread.vruntime
-                    owed = t - synced[slot]
-                    if owed > 0:
-                        counters.advance_idle(tid, dt, int(owed))
-                    self._slice(thread, slot, pu_id, rates.get(tid), dt)
-                    synced[slot] = t + 1
+                    self.vruntime[self.slot_of[tid]] = thread.vruntime
+                    work.append((thread, counters.tid_slots(tid), rates.get(tid)))
+            self._idle_step(work, dt)
+            for thread, entry, contended in work:
+                self._slice(m, thread, entry, contended, dt)
             m.now += dt
             if timers and timers[0][0] <= m.now + 1e-12:
-                self._sync_all(t + 1)
                 m._fire_timers()
-                self._ingest(t + 1)
-        self._sync_all(n)
+                self._settle()
+
+    def _idle_step(self, work: list, dt: float) -> None:
+        """Advance the idle clock of every live task not in ``work`` (the
+        tick's ``(thread, tid_slots, rates)`` triples).
+
+        Bitwise the reference's ``accrue(tid, {}, wall_dt=dt,
+        scheduled_dt=0.0)`` per idle task: ``time_enabled += dt`` on each
+        enabled counter, and one multiplex rotation step when the enabled
+        set is wider than the PMU.
+        """
+        if self._version != self._counters.columns.version:
+            self._refresh_idle()
+        if self._idle_any:
+            idle = self._idle
+            te = self._counters.columns.time_enabled
+            busy = [entry[0] for _, entry, _ in work if entry[0].size]
+            if busy:
+                busy = np.concatenate(busy)
+                kept = idle[busy]
+                idle[busy] = False
+                np.add(te, dt, out=te, where=idle)
+                idle[busy] = kept
+            else:
+                np.add(te, dt, out=te, where=idle)
+        if self._wide:
+            scheduled = {thread.tid for thread, _, _ in work}
+            rotation = self._counters._rotation
+            for tid in self._wide:
+                if tid not in scheduled:
+                    rotation[tid] += 1
 
     def _slice(
-        self,
-        thread: SimThread,
-        slot: int,
-        pu_id: int,
-        contended,
-        dt: float,
+        self, m: SimMachine, thread: SimThread, entry, contended, dt: float
     ) -> None:
-        """Retire one scheduled slice (vectorised accrual when eligible).
+        """Retire one scheduled slice and land its counter deltas.
 
-        Replicates ``SimMachine._run_slice`` float-for-float: same segment
-        loop, same RNG draw, same phase-boundary rules. Only the event
-        accumulation differs mechanically — a dense vector instead of a
-        dict — and only for *simple* counter sets; everything else takes
-        the scalar routine on the same objects.
+        Replicates the reference's ``run_slice`` float for float: same
+        segment loop, same noise draw, same phase-boundary rules; only the
+        event accumulation differs mechanically — a dense vector instead
+        of a dict. ``entry`` is the thread's ``tid_slots`` answer.
         """
-        m = self.machine
         located = thread.current_phase()
         if located is None:
             m._reap(thread, dt)
-            self.runnable[slot] = False
-            self.alive[slot] = False
             return
-        tid = thread.tid
-        cslots, codes, simple = m.counters.tid_slots(tid)
-        if not simple:
-            self.fallback_slices += 1
-            m._run_slice(thread, pu_id, contended, dt, rate_cache=m._rate_cache)
-            state = thread.state
-            self.runnable[slot] = state is TaskState.RUNNABLE
-            self.alive[slot] = state is not TaskState.DEAD
-            return
-        self.fast_slices += 1
+        self.slices += 1
+        cslots, codes, simple = entry
         arch = m.arch
         rate_cache = m._rate_cache
         cycle_budget = arch.freq_hz * dt
@@ -341,7 +355,6 @@ class ColumnKernel:
         dvec = self._dvec
         dvec.fill(0.0)
         seg = self._seg
-        cycles_total = 0.0
         noise = (
             math.exp(thread.process.rng.normal(0.0, located[0].noise))
             if located[0].noise > 0
@@ -354,7 +367,10 @@ class ColumnKernel:
                 rates = base
             else:
                 caps = [(s, float(s.size)) for s in arch.cache_levels]
-                rates = rate_cache.rates(arch, phase, caps)
+                if rate_cache is None:
+                    rates = compute_rates(arch, phase, caps)
+                else:
+                    rates = rate_cache.rates(arch, phase, caps)
             # Jitter only the execution component; penalty cycles are
             # physical latencies and stay put.
             cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
@@ -362,7 +378,6 @@ class ColumnKernel:
             cycles = instructions * cpi
             np.multiply(rates.events_vector(), instructions, out=seg)
             dvec += seg
-            cycles_total += cycles
             thread.retired += instructions
             thread.cycles += cycles
             consumed_cycles += cycles
@@ -370,25 +385,34 @@ class ColumnKernel:
             located = thread.current_phase()
             if located is None:
                 break
+            # Crossing into a new phase invalidates the contended rates;
+            # recompute solo for the remainder of this tick.
             if remaining <= instructions + 1e-9:
                 base = None
         scheduled_dt = dt * min(1.0, consumed_cycles / (arch.freq_hz * dt))
         thread.cpu_time += scheduled_dt
         done = located is None
-        if cslots.size:
-            cols = m.counters.columns
-            # A thread that finishes mid-tick stops its enabled clock at
-            # death, exactly like the scalar accrue path.
-            cols.time_enabled[cslots] += scheduled_dt if done else dt
+        # A thread that finishes mid-tick stops its enabled clock at death;
+        # otherwise user-space scaling (enabled/running) would extrapolate
+        # the dead fraction of the tick as multiplexed time.
+        wall_dt = scheduled_dt if done else dt
+        # CYCLES comes from the noised CPI, not the published rate.
+        dvec[_CYCLES_CODE] = consumed_cycles
+        if not simple:
+            self._counters.accrue(
+                thread.tid,
+                dict(zip(_EVENTS, dvec.tolist())),
+                wall_dt=wall_dt,
+                scheduled_dt=scheduled_dt,
+                alive=True,
+            )
+        elif cslots.size:
+            cols = self._counters.columns
+            cols.time_enabled[cslots] += wall_dt
             if scheduled_dt > 0:
                 cols.time_running[cslots] += scheduled_dt
-                # The scalar path accumulates CYCLES from the noised CPI,
-                # not the published rate; swap the lane before landing.
-                dvec[_CYCLES_CODE] = cycles_total
                 cols.value[cslots] += dvec[codes]
         if contended is not None:
-            m._last_rates[tid] = contended
+            m._last_rates[thread.tid] = contended
         if done:
             m._reap(thread, dt)
-            self.runnable[slot] = False
-            self.alive[slot] = False

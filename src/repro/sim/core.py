@@ -254,9 +254,10 @@ class RateCache:
     while its entry is live. Eviction only costs speed, never correctness:
     a recomputed entry is bitwise-identical to the evicted one.
 
-    Used by :meth:`SimMachine.run_ticks` to avoid re-deriving rates for the
-    (phase, capacities, latency, share) combinations that repeat every time
-    the scheduler's round-robin orbit revisits a co-schedule.
+    Handed to the machines of a grid shard, it saves their tick kernels
+    re-deriving rates for the (phase, capacities, latency, share)
+    combinations that repeat every time the scheduler's round-robin orbit
+    revisits a co-schedule.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:

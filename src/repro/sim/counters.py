@@ -9,10 +9,10 @@ multiplexed counts (``value * time_enabled / time_running``).
 Storage is columnar: the accumulator and both kernel clocks of every open
 counter live in the table's :class:`~repro.sim.columns.CounterColumns`
 arrays, and a :class:`KernelCounter` is a slotted handle whose properties
-index into them. The scalar accrual paths below and the vectorized
-:class:`~repro.sim.columns.ColumnKernel` therefore mutate the *same*
+index into them. :meth:`CounterTable.accrue` and the vectorised landing
+in :class:`~repro.sim.columns.ColumnKernel` therefore mutate the *same*
 storage — reads are always served incrementally from the columns, never
-recomputed, regardless of which path advanced the clock.
+recomputed.
 
 Multiplexing: when a task has more enabled counters than the PMU width
 (sixteen on the modelled Xeon W3550, §2.6), the kernel rotates a window of
@@ -39,6 +39,9 @@ from repro.sim.events import EVENT_CODE, Event
 
 #: Probability that one sampling interrupt is lost (coalescing/throttling).
 SAMPLE_LOSS_PROBABILITY = 0.002
+
+#: ``tid_slots`` answer for a tid without open counters.
+_NO_SLOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), True)
 
 
 class KernelCounter:
@@ -199,13 +202,10 @@ class CounterTable:
         self._by_tid: dict[int, list[KernelCounter]] = {}
         self._rotation: dict[int, int] = {}
         self._rng = np.random.default_rng((seed, 0xC0))
-        # Memo for advance_idle: (time_enabled, dt, ticks) -> folded clock.
-        # Counters attached at the same instant share time_enabled, so one
-        # fold serves a whole cohort.
-        self._clock_cache: dict[tuple[float, float, int], float] = {}
-        # tid -> (columns.version, slots, codes, simple). ``simple`` means
-        # the vector fast path may accrue this tid: every counter enabled,
-        # none sampling, and the set fits the PMU without multiplexing.
+        # tid -> (columns.version, slots, codes, simple) for tids with open
+        # counters. ``simple`` means the kernel may land this tid's deltas
+        # with one vector add: every counter enabled, none sampling, and
+        # the set fits the PMU without multiplexing.
         self._tid_cache: dict[int, tuple[int, np.ndarray, np.ndarray, bool]] = {}
 
     def open(
@@ -232,7 +232,7 @@ class CounterTable:
             owner_uid=owner_uid,
             sample_period=sample_period,
             columns=self.columns,
-            slot=self.columns.alloc(),
+            slot=self.columns.alloc(tid),
         )
         self._by_id[counter.counter_id] = counter
         self._by_tid.setdefault(tid, []).append(counter)
@@ -258,7 +258,13 @@ class CounterTable:
         counter = self.get(counter_id)
         counter.closed = True
         counter.enabled = False
-        self._by_tid[counter.tid].remove(counter)
+        remaining = self._by_tid[counter.tid]
+        remaining.remove(counter)
+        if not remaining:
+            # Nothing per tid outlives its last counter but the rotation
+            # phase, which a reattached task resumes from.
+            del self._by_tid[counter.tid]
+            self._tid_cache.pop(counter.tid, None)
         del self._by_id[counter_id]
         counter._detach()
 
@@ -270,17 +276,19 @@ class CounterTable:
         """Column slots, event codes and fast-path eligibility for ``tid``.
 
         Cached against ``columns.version``, which moves on every open,
-        close, and enable/disable toggle. ``simple`` is True when the
-        vectorized accrual path reproduces the scalar one exactly for this
-        tid: all counters enabled (the active window is the whole set), no
-        sampling counters (whose RNG draws must stay in scalar order), and
-        no multiplexing rotation.
+        close, and enable/disable toggle. ``simple`` is True when one
+        vector add lands this tid's deltas exactly as :meth:`accrue`
+        would: all counters enabled (the active window is the whole set),
+        no sampling counters (whose RNG draws :meth:`accrue` makes), and
+        no multiplexing rotation. A tid without counters is not cached.
         """
+        counters = self._by_tid.get(tid)
+        if not counters:
+            return _NO_SLOTS
         entry = self._tid_cache.get(tid)
         version = self.columns.version
         if entry is not None and entry[0] == version:
             return entry[1], entry[2], entry[3]
-        counters = self._by_tid.get(tid, ())
         slots = np.fromiter(
             (c._slot for c in counters), dtype=np.intp, count=len(counters)
         )
@@ -348,57 +356,6 @@ class CounterTable:
                     counter.value += delta
         if len([c for c in counters if c.enabled]) > self.pmu_width:
             self.rotate(tid)
-
-    def advance_idle(self, tid: int, dt: float, ticks: int) -> None:
-        """Batch-apply ``ticks`` idle accruals to the counters of ``tid``.
-
-        Bitwise-equivalent to ``ticks`` consecutive
-        ``accrue(tid, {}, wall_dt=dt, scheduled_dt=0.0, alive=True)`` calls:
-        each enabled counter's ``time_enabled`` advances through the same
-        sequence of float additions (folded once per distinct starting
-        value and memoised), ``time_running``/``value`` stay put because the
-        task never ran, and the multiplexing window rotates once per tick.
-        The caller must guarantee the enabled set does not change across the
-        covered ticks.
-        """
-        if ticks <= 0:
-            return
-        counters = self._by_tid.get(tid)
-        if not counters:
-            return
-        cols = self.columns
-        slots, _codes, _simple = self.tid_slots(tid)
-        enabled_slots = slots[cols.enabled[slots]]
-        if enabled_slots.size:
-            starts = cols.time_enabled[enabled_slots]
-            first = float(starts[0])
-            if np.all(starts == first):
-                # The common cohort: counters attached at the same instant
-                # share a clock, so one fold serves them all.
-                cols.time_enabled[enabled_slots] = self._fold_clock(
-                    first, dt, ticks
-                )
-            else:
-                uniq, inverse = np.unique(starts, return_inverse=True)
-                folded = np.array(
-                    [self._fold_clock(float(u), dt, ticks) for u in uniq]
-                )
-                cols.time_enabled[enabled_slots] = folded[inverse]
-        if enabled_slots.size > self.pmu_width:
-            self._rotation[tid] = self._rotation.get(tid, 0) + ticks
-
-    def _fold_clock(self, start: float, dt: float, ticks: int) -> float:
-        """``start`` after ``ticks`` sequential ``+= dt`` additions."""
-        key = (start, dt, ticks)
-        cached = self._clock_cache.get(key)
-        if cached is None:
-            value = start
-            for _ in range(ticks):
-                value += dt
-            if len(self._clock_cache) >= 65536:
-                self._clock_cache.clear()
-            self._clock_cache[key] = cached = value
-        return cached
 
     def _accrue_sampled(self, counter: KernelCounter, delta: float) -> None:
         """Sampling-mode accrual: period quantisation plus interrupt loss."""

@@ -84,22 +84,3 @@ GENERIC_EVENTS: frozenset[Event] = _GENERIC_EVENTS
 
 #: Raw events only some architectures implement (see ArchModel.raw_events).
 RAW_EVENTS: frozenset[Event] = frozenset(set(Event) - _GENERIC_EVENTS)
-
-
-class EventDelta(dict):
-    """Event -> count mapping produced for one scheduled slice.
-
-    A thin dict subclass so arithmetic helpers read naturally at call sites
-    (``total = a.merged(b)``).
-    """
-
-    def merged(self, other: "EventDelta") -> "EventDelta":
-        """Return the element-wise sum of two deltas."""
-        out = EventDelta(self)
-        for key, value in other.items():
-            out[key] = out.get(key, 0.0) + value
-        return out
-
-    def scaled(self, factor: float) -> "EventDelta":
-        """Return a copy with every count multiplied by ``factor``."""
-        return EventDelta({k: v * factor for k, v in self.items()})

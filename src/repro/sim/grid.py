@@ -23,7 +23,7 @@ only couple through the dispatcher, and the dispatcher only has work when
 a job arrives or a slot frees, so the grid advances the whole fleet in
 **dispatch epochs**: the span to the next wallclock-kill boundary or the
 earliest *possible* job exit (a sound lower bound from the CPI model) runs
-in one batched :meth:`SimMachine.run_ticks` call per node — or one message
+in one :meth:`SimMachine.run_ticks` call per node — or one message
 round-trip per worker shard with ``workers=N``. Job states, finish times
 and per-node counter tables are identical across engines.
 """
@@ -807,8 +807,8 @@ class Grid:
         """Columnar-kernel health per in-process node.
 
         Observability only, never part of :meth:`conformance_digest`:
-        fast-vs-fallback slice counts depend on which advance path ran,
-        which is exactly the engine-specific detail digests must ignore.
+        tracked-task and slot counts depend on how an engine batches its
+        advance calls, exactly the detail digests must ignore.
         Supervised grids return an empty map (their machines live in
         worker processes); serial and legacy engines report every node.
         """

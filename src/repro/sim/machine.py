@@ -1,6 +1,7 @@
 """The simulated machine: topology + caches + memory + scheduler + clock.
 
-:class:`SimMachine` advances a virtual clock in fixed ticks. Each tick it
+:class:`SimMachine` advances a virtual clock in fixed ticks, all of them
+on the columnar :class:`~repro.sim.columns.ColumnKernel`. Each tick it
 
 1. fires any due timed events (job arrivals/kills from experiment scripts),
 2. dispatches runnable threads to PUs (CFS-like, affinity-aware),
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import zlib
 from collections.abc import Callable
 
@@ -33,7 +33,6 @@ from repro.sim.columns import ColumnKernel
 from repro.sim.core import RateCache, SliceRates, compute_rates
 from repro.sim.counters import CounterTable
 from repro.sim.cpu_topology import Topology
-from repro.sim.events import Event
 from repro.sim.process import SimProcess, SimThread, TaskState
 from repro.sim.scheduler import Scheduler
 from repro.sim.smt import issue_share
@@ -58,10 +57,13 @@ class SimMachine:
             tiptop samples every few seconds, so 0.1–1 s ticks lose nothing.
         seed: master seed for all per-process noise.
         memory_bandwidth: peak DRAM bandwidth in bytes/s.
-        rate_cache: optional shared :class:`RateCache`. Machines in one
-            grid shard pass a common cache so identical (arch, phase,
-            capacity) rate computations are deduplicated fleet-wide; the
-            memo is exact, so sharing never changes results.
+        rate_cache: optional :class:`RateCache`. With one, the machine
+            memoises rate computations and whole co-schedules; both memos
+            are exact, so they never change results. Machines in one grid
+            shard pass a common cache, which hits on nearly every tick.
+            Without one (the default) the machine computes rates directly
+            and keeps no memo: on a monitored node the co-schedules almost
+            never repeat, so a memo would only cost memory.
     """
 
     def __init__(
@@ -101,16 +103,14 @@ class SimMachine:
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = itertools.count()
         self._last_rates: dict[int, SliceRates] = {}
-        self._booted = False
-        # Batched-path memos (run_ticks). Both are exact: the rate cache
+        # Memos, only with a rate cache. Both are exact: the rate cache
         # keys pure-function inputs by identity, and the contention cache
         # keys whole co-schedules by (pu, phase, previous-rates) identity.
         # Entries pin the objects behind the ids they key on, so eviction
         # is the only way an id leaves the cache.
-        self._rate_cache = RateCache() if rate_cache is None else rate_cache
+        self._rate_cache = rate_cache
         self._contention_cache: dict[tuple, tuple] = {}
-        # Columnar tick engine (lazily built on first run_ticks).
-        self._kernel: ColumnKernel | None = None
+        self._kernel = ColumnKernel(self.counters)
         #: pid -> first tick boundary at/after which the process was seen
         #: dead. This is exactly when an external per-tick reaper (the
         #: grid's) would observe the death, recorded here so epoch-batched
@@ -170,6 +170,7 @@ class SimMachine:
             self._threads[t.tid] = t
             if duty_cycle < 1.0:
                 t.duty_rng = np.random.default_rng((self.seed, pid, t.tid, 7))
+        self._kernel.add(proc.threads)
         return proc
 
     def kill(self, pid: int) -> None:
@@ -182,6 +183,7 @@ class SimMachine:
         for t in proc.threads:
             t.mark_dead()
             self.scheduler.forget(t)
+            self._kernel.drop(t)
         # Kills land at timer boundaries (or between runs), where ``now``
         # already is a tick boundary — that is when a reaper first sees it.
         self.death_observed.setdefault(pid, self.now)
@@ -268,117 +270,58 @@ class SimMachine:
         compared an *absolute* epsilon against a clock whose ulp outgrows
         it (ulp(3.6e5) is already ~6e-11), so long runs drifted by whole
         ticks. Counting ticks as integers keeps the step sequence identical
-        to :meth:`run_ticks` at any clock magnitude.
+        to :meth:`run_ticks` at any clock magnitude. Both the whole ticks
+        and the fractional step run on the kernel.
         """
+        whole = self._whole_ticks(deadline)
+        if whole:
+            self._kernel.run(self, whole, self.tick)
+        remainder = deadline - self.now
+        if remainder > self.tick * 1e-9:
+            self._kernel.run(self, 1, remainder)
+
+    def _whole_ticks(self, deadline: float) -> int:
+        """Whole ticks from ``now`` to ``deadline`` (0 when not ahead)."""
         span = deadline - self.now
         if span <= 0:
-            return
+            return 0
         quotient = span / self.tick
         # Absolute + relative slack: a quotient that is integral up to
         # accumulated float error (a few ulps) must not lose its last tick
         # to truncation.
-        whole = int(quotient + max(1e-9, quotient * 1e-12))
-        for _ in range(whole):
-            self._step(self.tick)
-        remainder = deadline - self.now
-        if remainder > self.tick * 1e-9:
-            self._step(remainder)
+        return int(quotient + max(1e-9, quotient * 1e-12))
 
     def run_ticks(self, n: int) -> None:
-        """Advance exactly ``n`` whole ticks on the batched fast path.
+        """Advance exactly ``n`` whole ticks on the columnar kernel.
 
-        Produces bitwise-identical machine, counter and RNG state to ``n``
-        successive scalar ticks (``_step(tick)`` each), but amortises the
-        per-tick model evaluation three ways:
-
-        * **Contention memo** — the fixed-point of
-          :meth:`_resolve_contention` is a deterministic pure function of
-          the co-schedule shape: which PUs run which phases, seeded with
-          which previous-tick rates. Over-subscribed nodes revisit the same
-          co-schedules as the scheduler's round-robin orbit repeats, so the
-          resolved :class:`SliceRates` are cached per co-schedule key and
-          replayed instead of re-iterated.
-        * **Rate memo** — the :class:`RateCache` shared by both memo layers
-          deduplicates the inner :func:`compute_rates` calls.
-        * **Lazy idle clock** — unscheduled-but-alive tasks only advance
-          their counters' ``time_enabled``; instead of touching every
-          counter every tick, each task records how many ticks it has been
-          accounted for and the arrears are folded in bulk
-          (:meth:`CounterTable.advance_idle`) right before the task runs,
-          before any timer callback can observe counter state, and at the
-          end of the batch.
-
-        Correctness does not depend on cache hit rates (misses fall back to
-        the scalar code paths on the very same objects); only speed does.
-
-        The loop itself lives in :class:`~repro.sim.columns.ColumnKernel`:
-        per-thread scheduling state is mirrored into parallel arrays so the
-        runnable scan, fairness sort, idle-clock arrears and (for simple
-        counter sets) the per-slice event accrual all run as array
-        operations instead of per-object Python loops.
+        The same path as :meth:`run_until` over whole ticks; grid shards
+        and :mod:`repro.verify` count in ticks and call it directly.
         """
         if n < 0:
             raise SimulationError(f"cannot run a negative tick count {n}")
-        if self._kernel is None:
-            self._kernel = ColumnKernel(self)
-        self._kernel.run(n)
+        self._kernel.run(self, n, self.tick)
 
     def kernel_stats(self) -> dict[str, int]:
-        """Columnar-kernel health: slot occupancy and fast-path coverage.
+        """Columnar-kernel health: slot occupancy and slice coverage.
 
-        Observability only — never part of conformance digests. A high
-        ``fallback_slices`` share means the population's counter sets are
-        not *simple* (sampling / disabled / multiplexed) and the node is
-        paying scalar prices.
+        Observability only — never part of conformance digests. Every
+        slice runs on the kernel, so ``fallback_slices`` is always 0; the
+        key stays for readers of older reports.
         """
         kernel = self._kernel
         columns = self.counters.columns
         return {
             "counter_slots_live": columns.live_slots(),
             "counter_slot_capacity": columns.capacity,
-            "tracked_tasks": kernel.size if kernel is not None else 0,
-            "fast_slices": kernel.fast_slices if kernel is not None else 0,
-            "fallback_slices": (
-                kernel.fallback_slices if kernel is not None else 0
-            ),
+            "tracked_tasks": len(kernel.threads),
+            "fast_slices": kernel.slices,
+            "fallback_slices": 0,
         }
 
     def _fire_timers(self) -> None:
         while self._timers and self._timers[0][0] <= self.now + 1e-12:
             _, _, callback = heapq.heappop(self._timers)
             callback()
-
-    def _step(self, dt: float) -> None:
-        self._fire_timers()
-        runnable = [
-            t
-            for t in self._threads.values()
-            if t.state is TaskState.RUNNABLE
-            and (
-                t.duty_rng is None
-                or t.duty_rng.random() < t.process.duty_cycle
-            )
-        ]
-        dispatch = self.scheduler.dispatch(runnable, dt)
-        assignment = dispatch.assignment
-
-        rates = self._resolve_contention(assignment)
-
-        scheduled_tids: set[int] = set()
-        for pu_id, thread in assignment.items():
-            self._run_slice(thread, pu_id, rates.get(thread.tid), dt)
-            scheduled_tids.add(thread.tid)
-
-        # Counter bookkeeping for unscheduled-but-alive threads: enabled
-        # time advances, running time does not.
-        for tid, thread in self._threads.items():
-            if tid not in scheduled_tids and thread.alive:
-                self.counters.accrue(
-                    tid, {}, wall_dt=dt, scheduled_dt=0.0, alive=True
-                )
-
-        self.now += dt
-        self._fire_timers()
 
     # ------------------------------------------------------------------
     # Contention resolution
@@ -401,7 +344,7 @@ class SimMachine:
         ``located`` optionally pre-resolves ``thread.current_phase()`` per
         tid (the lookup is pure within a tick, so hoisting it is exact);
         ``rate_cache`` optionally memoises the inner ``compute_rates``
-        calls. Both default to the plain scalar behaviour.
+        calls. Without either, every rate is computed afresh.
         """
         if not assignment:
             return {}
@@ -486,14 +429,15 @@ class SimMachine:
         assignment: dict[int, SimThread],
         located: dict[int, tuple],
     ) -> dict[int, SliceRates]:
-        """Memoised :meth:`_resolve_contention` for the batched path.
+        """Memoised :meth:`_resolve_contention` (machines with a cache).
 
         The fixed-point depends only on the *shape* of the co-schedule:
         (pu, active phase, previous-tick rates) per slot, in assignment
         order (the order matters because bus demand accumulates in it).
         Phases and SliceRates are immutable, so identity-keying them makes
-        a cache hit return the very objects the scalar path would have
-        recomputed.
+        a cache hit return the very objects a memo-free machine would have
+        recomputed. Keys name earlier rate objects by id, so a hit needs
+        the rate cache handing back the same object for the same inputs.
         """
         if not assignment:
             return {}
@@ -534,92 +478,12 @@ class SimMachine:
         self._contention_cache[key] = (results, keepalive)
         return rates
 
-    # ------------------------------------------------------------------
-    # Instruction retirement
-    # ------------------------------------------------------------------
-    def _run_slice(
-        self,
-        thread: SimThread,
-        pu_id: int,
-        contended: SliceRates | None,
-        dt: float,
-        rate_cache: RateCache | None = None,
-    ) -> None:
-        """Retire instructions on ``thread`` for one tick on ``pu_id``.
-
-        ``current_phase()`` is pure between mutations of ``thread.retired``,
-        so each phase position is located exactly once per retirement step
-        and the result reused for the loop/termination checks.
-        """
-        located = thread.current_phase()
-        if located is None:
-            self._reap(thread, dt)
-            return
-
-        cycle_budget = self.arch.freq_hz * dt
-        consumed_cycles = 0.0
-        deltas: dict[Event, float] = {}
-        noise = math.exp(
-            thread.process.rng.normal(0.0, located[0].noise)
-        ) if located[0].noise > 0 else 1.0
-
-        base = contended
-        while cycle_budget > 1e-6 and located is not None:
-            phase, remaining = located
-            if base is not None and base.miss_profile.accesses:
-                rates = base
-            elif rate_cache is not None:
-                caps = [(s, float(s.size)) for s in self.arch.cache_levels]
-                rates = rate_cache.rates(self.arch, phase, caps)
-            else:
-                caps = [(s, float(s.size)) for s in self.arch.cache_levels]
-                rates = compute_rates(self.arch, phase, caps)
-            # Jitter only the execution component; penalty cycles are
-            # physical latencies and stay put.
-            cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
-            instructions = min(cycle_budget / cpi, remaining)
-            cycles = instructions * cpi
-            for event, per_instr in rates.events.items():
-                if event is Event.CYCLES:
-                    deltas[event] = deltas.get(event, 0.0) + cycles
-                else:
-                    deltas[event] = deltas.get(event, 0.0) + per_instr * instructions
-            thread.retired += instructions
-            thread.cycles += cycles
-            consumed_cycles += cycles
-            cycle_budget -= cycles
-            located = thread.current_phase()
-            if located is None:
-                break
-            # Crossing into a new phase invalidates the contended rates;
-            # recompute solo for the remainder of this tick (one tick of
-            # slight inaccuracy at each boundary).
-            if remaining <= instructions + 1e-9:
-                base = None
-
-        scheduled_dt = dt * min(1.0, consumed_cycles / (self.arch.freq_hz * dt))
-        thread.cpu_time += scheduled_dt
-        done = located is None
-        # A thread that finishes mid-tick stops its counters' enabled clock
-        # at death; otherwise user-space scaling (enabled/running) would
-        # extrapolate the dead fraction of the tick as multiplexed time.
-        self.counters.accrue(
-            thread.tid,
-            deltas,
-            wall_dt=scheduled_dt if done else dt,
-            scheduled_dt=scheduled_dt,
-            alive=True,
-        )
-        if contended is not None:
-            self._last_rates[thread.tid] = contended
-        if done:
-            self._reap(thread, dt)
-
     def _reap(self, thread: SimThread, dt: float) -> None:
         if thread.state is TaskState.DEAD:
             return
         thread.mark_dead()
         self.scheduler.forget(thread)
+        self._kernel.drop(thread)
         self._last_rates.pop(thread.tid, None)
         proc = thread.process
         if not proc.alive:

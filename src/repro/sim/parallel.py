@@ -12,12 +12,12 @@ concurrently between **dispatch epochs**.
 Four engines implement the same contract:
 
 * ``legacy`` — the original per-tick loop (dispatch, advance every node by
-  one scalar tick, reap). Kept as the reference semantics and the
+  one memo-free tick, reap). Kept as the reference semantics and the
   benchmark baseline.
 * ``serial`` — one in-process :class:`Shard` holding every node, advanced
-  a whole epoch at a time through the batched
-  :meth:`~repro.sim.machine.SimMachine.run_ticks` memo path with a shard-
-  shared :class:`~repro.sim.core.RateCache`. The default and the CI path.
+  a whole epoch at a time through
+  :meth:`~repro.sim.machine.SimMachine.run_ticks` with a shard-shared
+  :class:`~repro.sim.core.RateCache`. The default and the CI path.
 * ``supervised`` (:mod:`repro.sim.supervisor`) — persistent worker
   agents, each owning a disjoint :class:`Shard` behind a pluggable
   :class:`~repro.sim.transport.ShardTransport` (``inproc`` serial
@@ -36,8 +36,9 @@ Determinism. A machine's evolution is a pure function of its spec, seed,
 tick, and the timed sequence of spawns/kills applied to it. All the
 engines apply the same commands at the same virtual boundaries and advance
 by the same whole-tick counts, so job states, finish times and per-node
-counter tables are bitwise identical (``run_ticks`` is proven bitwise
-equal to the scalar path by ``tests/test_run_ticks_equivalence.py``).
+counter tables are bitwise identical (the tick kernel is proven bitwise
+equal, with and without a rate cache, to the scalar reference by
+``tests/test_run_ticks_equivalence.py``).
 
 The epoch boundary rule. An epoch may extend to the earliest virtual time
 at which the dispatcher could possibly have work: the next wallclock-kill
@@ -238,8 +239,8 @@ def node_snapshot(machine: SimMachine) -> dict[str, Any]:
         "counters": counters,
         "open_counters": machine.counters.open_count(),
         "deaths": dict(machine.death_observed),
-        # Scheduler-core state the columnar dispatch path shares with the
-        # scalar one: placement memory and multiplex rotation. Safe in
+        # Scheduler-core state the kernel shares with the scalar
+        # reference: placement memory and multiplex rotation. Safe in
         # conformance digests because every engine is bitwise-equivalent.
         "rotation": dict(machine.counters._rotation),
         "last_assignment": {

@@ -55,20 +55,6 @@ class Scheduler:
             return [p.pu_id for p in self.topology.pus]
         return [p.pu_id for p in self.topology.pus if p.pu_id in affinity]
 
-    def dispatch(self, runnable: list[SimThread], dt: float) -> Dispatch:
-        """Assign runnable threads to PUs for one tick of length ``dt``.
-
-        Threads are considered in vruntime order (fairness); each picks, in
-        preference order: its previous PU if free and eligible; a free PU on
-        a fully idle core; any free eligible PU. Unplaced threads wait.
-
-        Side effects: updates each scheduled thread's ``vruntime``,
-        ``last_pu`` and ``context_switches``.
-        """
-        runnable = [t for t in runnable if t.state is TaskState.RUNNABLE]
-        order = sorted(runnable, key=lambda t: (t.vruntime, t.tid))
-        return self._place(order, dt)
-
     def dispatch_columns(
         self,
         threads: list[SimThread],
@@ -77,16 +63,17 @@ class Scheduler:
         candidate_slots: np.ndarray,
         dt: float,
     ) -> Dispatch:
-        """Columnar :meth:`dispatch`: candidates arrive as index arrays.
+        """Assign candidate threads to PUs for one tick of length ``dt``.
 
         ``candidate_slots`` indexes the parallel ``threads``/``tids``/
-        ``vruntimes`` columns (runnable and duty-gated already). The
-        fairness order comes from one ``np.lexsort`` over the columns —
-        bitwise the same order as ``sorted(key=(vruntime, tid))``, since
-        tids are unique — and the placement walk is shared with the scalar
-        path, so the two produce identical assignments and side effects.
-        Only the walked prefix of the order ever materialises thread
-        objects (placement stops when the PUs run out).
+        ``vruntimes`` columns (runnable and duty-gated already). Threads
+        are considered in vruntime order (fairness), from one
+        ``np.lexsort`` over the columns — bitwise the same order as
+        ``sorted(key=(vruntime, tid))``, since tids are unique — and
+        placed by :meth:`_place`, which the scalar reference dispatch in
+        :mod:`repro.verify.reference` shares. Only the walked prefix of the
+        order ever materialises thread objects (placement stops when the
+        PUs run out).
         """
         order: Iterable[SimThread]
         if len(candidate_slots):
@@ -101,9 +88,11 @@ class Scheduler:
     def _place(self, order: Iterable[SimThread], dt: float) -> Dispatch:
         """Walk threads in fairness order and place them on free PUs.
 
-        The shared core of both dispatch entry points; all scheduler side
-        effects (vruntime, last_pu, context switches, placement memory)
-        happen here, identically for either caller.
+        Each thread picks, in preference order: its previous PU if free
+        and eligible; a free PU on a fully idle core; any free eligible
+        PU. Unplaced threads wait. All scheduler side effects (vruntime,
+        ``last_pu``, context switches, placement memory) happen here,
+        identically for the kernel and the reference.
         """
         free_pus = {p.pu_id for p in self.topology.pus}
         core_busy: dict[int, int] = {}

@@ -1,10 +1,10 @@
 """Differential conformance harness: scenarios, oracles, shrinking.
 
 The reproduction now carries several independent implementations of the
-same observable behaviour — three grid engines, a scalar and a batched
-machine advance, per-handle and batched counter reads, a row and a
-columnar sampling path — each claiming exact agreement. ``repro.verify``
-turns those claims into machine-checked properties:
+same observable behaviour — grid engines, the columnar tick kernel and
+its scalar reference, per-handle and batched counter reads, a scalar and
+a vectorised expression evaluator — each claiming exact agreement.
+``repro.verify`` turns those claims into machine-checked properties:
 
 * :mod:`repro.verify.scenario` — a declarative, JSON-serialisable
   :class:`~repro.verify.scenario.Scenario` plus a seeded generator that
@@ -12,6 +12,8 @@ turns those claims into machine-checked properties:
   and multiplexing pressure into whole-system test cases.
 * :mod:`repro.verify.runner` — executes one scenario through every
   implementation pair the oracles need.
+* :mod:`repro.verify.reference` — the scalar per-object tick the
+  machine's columnar kernel must match bit for bit.
 * :mod:`repro.verify.oracles` — the registry of differential checks and
   semantic invariants; each returns
   :class:`~repro.verify.oracles.Violation` records.

@@ -2,7 +2,7 @@
 
 Every oracle is a function ``(Execution) -> list[Violation]`` registered
 under a stable name. Differential oracles compare implementation pairs
-that claim exact agreement (scalar vs batched advance, batched vs
+that claim exact agreement (scalar reference vs kernel advance, batched vs
 per-handle reads, engine vs engine, run vs replay); invariant oracles
 check semantic properties any single run must satisfy (delta
 monotonicity, enabled/running time accounting, cache-hierarchy
@@ -130,18 +130,19 @@ def _compare_runs(
 
 @oracle("advance-equivalence")
 def _advance_equivalence(ex: Execution) -> list[Violation]:
-    """``run_for`` vs ``run_ticks`` must be bitwise identical."""
-    if ex.base is None or ex.ticks is None:
+    """A tool run on the kernel must be bitwise identical to one driven
+    by the scalar reference tick."""
+    if ex.base is None or ex.reference is None:
         return []
     return _compare_runs(
-        "advance-equivalence", "scalar", ex.base, "run_ticks", ex.ticks
+        "advance-equivalence", "kernel", ex.base, "reference", ex.reference
     )
 
 
 @oracle("scalar-columnar-machine")
 def _scalar_columnar_machine(ex: Execution) -> list[Violation]:
-    """The columnar tick kernel must replay the scalar ``_step`` reference
-    bit for bit on the bare machine.
+    """The columnar tick kernel must replay the scalar reference tick bit
+    for bit on the bare machine.
 
     Deeper than advance-equivalence: no sampler or backend in the loop, and
     the node snapshot includes the scheduler observables the columnar path
@@ -152,7 +153,7 @@ def _scalar_columnar_machine(ex: Execution) -> list[Violation]:
     if ex.scenario.kind != "tool":
         return []
     scalar = run_machine(ex.scenario, advance="scalar")
-    columnar = run_machine(ex.scenario, advance="ticks")
+    columnar = run_machine(ex.scenario, advance="kernel")
     return [
         Violation(
             "scalar-columnar-machine",
@@ -481,7 +482,7 @@ def _no_leaks(ex: Execution) -> list[Violation]:
     out: list[Violation] = []
     for label, run in (
         ("base", ex.base),
-        ("ticks", ex.ticks),
+        ("reference", ex.reference),
         ("sequential", ex.sequential),
         ("replay", ex.replay),
     ):

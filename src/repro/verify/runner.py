@@ -5,8 +5,10 @@ A **tool** scenario runs the sampler against one simulated node four
 times, each run rebuilding machine, backend and fault plan from the
 scenario alone (no state crosses runs):
 
-* ``base``   — scalar clock advance (``run_for``), batched counter reads.
-* ``ticks``  — batched advance (``run_ticks``); must be bitwise equal.
+* ``base``   — the production advance (``run_for`` on the columnar
+  kernel), batched counter reads.
+* ``reference`` — the clock driven by the scalar tick of
+  :mod:`repro.verify.reference`; must be bitwise equal.
 * ``sequential`` — per-handle reads (the backend's ``read_many`` is
   hidden); must agree with the batched read path.
 * ``replay`` — a second base run; must be byte-identical (determinism).
@@ -46,6 +48,7 @@ from repro.sim.supervisor import (
     default_grid_specs,
 )
 from repro.sim.workloads.synthetic import SyntheticSpec, build
+from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
 
 
@@ -80,6 +83,7 @@ class ToolRun:
     leaked_counters: int
     read_retries: int
     read_skips: int
+    kernel_stats: dict[str, int]
 
     @property
     def multiplexed(self) -> bool:
@@ -93,7 +97,7 @@ class Execution:
 
     scenario: Scenario
     base: ToolRun | None = None
-    ticks: ToolRun | None = None
+    reference: ToolRun | None = None
     sequential: ToolRun | None = None
     replay: ToolRun | None = None
     #: Serve run (tool scenarios with ``serve=True``): per-subscriber
@@ -212,15 +216,15 @@ def _screen_for(scenario: Scenario, chaotic: bool) -> Screen:
 def run_tool(
     scenario: Scenario,
     *,
-    advance: str = "scalar",
+    advance: str = "kernel",
     sequential: bool = False,
 ) -> ToolRun:
     """One full sampling run of a tool scenario (see module docstring).
 
     Args:
-        advance: "scalar" steps the clock with ``run_for``; "ticks" uses
-            the batched ``run_ticks`` path (the scenario guarantees the
-            delay is a whole number of ticks).
+        advance: "kernel" moves the clock with ``run_for``, as the
+            monitor's host does; "scalar" with the reference's
+            :func:`~repro.verify.reference.run_for`.
         sequential: hide the backend's ``read_many`` so every counter is
             read through the per-handle path.
     """
@@ -244,11 +248,10 @@ def run_tool(
     recorder = Recorder()
     frames: list[SnapshotFrame] = []
     health: list[dict[int, str]] = []
-    ticks_per_delay = round(scenario.delay / scenario.tick)
     sampler.sample_frame()  # baseline: attach, zero-length interval
     for _ in range(scenario.iterations):
-        if advance == "ticks":
-            machine.run_ticks(ticks_per_delay)
+        if advance == "scalar":
+            reference.run_for(machine, scenario.delay)
         else:
             machine.run_for(scenario.delay)
         frame = sampler.sample_frame()
@@ -275,6 +278,7 @@ def run_tool(
         leaked_counters=machine.counters.open_count(),
         read_retries=sampler.read_retries,
         read_skips=sampler.read_skips,
+        kernel_stats=machine.kernel_stats(),
     )
 
 
@@ -398,11 +402,11 @@ def run_machine(scenario: Scenario, *, advance: str = "scalar") -> dict[str, Any
     Spawns the scenario's tasks (timers, kills and duty cycles included),
     opens :data:`MACHINE_ORACLE_EVENTS` on each immediately-spawned task,
     advances the clock in the scenario's delay cadence through either the
-    scalar ``_step`` reference (``advance="scalar"``) or the columnar
-    ``run_ticks`` kernel (``advance="ticks"``), and returns the full node
-    snapshot — the scalar-vs-columnar oracle's raw material, deeper than
-    the tool runs because nothing in the sampler stack can mask a
-    scheduler-state divergence.
+    scalar reference (``advance="scalar"``) or the columnar ``run_ticks``
+    kernel (``advance="kernel"``), and returns the full node snapshot —
+    the scalar-vs-columnar oracle's raw material, deeper than the tool
+    runs because nothing in the sampler stack can mask a scheduler-state
+    divergence.
     """
     machine = _build_machine(scenario)
     pids = _plan_spawns(scenario, machine)
@@ -412,11 +416,10 @@ def run_machine(scenario: Scenario, *, advance: str = "scalar") -> dict[str, Any
                 machine.counters.open(event, pids[task.name], 0)
     ticks_per_delay = round(scenario.delay / scenario.tick)
     for _ in range(scenario.iterations):
-        if advance == "ticks":
-            machine.run_ticks(ticks_per_delay)
+        if advance == "scalar":
+            reference.run_ticks(machine, ticks_per_delay)
         else:
-            for _ in range(ticks_per_delay):
-                machine._step(machine.tick)
+            machine.run_ticks(ticks_per_delay)
     return node_snapshot(machine)
 
 
@@ -597,7 +600,7 @@ def execute(scenario: Scenario) -> Execution:
     ex = Execution(scenario=scenario)
     if scenario.kind == "tool":
         ex.base = run_tool(scenario)
-        ex.ticks = run_tool(scenario, advance="ticks")
+        ex.reference = run_tool(scenario, advance="scalar")
         ex.sequential = run_tool(scenario, sequential=True)
         ex.replay = run_tool(scenario)
         if scenario.serve:

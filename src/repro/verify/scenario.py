@@ -12,9 +12,9 @@ Determinism rules baked into the generator:
 * Clock floats are binary-friendly: ticks come from {0.125, 0.25, 0.5}
   (or {0.5, 1.0} for grids), refresh delays and every timed event
   (spawn_at / kill_at / submit_at) are exact integer multiples of the
-  tick. ``SimMachine.run_for`` and ``run_ticks`` then walk identical
-  float ladders, so the advance-equivalence oracle can demand *bitwise*
-  equality.
+  tick. The kernel's ``run_for`` and the scalar reference then walk
+  identical float ladders, so the advance-equivalence oracle can demand
+  *bitwise* equality.
 * Workloads are described by (archetype, target_ipc, duration) and
   materialised via :mod:`repro.sim.workloads.synthetic` with the scenario
   seed — two runs of one scenario build identical phase objects.

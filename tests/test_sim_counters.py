@@ -40,6 +40,21 @@ class TestOpenClose:
         with pytest.raises(CounterStateError):
             CounterTable(0)
 
+    def test_last_close_leaves_only_the_rotation_phase(self, table):
+        """Churn must not grow the table: once a tid's last counter
+        closes, only its multiplex rotation phase remains (a reattached
+        task resumes its window from it), and a tid without counters is
+        never cached."""
+        for tid in range(100, 140):
+            opened = [table.open(e, tid, 0) for e in (Event.CYCLES, Event.LOADS)]
+            table.tid_slots(tid)
+            for counter in opened:
+                table.close(counter.counter_id)
+        table.tid_slots(999)
+        assert table._by_tid == {}
+        assert table._tid_cache == {}
+        assert set(table._rotation) == set(range(100, 140))
+
 
 class TestAccrual:
     def test_scheduled_accrues_value_and_times(self, table):
@@ -136,65 +151,6 @@ class TestMultiplexing:
                          scheduled_dt=1.0, alive=True)
         runnings = [c.reading()[2] for c in counters]
         assert max(runnings) - min(runnings) <= 2.0
-
-
-class TestAdvanceIdle:
-    """Batch idle folding must replay per-tick idle accruals exactly."""
-
-    def test_matches_repeated_idle_accrue(self, table):
-        batched = [table.open(e, 1, 0) for e in (Event.CYCLES, Event.LOADS)]
-        stepped = [table.open(e, 2, 0) for e in (Event.CYCLES, Event.LOADS)]
-        dt, ticks = 0.1, 137
-        table.advance_idle(1, dt, ticks)
-        for _ in range(ticks):
-            table.accrue(2, {}, wall_dt=dt, scheduled_dt=0.0, alive=True)
-        for b, s in zip(batched, stepped):
-            assert b.reading() == s.reading()
-            assert b.time_enabled == s.time_enabled  # bitwise, not approx
-
-    def test_mixed_start_clocks_fold_independently(self, table):
-        early = table.open(Event.CYCLES, 1, 0)
-        table.advance_idle(1, 0.1, 3)  # early is now 3 ticks ahead
-        late = table.open(Event.INSTRUCTIONS, 1, 0)
-        table.advance_idle(1, 0.1, 7)
-        reference = 0.0
-        for _ in range(3):
-            reference += 0.1
-        late_ref, early_ref = 0.0, reference
-        for _ in range(7):
-            early_ref += 0.1
-            late_ref += 0.1
-        assert early.time_enabled == early_ref
-        assert late.time_enabled == late_ref
-
-    def test_disabled_counters_untouched(self, table):
-        on = table.open(Event.CYCLES, 1, 0)
-        off = table.open(Event.INSTRUCTIONS, 1, 0)
-        off.enabled = False
-        table.advance_idle(1, 0.25, 10)
-        assert on.time_enabled == pytest.approx(2.5)
-        assert off.time_enabled == 0.0
-        assert off.time_running == 0.0
-
-    def test_rotation_advances_once_per_tick(self, table):
-        events = [
-            Event.CYCLES,
-            Event.INSTRUCTIONS,
-            Event.CACHE_MISSES,
-            Event.CACHE_REFERENCES,
-            Event.BRANCH_MISSES,
-        ]
-        for e in events:
-            table.open(e, 1, 0)
-        assert len(events) > table.pmu_width
-        table.advance_idle(1, 0.1, 9)
-        assert table._rotation[1] == 9
-
-    def test_zero_ticks_or_unmonitored_tid_is_noop(self, table):
-        c = table.open(Event.CYCLES, 1, 0)
-        table.advance_idle(1, 0.1, 0)
-        table.advance_idle(999, 0.1, 5)
-        assert c.time_enabled == 0.0
 
 
 class TestCounterColumns:

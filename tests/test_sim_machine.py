@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import NEHALEM, SimMachine
+from repro.sim.columns import ColumnKernel
 from repro.sim.events import Event
 from repro.sim.smt import issue_share
 from repro.sim.workload import Workload
@@ -58,42 +59,47 @@ class TestClockAndTimers:
         nehalem_machine.run_until(1.05)
         assert nehalem_machine.now == pytest.approx(1.05)
 
-    def test_run_until_counts_whole_ticks_without_drift(self, nehalem_machine):
-        """10^6 ticks at tick=0.1 must be exactly 10^6 full steps.
+    @staticmethod
+    def _record_kernel_calls(monkeypatch) -> list[tuple[int, float]]:
+        """Replace the kernel's tick loop with a clock-only stand-in that
+        records each ``(ticks, step)`` call: the property under test is
+        pure tick bookkeeping."""
+        calls: list[tuple[int, float]] = []
+
+        def fake_run(kernel, machine, n, dt):
+            calls.append((n, dt))
+            for _ in range(n):
+                machine.now += dt
+
+        monkeypatch.setattr(ColumnKernel, "run", fake_run)
+        return calls
+
+    def test_run_until_counts_whole_ticks_without_drift(
+        self, nehalem_machine, monkeypatch
+    ):
+        """10^6 ticks at tick=0.1 must be one run of exactly 10^6 full
+        ticks, with no fractional remainder.
 
         The old epsilon loop (``while now < deadline - 1e-12``) compared an
         absolute epsilon against a clock whose ulp grows past it (ulp of
         1e5 is ~1.5e-11), so long runs shed ticks and finished with ragged
-        fractional steps. Integer tick accounting cannot drift. ``_step``
-        is stubbed: the property under test is pure tick bookkeeping.
+        fractional steps. Integer tick accounting cannot drift.
         """
-        machine = nehalem_machine
-        steps = []
+        calls = self._record_kernel_calls(monkeypatch)
+        nehalem_machine.run_until(100_000.0)
+        assert calls == [(1_000_000, 0.1)]
 
-        def fake_step(dt):
-            steps.append(dt)
-            machine.now += dt
-
-        machine._step = fake_step
-        machine.run_until(100_000.0)
-        assert len(steps) == 1_000_000
-        assert all(dt == 0.1 for dt in steps)
-
-    def test_run_until_fractional_remainder_still_steps(self, nehalem_machine):
-        machine = nehalem_machine
-        steps = []
-
-        def fake_step(dt):
-            steps.append(dt)
-            machine.now += dt
-
-        machine._step = fake_step
-        machine.run_until(0.25)
-        assert len(steps) == 3
-        assert steps[0] == steps[1] == 0.1
-        assert steps[2] == pytest.approx(0.05)
-        machine.run_until(0.25)  # already there: no extra steps
-        assert len(steps) == 3
+    def test_run_until_fractional_remainder_still_steps(
+        self, nehalem_machine, monkeypatch
+    ):
+        calls = self._record_kernel_calls(monkeypatch)
+        nehalem_machine.run_until(0.25)
+        assert len(calls) == 2
+        assert calls[0] == (2, 0.1)
+        assert calls[1][0] == 1
+        assert calls[1][1] == pytest.approx(0.05)
+        nehalem_machine.run_until(0.25)  # already there: no extra steps
+        assert len(calls) == 2
 
     def test_timer_fires_in_order(self, nehalem_machine):
         fired = []

@@ -1,4 +1,9 @@
-"""Scheduler: fairness, core spreading, affinity, stickiness."""
+"""Scheduler: fairness, core spreading, affinity, stickiness.
+
+``TestDispatch`` drives placement through the scalar reference dispatch
+(:func:`repro.verify.reference.dispatch`), which shares the scheduler's
+placement walk with the kernel's columnar dispatch.
+"""
 
 import math
 
@@ -9,6 +14,7 @@ from repro.sim.cpu_topology import Topology
 from repro.sim.process import SimProcess, SimThread, TaskState
 from repro.sim.scheduler import Scheduler
 from repro.sim.workload import Workload
+from repro.verify.reference import dispatch
 
 
 def _threads(n, affinity=None, nice=0):
@@ -32,25 +38,25 @@ class TestDispatch:
     def test_spreads_over_idle_cores_first(self, sched):
         """Four runnable threads land on four distinct physical cores."""
         threads = _threads(4)
-        d = sched.dispatch(threads, 0.1)
+        d = dispatch(sched, threads, 0.1)
         cores = {sched.topology.pu(pu).core_id for pu in d.assignment}
         assert len(cores) == 4
 
     def test_fills_smt_after_cores(self, sched):
         threads = _threads(8)
-        d = sched.dispatch(threads, 0.1)
+        d = dispatch(sched, threads, 0.1)
         assert len(d.assignment) == 8  # all PUs used
 
     def test_oversubscription_waits(self, sched):
         threads = _threads(10)
-        d = sched.dispatch(threads, 0.1)
+        d = dispatch(sched, threads, 0.1)
         assert len(d.assignment) == 8
         scheduled = set(d.assignment.values())
         assert sum(1 for t in threads if t in scheduled) == 8
 
     def test_affinity_respected(self, sched):
         threads = _threads(2, affinity={0})
-        d = sched.dispatch(threads, 0.1)
+        d = dispatch(sched, threads, 0.1)
         assert set(d.assignment) == {0}  # only PU0 eligible; one thread waits
 
     def test_same_core_pinning(self, sched):
@@ -58,7 +64,7 @@ class TestDispatch:
         a = _threads(1, affinity={0})[0]
         b = _threads(1, affinity={4})[0]
         b.tid = 200
-        d = sched.dispatch([a, b], 0.1)
+        d = dispatch(sched, [a, b], 0.1)
         assert d.assignment[0] is a
         assert d.assignment[4] is b
 
@@ -66,7 +72,7 @@ class TestDispatch:
         """Over many ticks, 10 threads on 8 PUs each get ~80 % of a PU."""
         threads = _threads(10)
         for _ in range(200):
-            sched.dispatch(threads, 0.1)
+            dispatch(sched, threads, 0.1)
         runs = sorted(t.vruntime for t in threads)
         assert runs[-1] - runs[0] <= 0.3  # tight spread
 
@@ -78,7 +84,7 @@ class TestDispatch:
         allts = normal + nice
         got = {t.tid: 0 for t in allts}
         for _ in range(300):
-            d = sched.dispatch(allts, 0.1)
+            d = dispatch(sched, allts, 0.1)
             for t in d.assignment.values():
                 got[t.tid] += 1
         avg_normal = sum(got[t.tid] for t in normal) / len(normal)
@@ -87,31 +93,31 @@ class TestDispatch:
 
     def test_sticky_placement(self, sched):
         threads = _threads(3)
-        d1 = sched.dispatch(threads, 0.1)
+        d1 = dispatch(sched, threads, 0.1)
         placement1 = {t.tid: pu for pu, t in d1.assignment.items()}
-        d2 = sched.dispatch(threads, 0.1)
+        d2 = dispatch(sched, threads, 0.1)
         placement2 = {t.tid: pu for pu, t in d2.assignment.items()}
         assert placement1 == placement2
 
     def test_context_switch_counted_once_for_steady_run(self, sched):
         t = _threads(1)[0]
         for _ in range(5):
-            sched.dispatch([t], 0.1)
+            dispatch(sched, [t], 0.1)
         assert t.context_switches == 1  # only the initial switch-in
 
     def test_dead_threads_ignored(self, sched):
         t = _threads(1)[0]
         t.state = TaskState.DEAD
-        d = sched.dispatch([t], 0.1)
+        d = dispatch(sched, [t], 0.1)
         assert not d.assignment
 
     def test_preempted_reported(self, sched):
         a = _threads(1, affinity={0})[0]
-        sched.dispatch([a], 0.1)
+        dispatch(sched, [a], 0.1)
         b = _threads(1, affinity={0})[0]
         b.tid = 999
         b.vruntime = -10.0  # much more deserving
-        d = sched.dispatch([a, b], 0.1)
+        d = dispatch(sched, [a, b], 0.1)
         assert d.assignment[0] is b
         assert a in d.preempted
 

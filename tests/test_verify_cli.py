@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.cli import main as tiptop_main
-from repro.sim.machine import CounterTable
+from repro.sim.columns import ColumnKernel
 from repro.verify.cli import build_parser, main
 from repro.verify.oracles import check_scenario
 from repro.verify.shrink import shrink, write_artifact
@@ -89,6 +89,7 @@ class TestParser:
 
 
 def test_counter_table_hook_still_exists():
-    """The injected-bug tests monkeypatch this method; fail fast here if
-    a rename ever silently turns them into no-op tests."""
-    assert callable(getattr(CounterTable, "advance_idle"))
+    """The injected-bug tests monkeypatch the kernel's idle-clock step;
+    fail fast here if a rename ever silently turns them into no-op tests.
+    (The name recalls the ``CounterTable`` method that step replaced.)"""
+    assert callable(getattr(ColumnKernel, "_idle_step"))

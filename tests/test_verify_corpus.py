@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify import check_scenario
+from repro.verify import check, execute
 from repro.verify.scenario import Scenario
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -39,10 +39,17 @@ def test_corpus_round_trips(path):
 @pytest.mark.parametrize("path", CORPUS, ids=_name)
 def test_corpus_passes_all_oracles(path):
     scenario = Scenario.from_json(path.read_text())
-    violations = check_scenario(scenario)
+    ex = execute(scenario)
+    violations = check(ex)
     assert violations == [], "\n".join(
         f"[{v.oracle}] {v.message}" for v in violations
     )
+    if scenario.kind == "tool":
+        # The monitor's host advances on the kernel alone, and the
+        # reference run never touches it.
+        assert ex.base.kernel_stats["fast_slices"] > 0
+        assert ex.base.kernel_stats["fallback_slices"] == 0
+        assert ex.reference.kernel_stats["fast_slices"] == 0
 
 
 def test_corpus_covers_both_kinds():

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.sim.machine import CounterTable
+from repro.sim.columns import ColumnKernel
 from repro.verify import check, check_scenario, execute, generate, shrink
 from repro.verify.oracles import Violation, deep_diff
 from repro.verify.shrink import replay_artifact, write_artifact
@@ -31,7 +31,7 @@ def test_fuzz_seed_passes_all_oracles(seed):
 
 def _oversubscribed_scenario() -> Scenario:
     """Five runnable tasks on two logical PUs: some task is always
-    unscheduled, so the lazy idle-clock path must do real work."""
+    unscheduled, so the kernel's idle-clock step must do real work."""
     tasks = tuple(
         TaskPlan(
             name=f"compute{i}", archetype="compute", target_ipc=1.8,
@@ -46,10 +46,10 @@ def _oversubscribed_scenario() -> Scenario:
 
 
 def _break_idle_clock(mp: pytest.MonkeyPatch) -> None:
-    """The injected bug: run_ticks' lazy idle-counter catch-up becomes a
-    no-op, so idle tasks silently lose enabled time on the batched
-    advance path only."""
-    mp.setattr(CounterTable, "advance_idle", lambda self, tid, dt, ticks: None)
+    """The injected bug: the kernel's idle-clock step becomes a no-op, so
+    idle tasks silently lose enabled time on the kernel only — the scalar
+    reference still advances them."""
+    mp.setattr(ColumnKernel, "_idle_step", lambda self, work, dt: None)
 
 
 class TestInjectedBug:
