@@ -19,13 +19,11 @@ epoch batching alone >= 1.5x, and supervised-4 >= 3x on the 16-node
 fleet.
 
 A second sweep scales the *fleet* engine (two-level supervision tree)
-across the shard-transport axis — inproc / fork / socket — at 64 and 256
+across the shard-transport axis — inproc / fork — at 64 and 256
 simulated nodes, recording per-epoch latency percentiles and bytes per
-epoch in the same ``BENCH_grid.json`` under ``"fleet"``. All transports
-must agree bitwise (vs a serial reference at 64 nodes, pairwise at 256);
-the full run also asserts the wire floor: socket epoch p95 within 2x of
-fork at 64 nodes — the binary TTSV framing must stay in the same class
-as the pickled pipe, or the interning/codec has regressed.
+epoch in the same ``BENCH_grid.json`` under ``"fleet"``. Both transports
+must agree bitwise (vs a serial reference at 64 nodes, with each other
+at 256), inproc must move zero bytes and fork must account every one.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sweep for CI and skips the speedup
 assertions (shared runners make ratios unreliable).
@@ -211,8 +209,7 @@ FLEET_SPAN = 45.0 if SMOKE else 120.0
 FLEET_REPEATS = 1 if SMOKE else 2
 FLEET_WORKERS = 8
 FLEET_HOSTS = 4
-TRANSPORTS = ("inproc", "fork", "socket")
-SOCKET_P95_MAX_VS_FORK = 2.0
+TRANSPORTS = ("inproc", "fork")
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -264,7 +261,6 @@ def run_fleet(transport: str, n_nodes: int):
 
 def test_fleet_transport_sweep():
     sweeps = []
-    p95 = {}
     for n_nodes in FLEET_NODE_COUNTS:
         results = {t: run_fleet(t, n_nodes) for t in TRANSPORTS}
         # Bitwise agreement: against a serial reference on the smaller
@@ -279,16 +275,11 @@ def test_fleet_transport_sweep():
                 assert results[t]["digest"] == reference, (
                     f"fleet/{t} diverged from serial on {n_nodes} nodes"
                 )
-        first = results[TRANSPORTS[0]]["digest"]
-        for t in TRANSPORTS[1:]:
-            assert results[t]["digest"] == first, (
-                f"fleet/{t} diverged from fleet/{TRANSPORTS[0]}"
-                f" on {n_nodes} nodes"
-            )
+        assert results["fork"]["digest"] == results["inproc"]["digest"], (
+            f"fleet/fork diverged from fleet/inproc on {n_nodes} nodes"
+        )
         assert results["inproc"]["bytes_per_epoch"] == 0
-        for t in ("fork", "socket"):
-            assert results[t]["bytes_per_epoch"] > 0
-        p95[n_nodes] = {t: results[t]["epoch_p95"] for t in TRANSPORTS}
+        assert results["fork"]["bytes_per_epoch"] > 0
         entry = {"nodes": n_nodes, "transports": {}}
         for t in TRANSPORTS:
             r = results[t]
@@ -320,14 +311,6 @@ def test_fleet_transport_sweep():
             "repeats": FLEET_REPEATS,
             "smoke": SMOKE,
         },
-        "targets": {"socket_p95_max_vs_fork": SOCKET_P95_MAX_VS_FORK},
         "sweeps": sweeps,
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    if not SMOKE:
-        ratio = p95[64]["socket"] / p95[64]["fork"]
-        assert ratio <= SOCKET_P95_MAX_VS_FORK, (
-            f"socket epoch p95 is {ratio:.2f}x fork at 64 nodes"
-            f" (floor: {SOCKET_P95_MAX_VS_FORK}x)"
-        )

@@ -73,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "run, and the same seed replays the same "
                              "cuts and heals byte-for-byte (requires "
                              "--sim and --grid-workers)")
-    parser.add_argument("--grid-transport", default=None,
-                        metavar="{inproc,fork,socket}",
-                        help="how grid shards talk to their workers: inproc "
-                             "(serial, zero-copy), fork (multiprocessing "
-                             "pipes, the default) or socket (binary frames "
-                             "over a persistent socket per worker); output "
-                             "is identical across transports (requires "
-                             "--sim and --grid-workers)")
     parser.add_argument("--grid-hosts", type=int, default=None, metavar="N",
                         help="split the grid's workers into N supervised "
                              "host groups under fleet-level supervision; a "
@@ -131,7 +123,6 @@ def _run_grid(options: Options) -> int:
         grid_chaos=options.grid_chaos,
         net_chaos=options.net_chaos,
         supervision=supervision,
-        transport=options.grid_transport,
         hosts=options.grid_hosts,
     ) as grid:
         jobs = datacenter.populate_grid(grid)
@@ -341,24 +332,6 @@ def _main(argv: list[str] | None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.grid_transport is not None and args.grid_transport not in (
-        "inproc", "fork", "socket"
-    ):
-        print(
-            "tiptop: --grid-transport must be one of inproc, fork, socket; "
-            f"got {args.grid_transport!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.grid_transport is not None and (
-        not args.sim or args.grid_workers is None
-    ):
-        print(
-            "tiptop: --grid-transport selects the shard transport of the "
-            "simulated grid and requires --sim and --grid-workers",
-            file=sys.stderr,
-        )
-        return 2
     if args.grid_hosts is not None and (
         not args.sim or args.grid_workers is None
     ):
@@ -379,10 +352,9 @@ def _main(argv: list[str] | None) -> int:
             screen=args.screen,
             profile=args.profile,
             chaos=args.chaos,
-            grid_workers=args.grid_workers or 1,
+            grid_workers=1 if args.grid_workers is None else args.grid_workers,
             grid_chaos=args.grid_chaos,
             net_chaos=args.net_chaos,
-            grid_transport=args.grid_transport,
             grid_hosts=args.grid_hosts,
             serve_port=args.serve,
             connect=args.connect,

@@ -62,10 +62,6 @@ class Options:
             and duplicated messages, half-open links, delay) at the shard
             transport boundary — the supervised engine's epoch fencing
             keeps grid output byte-identical to an unpartitioned run.
-        grid_transport: how grid shards talk to their workers
-            (``--grid-transport``): "inproc", "fork" or "socket". None
-            keeps the engine default (fork). A pure performance knob —
-            grid output is identical across transports.
         grid_hosts: partition the grid's worker pool into this many
             supervised host groups under fleet-level supervision
             (``--grid-hosts``). None keeps single-host supervision.
@@ -96,7 +92,6 @@ class Options:
     grid_workers: int = 1
     grid_chaos: int | None = None
     net_chaos: int | None = None
-    grid_transport: str | None = None
     grid_hosts: int | None = None
     serve_port: int | None = None
     connect: str | None = None
@@ -121,13 +116,6 @@ class Options:
         if self.grid_workers < 1:
             raise ConfigError(
                 f"grid_workers must be >= 1, got {self.grid_workers}"
-            )
-        if self.grid_transport is not None and self.grid_transport not in (
-            "inproc", "fork", "socket"
-        ):
-            raise ConfigError(
-                "grid_transport must be one of inproc, fork, socket; "
-                f"got {self.grid_transport!r}"
             )
         if self.grid_hosts is not None and self.grid_hosts < 1:
             raise ConfigError(

@@ -71,12 +71,6 @@ MSG_FRAME = 3
 MSG_BYE = 4
 _MSG_TYPES = frozenset({MSG_HELLO, MSG_SUBSCRIBE, MSG_FRAME, MSG_BYE})
 
-#: Message types 16..31 are reserved for the grid shard-transport wire
-#: (:mod:`repro.sim.shardwire`), which shares this envelope — same magic,
-#: version, length prefix, ``MessageReader`` and error taxonomy — so one
-#: reassembler implementation guards both links against hostile input.
-SHARD_MSG_BASE = 16
-
 #: Ceiling on one message's payload. A length prefix above this raises
 #: :class:`WireOversizeError` before any buffering happens.
 MAX_MESSAGE = 64 * 1024 * 1024

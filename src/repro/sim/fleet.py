@@ -82,8 +82,8 @@ class FleetEngine:
     """Hosts-of-workers engine: ``hosts`` supervised engines side by side.
 
     Bitwise identical to every other engine for the same fleet and seed;
-    ``hosts`` and ``transport`` are pure performance/failure-domain
-    knobs, like ``workers``.
+    ``hosts`` and ``transport`` ("inproc" or "fork") are pure
+    performance/failure-domain knobs, like ``workers``.
     """
 
     name = "fleet"

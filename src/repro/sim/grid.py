@@ -214,10 +214,9 @@ class Grid:
         supervision: :class:`~repro.sim.supervisor.Supervision` policy
             override for the supervised engines.
         transport: how shards talk to workers — "inproc" (serial,
-            zero-copy), "fork" (multiprocessing pipes, the default) or
-            "socket" (length-prefixed binary frames over a persistent
-            socket per worker). A pure performance knob: digests are
-            transport-invariant.
+            zero-copy, no worker process) or "fork" (pickled tuples over
+            a multiprocessing pipe, the default). A pure performance
+            knob: digests are transport-invariant.
         hosts: partition the worker pool into this many host groups,
             each a full supervised engine under fleet-level supervision
             (host death resurrects the whole group by journal replay).

@@ -21,13 +21,13 @@ Four engines implement the same contract:
 * ``supervised`` (:mod:`repro.sim.supervisor`) — persistent worker
   agents, each owning a disjoint :class:`Shard` behind a pluggable
   :class:`~repro.sim.transport.ShardTransport` (``inproc`` serial
-  zero-copy, ``fork`` multiprocessing pipes, ``socket`` binary frames over
-  a persistent stream socket), under a supervision tree: deadlines,
-  journal-replay restarts, adoption, degrade-to-serial. Machines are
-  constructed *inside* the agent from (spec, seed) and never cross the
-  process boundary; per epoch exactly one compact message round-trip
-  happens per worker (spawn/preempt commands in, job-exit/bound/cache
-  snapshots out). The only engine that runs worker processes.
+  zero-copy, ``fork`` pickled tuples over a multiprocessing pipe), under
+  a supervision tree: deadlines, journal-replay restarts, adoption,
+  degrade-to-serial. Machines are constructed *inside* the agent from
+  (spec, seed) and never cross the process boundary; per epoch exactly
+  one compact message round-trip happens per worker (spawn/preempt
+  commands in, job-exit/bound/cache snapshots out). The only engine that
+  runs worker processes.
 * ``fleet`` (:mod:`repro.sim.fleet`) — a two-level tree: a fleet
   supervisor over per-host supervised engines, scaling the same epoch
   protocol to hundreds of simulated nodes.
@@ -76,9 +76,9 @@ if TYPE_CHECKING:
 ENGINE_NAMES = ("legacy", "serial", "supervised", "fleet")
 
 #: Shard transport implementations (see :mod:`repro.sim.transport`).
-#: Defined here so the grid can validate without importing the
-#: transport layer (which pulls in the serve package) at module load.
-TRANSPORT_NAMES = ("inproc", "fork", "socket")
+#: Defined here, next to the engine names, so the grid validates both
+#: without importing the worker-process layer at module load.
+TRANSPORT_NAMES = ("inproc", "fork")
 
 
 def _entry_list(

@@ -299,7 +299,6 @@ class SupervisedShardedEngine:
         self.chaos = chaos
         self.netchaos = netchaos
         self.tick = tick
-        self.transport_name = transport
         self._policy = self.config.policy()
         #: Offset added to each slot index to form the *global* worker id
         #: (a fleet supervisor numbers workers across hosts): chaos

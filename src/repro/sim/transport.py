@@ -1,4 +1,4 @@
-"""Pluggable shard transports: one epoch round-trip, three fabrics.
+"""Pluggable shard transports: one epoch round-trip, two fabrics.
 
 The supervised engine (:mod:`repro.sim.supervisor`) speaks one tiny
 protocol per worker slot — ``("advance", commands, n_ticks,
@@ -11,15 +11,10 @@ process/SSH/cluster ``Pool`` ladder of vusec's instrumentation-infra:
   caller; messages are zero-copy Python objects. The serial baseline of
   the transport axis, and the cheapest way to run the chaos ladder
   deterministically in tests.
-* :class:`ForkTransport` — today's ``multiprocessing`` pipe, with pickled
-  tuples sent via ``send_bytes`` so every message's exact wire size is
-  accounted.
-* :class:`SocketTransport` — a per-worker host-agent process on the other
-  end of one persistent TCP/Unix stream socket, speaking the ``"TTSV"``
-  length-prefixed binary frames of :mod:`repro.sim.shardwire` instead of
-  pickle. Workload specs are interned per connection: the full pickled
-  workload crosses the wire once, later spawns reference it by id — the
-  epoch round-trip stays O(commands), not O(workload bytes).
+* :class:`ForkTransport` — a local agent process on the other end of a
+  ``multiprocessing`` pipe, with pickled tuples sent via ``send_bytes``
+  so every message's exact wire size is accounted. Pickle is the one
+  shard codec: both ends run the same code from the same checkout.
 
 Every transport enforces the same failure taxonomy: a round-trip against
 a dead peer raises :class:`~repro.errors.WorkerFailure` ``kind="crash"``,
@@ -27,10 +22,10 @@ a missed deadline ``"hang"``, an unparseable reply ``"garbled"``, a
 message lost to a network fault ``"unreachable"``, and any operation
 after :meth:`ShardTransport.close` ``"closed"`` (so a send racing engine
 teardown is a typed event, not a stray ``BrokenPipeError``). One agent
-class answers the protocol at the far end of every fabric, chaos
+class answers the protocol at the far end of both fabrics, chaos
 (:class:`~repro.sim.supervisor.GridFaultPlan`) included, so fault
 schedules and supervisor event logs are transport-invariant: only how a
-chaos crash or hang is carried out differs (a process agent exits or
+chaos crash or hang is carried out differs (the agent process exits or
 wedges; the in-process one marks its slot dead or raises).
 
 Two concerns ride on the round-trip uniformly across fabrics, both
@@ -60,26 +55,12 @@ import multiprocessing
 import os
 import pickle
 import signal
-import socket
-import tempfile
 import time
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, NoReturn
 
-from repro.errors import SimulationError, WireError, WorkerFailure
-from repro.serve.protocol import MessageReader
-from repro.sim.parallel import TRANSPORT_NAMES, PreemptCmd, Shard, SpawnCmd
-from repro.sim.shardwire import (
-    MSG_SHARD_ADVANCE,
-    MSG_SHARD_CLOSE,
-    MSG_SHARD_ERR,
-    MSG_SHARD_OK,
-    MSG_SHARD_SNAPSHOT,
-    decode_shard,
-    pack_fenced,
-    pack_shard,
-    split_fenced,
-)
+from repro.errors import SimulationError, WorkerFailure
+from repro.sim.parallel import TRANSPORT_NAMES, Shard
 
 if TYPE_CHECKING:
     from repro.sim.grid import NodeSpec
@@ -97,7 +78,7 @@ _LOST_REQUEST = frozenset({"partition", "drop"})
 _LOST_REPLY = frozenset({"half_open", "reorder"})
 
 
-# -- the agent (the far end of every transport) -------------------------------
+# -- the agent (the far end of both transports) -------------------------------
 
 class _Agent:
     """One shard served over the epoch protocol, whatever the fabric.
@@ -179,122 +160,28 @@ def _die(kind: str) -> NoReturn:  # pragma: no cover - runs in a worker process
         time.sleep(3600)
 
 
-def _agent_loop(channel, *agent_args) -> None:  # pragma: no cover
-    """Agent-process main loop, identical across pipe and socket fabrics
-    (only the channel differs): resurrect, hand-shake, then answer every
-    request until a close message or EOF."""
+def _fork_agent_main(conn, *agent_args) -> None:  # pragma: no cover
+    """Agent-process main loop: resurrect, hand-shake, then answer every
+    pickled request until a close message or EOF."""
     agent = _Agent(*agent_args)
-    channel.send(agent.ready())
+    reply = agent.ready()
     while True:
         try:
-            msg = channel.recv()
-        except EOFError:
-            break
-        if msg[0] == "close":
-            break
-        channel.send(agent.handle(msg, _die))
-    channel.close()
-
-
-class _PipeChannel:  # pragma: no cover - runs in a worker process
-    """Agent side of the fork transport: pickled tuples over a pipe."""
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-
-    def send(self, msg: tuple) -> None:
-        try:
-            self.conn.send_bytes(pickle.dumps(msg))
+            conn.send_bytes(pickle.dumps(reply))
         except OSError:
             # Half-closed parent (teardown race, partition heal): the
             # reply is undeliverable; dropping it lets the loop reach
             # the EOF on its next recv and exit cleanly instead of
             # dying with a BrokenPipeError traceback.
             pass
-
-    def recv(self) -> tuple:
         try:
-            return pickle.loads(self.conn.recv_bytes())
+            msg = pickle.loads(conn.recv_bytes())
         except (EOFError, OSError):
-            raise EOFError from None
-
-    def close(self) -> None:
-        self.conn.close()
-
-
-class _SocketChannel:  # pragma: no cover - runs in a worker process
-    """Agent side of the socket transport: TTSV frames, interned specs."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.reader = MessageReader()
-        self.queue: list[bytes] = []
-        self._intern: dict[int, Any] = {}
-
-    def send(self, msg: tuple) -> None:
-        tag, payload, inc, epoch = msg
-        msg_type = MSG_SHARD_OK if tag == "ok" else MSG_SHARD_ERR
-        try:
-            self.sock.sendall(pack_fenced(msg_type, inc, epoch, payload))
-        except OSError:
-            pass  # half-closed parent: see _PipeChannel.send
-
-    def recv(self) -> tuple:
-        while not self.queue:
-            try:
-                data = self.sock.recv(1 << 16)
-            except OSError:
-                raise EOFError from None
-            if not data:
-                raise EOFError
-            self.queue.extend(self.reader.feed(data))
-        msg_type, value = decode_shard(self.queue.pop(0))
-        if msg_type == MSG_SHARD_ADVANCE:
-            for ref, blob in value["intern"].items():
-                self._intern[ref] = pickle.loads(blob)
-            commands = []
-            for cmd in value["cmds"]:
-                if cmd[0] == "spawn":
-                    _, job_id, node, command, user, limit, ref = cmd
-                    commands.append(
-                        SpawnCmd(
-                            job_id=job_id,
-                            node=node,
-                            command=command,
-                            user=user,
-                            workload=self._intern[ref],
-                            wallclock_limit=limit,
-                        )
-                    )
-                else:
-                    commands.append(PreemptCmd(job_id=cmd[1], node=cmd[2]))
-            return ("advance", commands, value["n_ticks"], value["frac"])
-        if msg_type == MSG_SHARD_SNAPSHOT:
-            return ("snapshot", value)
-        if msg_type == MSG_SHARD_CLOSE:
-            return ("close",)
-        raise EOFError  # a reply type from the parent: broken peer
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def _fork_agent_main(conn, *agent_args) -> None:  # pragma: no cover
-    _agent_loop(_PipeChannel(conn), *agent_args)
-
-
-def _socket_agent_main(
-    family, address, *agent_args
-) -> None:  # pragma: no cover - runs in a worker process
-    # Connect before building the shard: the parent's accept is then
-    # near-instant, and replay cost falls entirely under the engine's
-    # replay-scaled ready deadline.
-    sock = socket.socket(family, socket.SOCK_STREAM)
-    sock.connect(address)
-    _agent_loop(_SocketChannel(sock), *agent_args)
+            break
+        if msg[0] == "close":
+            break
+        reply = agent.handle(msg, _die)
+    conn.close()
 
 
 # -- parent-side transports ---------------------------------------------------
@@ -305,15 +192,13 @@ class ShardTransport:
     Subclasses implement the fabric through ``_spawn_raw``, ``_send_raw``,
     ``_recv_raw`` (raw replies are fenced 4-tuples ``(tag, payload,
     incarnation, epoch)``) and ``_close_link``; the failure taxonomy,
-    byte/message accounting, the closed-state contract, network-chaos
+    byte accounting, the closed-state contract, network-chaos
     injection, epoch fencing and the agent-process teardown ladder are
     shared and live in the public :meth:`spawn` / :meth:`send` /
     :meth:`recv` / :meth:`reap` / :meth:`close` wrappers. ``worker_id``
     is the *global* worker index (fleet supervisors offset it per host)
     used in failure messages and as the chaos *link* id.
     """
-
-    kind = "base"
 
     def __init__(
         self,
@@ -331,7 +216,6 @@ class ShardTransport:
         self.closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.messages = 0
         self.proc: Any = None
         # -- fencing state ----------------------------------------------------
         #: Incarnation of the agent currently holding this slot.
@@ -544,14 +428,11 @@ class ShardTransport:
     def close(self, grace: float = 5.0) -> None:
         """Full teardown; never raises a transport error.
 
-        Teardown runs on failure paths — an ECONNRESET or BrokenPipeError
-        from a half-closed peer during the BYE exchange must not mask the
+        Teardown runs on failure paths, so :meth:`request_close` swallows
+        a half-closed peer's BrokenPipeError: it must not mask the
         original :class:`WorkerFailure` the caller is unwinding with.
         """
-        try:
-            self.request_close()
-        except (WorkerFailure, ConnectionError, OSError):
-            pass
+        self.request_close()
         self.finish_close(grace)
 
     def _close_link(self) -> None:
@@ -577,16 +458,14 @@ class ShardTransport:
 class InprocTransport(ShardTransport):
     """The shard in the caller's process: serial, zero-copy, zero bytes.
 
-    The same agent as on the process fabrics answers every request, so
-    the ``decide(worker, epoch, incarnation)`` chaos schedule yields the
+    The same agent as in a fork worker answers every request, so the
+    ``decide(worker, epoch, incarnation)`` chaos schedule yields the
     same failure kinds at the same epochs, minus the OS: a "crash" marks
     the slot dead and raises, a "hang" raises without sleeping out a
     deadline. Net chaos lives entirely in the base class, so the
     in-process transport exhibits byte-for-byte the same
-    unreachable/stale-reply schedule as the process fabrics.
+    unreachable/stale-reply schedule as the fork transport.
     """
-
-    kind = "inproc"
 
     def __init__(self, worker_id, entries, tick, chaos=None,
                  netchaos=None) -> None:
@@ -606,7 +485,6 @@ class InprocTransport(ShardTransport):
         if self._dead:
             raise self._crash_failure()
         self._inbox.append(msg)
-        self.messages += 1
 
     def _recv_raw(self, timeout: float) -> tuple:
         if self._pending:
@@ -642,11 +520,9 @@ class ForkTransport(ShardTransport):
 
     Messages are pickled tuples moved with ``send_bytes``/``recv_bytes``
     so the exact per-message wire size is accounted (``bytes_sent`` /
-    ``bytes_received``), byte-identical in content to the pre-transport
-    pipe protocol.
+    ``bytes_received``). A reply that does not unpickle, or is not a
+    fenced 4-tuple, fails the round-trip as ``kind="garbled"``.
     """
-
-    kind = "fork"
 
     def __init__(self, worker_id, entries, tick, chaos=None,
                  netchaos=None) -> None:
@@ -677,7 +553,6 @@ class ForkTransport(ShardTransport):
                 raise self._closed_failure() from exc
             raise self._crash_failure(detail="is gone") from exc
         self.bytes_sent += len(blob)
-        self.messages += 1
 
     def _recv_raw(self, timeout: float) -> tuple:
         if self.conn is None:
@@ -733,217 +608,6 @@ class ForkTransport(ShardTransport):
             self.conn = None
 
 
-class SocketTransport(ShardTransport):
-    """A host-agent process over one persistent stream socket.
-
-    The parent owns a listener (Unix-domain under a private tempdir when
-    the platform has it, loopback TCP otherwise) that outlives agent
-    incarnations: each :meth:`spawn` starts a fresh agent which connects
-    back, and each connection gets a fresh workload-intern table — refs
-    are only valid against the agent that received their pickled bodies.
-    """
-
-    kind = "socket"
-
-    def __init__(self, worker_id, entries, tick, chaos=None,
-                 netchaos=None) -> None:
-        super().__init__(worker_id, entries, tick, chaos, netchaos)
-        self._ctx = multiprocessing.get_context()
-        self.sock: socket.socket | None = None
-        self._reader = MessageReader()
-        self._queue: list[bytes] = []
-        # Workload interning: id() -> ref, with strong refs held so a
-        # garbage-collected workload can never hand its id to a stranger.
-        self._intern_refs: dict[int, int] = {}
-        self._intern_keep: list[Any] = []
-        self._next_ref = 0
-        self._sent_refs: set[int] = set()
-        self._tmpdir: str | None = None
-        try:
-            self._tmpdir = tempfile.mkdtemp(prefix="repro-shard-")
-            path = os.path.join(self._tmpdir, f"agent{worker_id}.sock")
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(path)
-            self._family = socket.AF_UNIX
-            self._address: Any = path
-        except (AttributeError, OSError):  # pragma: no cover - no AF_UNIX
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind(("127.0.0.1", 0))
-            self._family = socket.AF_INET
-            self._address = listener.getsockname()
-        listener.listen(4)
-        listener.settimeout(0.05)
-        self.listener: socket.socket | None = listener
-
-    def _spawn_raw(self, replay: list, incarnation: int) -> None:
-        self._close_link()
-        self._reader = MessageReader()
-        self._queue = []
-        self._sent_refs = set()
-        proc = self._ctx.Process(
-            target=_socket_agent_main,
-            args=(
-                self._family, self._address,
-                *self._agent_args(replay, incarnation),
-            ),
-            daemon=True,
-        )
-        proc.start()
-        self.proc = proc
-        # The agent connects before building its shard, so accept is
-        # near-instant; the generous cap only guards a truly wedged start.
-        deadline = 60.0
-        while True:
-            try:
-                conn, _ = self.listener.accept()
-                break
-            except TimeoutError:
-                deadline -= 0.05
-                if not proc.is_alive():
-                    raise self._crash_failure(
-                        detail="died before connecting"
-                    ) from None
-                if deadline <= 0:  # pragma: no cover - wedged startup
-                    raise self._hang_failure(60.0) from None
-        conn.settimeout(0.05)
-        self.sock = conn
-
-    # -- wire encode --------------------------------------------------------
-    def _encode(self, msg: tuple) -> bytes:
-        tag = msg[0]
-        if tag == "advance":
-            _, commands, n_ticks, frac = msg
-            cmds: list[list] = []
-            intern: dict[int, bytes] = {}
-            for cmd in commands:
-                if isinstance(cmd, SpawnCmd):
-                    ref = self._intern_refs.get(id(cmd.workload))
-                    if ref is None:
-                        ref = self._next_ref
-                        self._next_ref += 1
-                        self._intern_refs[id(cmd.workload)] = ref
-                        self._intern_keep.append(cmd.workload)
-                    if ref not in self._sent_refs:
-                        intern[ref] = pickle.dumps(cmd.workload)
-                        self._sent_refs.add(ref)
-                    cmds.append([
-                        "spawn", cmd.job_id, cmd.node, cmd.command,
-                        cmd.user, cmd.wallclock_limit, ref,
-                    ])
-                else:
-                    cmds.append(["preempt", cmd.job_id, cmd.node])
-            return pack_shard(
-                MSG_SHARD_ADVANCE,
-                {
-                    "cmds": cmds,
-                    "n_ticks": n_ticks,
-                    "frac": frac,
-                    "intern": intern,
-                },
-            )
-        if tag == "snapshot":
-            return pack_shard(MSG_SHARD_SNAPSHOT, list(msg[1]))
-        if tag == "close":
-            return pack_shard(MSG_SHARD_CLOSE, None)
-        raise SimulationError(f"unknown transport message {tag!r}")
-
-    def _send_raw(self, msg: tuple) -> None:
-        if self.sock is None:
-            raise self._closed_failure()
-        data = self._encode(msg)
-        try:
-            self.sock.sendall(data)
-        except OSError as exc:
-            if self.closed:
-                raise self._closed_failure() from exc
-            raise self._crash_failure(detail="is gone") from exc
-        self.bytes_sent += len(data)
-        self.messages += 1
-
-    def _recv_raw(self, timeout: float) -> tuple:
-        if self.sock is None:
-            raise self._closed_failure()
-        remaining = timeout
-        while not self._queue:
-            try:
-                data = self.sock.recv(1 << 16)
-            except TimeoutError:
-                remaining -= 0.05
-                if self.proc is not None and not self.proc.is_alive():
-                    # One last drain: bytes the agent flushed before dying
-                    # are still in the socket buffer (recv would have
-                    # returned them, not timed out) — so this is a crash.
-                    raise self._crash_failure()
-                if remaining <= 0:
-                    raise self._hang_failure(timeout)
-                continue
-            except OSError as exc:
-                if self.closed:
-                    raise self._closed_failure() from exc
-                raise self._crash_failure(detail="is gone") from exc
-            if not data:
-                raise self._crash_failure(detail="closed its socket")
-            self.bytes_received += len(data)
-            try:
-                self._queue.extend(self._reader.feed(data))
-            except WireError as exc:
-                raise self._garbled_failure(
-                    f"sent an unframeable byte stream: {exc}"
-                ) from exc
-        try:
-            msg_type, value = decode_shard(self._queue.pop(0))
-            inc, epoch, payload = split_fenced(value)
-        except WireError as exc:
-            raise self._garbled_failure(
-                f"sent an undecodable message: {exc}"
-            ) from exc
-        if msg_type == MSG_SHARD_OK:
-            return ("ok", payload, inc, epoch)
-        if msg_type == MSG_SHARD_ERR:
-            return ("error", payload, inc, epoch)
-        raise self._garbled_failure(
-            f"sent an unexpected message type {msg_type}"
-        )
-
-    def request_close(self) -> None:
-        self.closed = True
-        if self.sock is not None:
-            try:
-                self.sock.sendall(pack_shard(MSG_SHARD_CLOSE, None))
-            except OSError:
-                # A peer that half-closed first answers the BYE with
-                # ECONNRESET/EPIPE; swallowing it here keeps teardown
-                # from masking whatever failure triggered it.
-                pass
-
-    def _close_link(self) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self.sock = None
-
-    def finish_close(self, grace: float = 5.0) -> None:
-        super().finish_close(grace)
-        if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self.listener = None
-        if self._tmpdir is not None:
-            try:
-                os.unlink(self._address)
-            except OSError:
-                pass
-            try:
-                os.rmdir(self._tmpdir)
-            except OSError:
-                pass
-            self._tmpdir = None
-
-
 def make_transport(
     name: str,
     worker_id: int,
@@ -957,8 +621,6 @@ def make_transport(
         return InprocTransport(worker_id, entries, tick, chaos, netchaos)
     if name == "fork":
         return ForkTransport(worker_id, entries, tick, chaos, netchaos)
-    if name == "socket":
-        return SocketTransport(worker_id, entries, tick, chaos, netchaos)
     raise SimulationError(
         f"unknown shard transport {name!r} "
         f"(have: {', '.join(TRANSPORT_NAMES)})"

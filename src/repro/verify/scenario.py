@@ -546,7 +546,7 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
     # the tool generator's serve flag).
     transports: tuple[str, ...] = ()
     if rng.random() < 0.25:
-        transports = ("inproc", "fork", "socket")
+        transports = ("inproc", "fork")
     if rng.random() < 0.15:
         engines.append("fleet")
     if rng.random() < 0.2:

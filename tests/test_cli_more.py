@@ -20,6 +20,11 @@ class TestParser:
     def test_threads_flag(self):
         assert build_parser().parse_args(["-H"]).threads
 
+    def test_grid_transport_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["--grid-transport", "fork"])
+        assert info.value.code == 2
+
 
 class TestRuns:
     def test_uid_filter_empties_view(self, capsys):
@@ -51,3 +56,10 @@ class TestRuns:
     def test_invalid_delay_rejected_by_options(self, capsys):
         assert main(["--sim", "-b", "-n", "1", "-d", "0"]) == 1
         assert "delay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_grid_workers_below_one_is_rejected(self, capsys, workers):
+        assert main(["--sim", "--grid-workers", workers, "-n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "grid_workers must be >= 1" in captured.err
+        assert "engine=" not in captured.out

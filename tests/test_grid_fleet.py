@@ -80,7 +80,8 @@ class TestFleetEquivalence:
         reference = _digest(seed, "serial")
         assert _digest(seed, "fleet", workers=4, hosts=2) == reference
 
-    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    # fork is the default fabric, which the test above already runs.
+    @pytest.mark.parametrize("transport", ["inproc"])
     def test_fleet_matches_serial_on_every_fabric(self, transport):
         reference = _digest(7, "serial")
         assert _digest(
@@ -258,7 +259,6 @@ class TestPreemption:
             ("legacy", 1, {}),
             ("supervised", 2, {}),
             ("fleet", 4, {"hosts": 2}),
-            ("supervised", 2, {"transport": "socket"}),
         ]:
             digest, _, stats = self._run(engine, workers, **kw)
             assert digest == reference, f"{engine} {kw} diverged"
@@ -354,15 +354,6 @@ class TestPreemption:
 
 
 class TestFleetCli:
-    def test_transport_output_is_byte_identical(self, capsys):
-        outs = []
-        for t in ("inproc", "fork", "socket"):
-            args = ["--sim", "--grid-workers", "2", "--grid-transport", t,
-                    "-d", "2", "-n", "6"]
-            assert main(args) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1] == outs[2]
-
     def test_hosts_flag_runs_the_fleet_engine(self, capsys):
         args = ["--sim", "--grid-workers", "4", "--grid-hosts", "2",
                 "-d", "2", "-n", "6"]
@@ -381,15 +372,6 @@ class TestFleetCli:
         captured = capsys.readouterr()
         assert "engine=fleet" not in captured.out
         assert "positive multiple of 2 workers" in captured.err
-
-    def test_bad_transport_value_is_exit_2(self, capsys):
-        assert main(["--sim", "--grid-workers", "2",
-                     "--grid-transport", "bogus", "-n", "1"]) == 2
-        assert "--grid-transport must be one of" in capsys.readouterr().err
-
-    def test_transport_requires_the_grid(self, capsys):
-        assert main(["--grid-transport", "fork", "-n", "1"]) == 2
-        assert "requires --sim and --grid-workers" in capsys.readouterr().err
 
     def test_hosts_requires_the_grid(self, capsys):
         assert main(["--grid-hosts", "2", "-n", "1"]) == 2

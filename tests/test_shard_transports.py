@@ -2,27 +2,30 @@
 
 ``tests/test_grid_parallel.py`` pins the engine axis (legacy / serial /
 supervised / fleet bitwise-identical under churn); this file pins the
-*transport* axis underneath the supervised engine: inproc, fork and
-socket fabrics must be pure performance knobs too. Plus the per-fabric
+*transport* axis underneath the supervised engine: the inproc and fork
+fabrics must be pure performance knobs too. Plus the per-fabric
 contracts the engine relies on — snapshot batching (one message per
 worker, not per node), typed ``kind="closed"`` on a send racing
 teardown, typed crash/hang failures from a killed or stopped agent
-process and a teardown ladder that reaps it, byte accounting (zero for
-inproc, exact for fork/socket), and socket workload interning (the
-pickled workload crosses the wire once per connection).
+process and a teardown ladder that reaps it, typed ``kind="garbled"``
+on a corrupt fork reply, and byte accounting (zero for inproc, exact
+for fork).
 """
 
 import multiprocessing
 import os
+import pickle
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.errors import SimulationError, WorkerFailure
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
-from repro.sim.parallel import SpawnCmd, TRANSPORT_NAMES
+from repro.sim.parallel import TRANSPORT_NAMES
 from repro.sim.supervisor import SupervisedShardedEngine
 from repro.sim.transport import make_transport
 from repro.sim.workloads import datacenter
@@ -91,11 +94,6 @@ def _entries():
         (NodeSpec(name="n1", sockets=1, cores_per_socket=1,
                   memory_bytes=4 * GiB), 12),
     ]
-
-
-def _spawn(job_id, node, workload):
-    return SpawnCmd(job_id=job_id, node=node, command=workload.name,
-                    user="tester", workload=workload, wallclock_limit=None)
 
 
 @pytest.fixture
@@ -178,7 +176,7 @@ class TestClosedRace:
         transport.finish_close(grace=2.0)
 
 
-@pytest.mark.parametrize("name", ["fork", "socket"])
+@pytest.mark.parametrize("name", ["fork"])
 class TestAgentFailures:
     """A dead or wedged agent process fails its round-trip with a typed
     WorkerFailure under the deadline — never a raw EOFError and never an
@@ -245,6 +243,38 @@ def _assert_no_children():
     assert multiprocessing.active_children() == []
 
 
+class TestGarbledReply:
+    """A fork reply that does not unpickle, or is not a fenced 4-tuple,
+    fails its round-trip as ``kind="garbled"``. Chaos "garble" sends a
+    well-formed tuple that the supervisor's report check catches, so
+    these bytes come straight down a pipe the test holds the far end of.
+    """
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\x00 not a pickle",
+            pickle.dumps(("ok", "ready")),
+            pickle.dumps(("ok", "ready", "0", 0)),
+        ],
+        ids=["unpicklable", "two-tuple", "non-int-fence"],
+    )
+    def test_corrupt_reply_is_typed_garbled(self, blob):
+        t = make_transport("fork", 2, _entries(), 0.5)
+        parent, child = multiprocessing.Pipe()
+        t.conn = parent
+        try:
+            child.send_bytes(blob)
+            with pytest.raises(WorkerFailure) as info:
+                t.recv(1.0)
+            assert info.value.kind == "garbled"
+            assert info.value.worker == 2
+            assert t.bytes_received == len(blob)
+        finally:
+            child.close()
+            t.close(grace=0.0)
+
+
 class TestBytesAccounting:
     def _advance_epochs(self, engine, n=3):
         for _ in range(n):
@@ -262,7 +292,7 @@ class TestBytesAccounting:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("name", ["fork", "socket"])
+    @pytest.mark.parametrize("name", ["fork"])
     def test_process_fabrics_account_every_message(self, name):
         engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=5,
                                          workers=2, transport=name)
@@ -275,56 +305,6 @@ class TestBytesAccounting:
             assert engine.bytes_sent > sent_after_advance
         finally:
             engine.close()
-
-
-class TestSocketInterning:
-    """The pickled workload body crosses the socket once per connection;
-    later spawns of the same object ship a fixed-size ref."""
-
-    def test_second_spawn_of_same_workload_is_cheaper(self):
-        t = make_transport("socket", 0, _entries(), 0.5)
-        t.spawn([], 0)
-        assert t.recv(30.0) == ("ok", "ready")
-        try:
-            workload = _endless("svc")
-            t.send(("advance", [_spawn(1, "n0", workload)], 2, 0.0))
-            first = t.bytes_sent
-            assert t.recv(30.0)[0] == "ok"
-            t.send(("advance", [_spawn(2, "n1", workload)], 2, 0.0))
-            second = t.bytes_sent - first
-            assert t.recv(30.0)[0] == "ok"
-            assert second < first
-            # The ref-only spawn is small: no pickled workload body.
-            import pickle
-
-            assert second < len(pickle.dumps(workload))
-        finally:
-            t.close(grace=2.0)
-
-    def test_reconnect_resends_the_workload_body(self):
-        # Refs are per-connection: a respawned agent has an empty intern
-        # table, so the first spawn after resurrection ships the body
-        # again (and the shard still runs it — digest tests elsewhere).
-        t = make_transport("socket", 0, _entries(), 0.5)
-        t.spawn([], 0)
-        assert t.recv(30.0) == ("ok", "ready")
-        try:
-            workload = _endless("svc")
-            t.send(("advance", [_spawn(1, "n0", workload)], 2, 0.0))
-            first = t.bytes_sent
-            assert t.recv(30.0)[0] == "ok"
-            t.reap()
-            journal = [([_spawn(1, "n0", workload)], 2, 0.0)]
-            t.spawn(journal, 1)
-            assert t.recv(30.0) == ("ok", "ready")
-            before = t.bytes_sent
-            t.send(("advance", [_spawn(2, "n1", workload)], 2, 0.0))
-            assert t.recv(30.0)[0] == "ok"
-            resent = t.bytes_sent - before
-            # Same full-body cost as the very first spawn (± framing).
-            assert resent >= first // 2
-        finally:
-            t.close(grace=2.0)
 
 
 class TestFactory:
@@ -341,3 +321,21 @@ class TestFactory:
         with pytest.raises(SimulationError, match="unknown shard transport"):
             Grid(_fleet(), _queues(), tick=1.0, seed=0, workers=2,
                  transport="bogus")
+
+
+class TestLayering:
+    def test_grid_stack_loads_no_serve_module(self):
+        """The shard fabrics share no code with the serve wire: importing
+        the whole grid stack leaves every ``repro.serve`` module unloaded."""
+        code = (
+            "import sys\n"
+            "import repro.sim.grid, repro.sim.supervisor, repro.sim.fleet\n"
+            "import repro.sim.transport\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'serve']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
