@@ -1,8 +1,10 @@
 """Frozen tiptop stdout, and quiet exits into closed pipes.
 
-``tests/data/cli`` holds the stdout of four ``--sim`` runs: plain batch,
-per-thread batch, chaos batch and one live frame. The sampling, rendering
-and simulation paths must reproduce them byte for byte. A deliberate
+``tests/data/cli`` holds the stdout of ten tiptop runs: plain batch,
+per-thread batch, chaos batch, one live frame, a batch run of each of the
+other five built-in screens, and ``--list-screens``. The sampling,
+rendering, screen and simulation paths must reproduce them byte for byte.
+A deliberate
 output change regenerates a file with
 ``PYTHONPATH=src python -m repro.core.cli <args> > tests/data/cli/<file>``
 and says why in its commit.
@@ -24,6 +26,12 @@ GOLDENS = {
     "batch_threads_n2.txt": ["--sim", "-b", "-n", "2", "-H"],
     "batch_chaos7_n2.txt": ["--sim", "-b", "-n", "2", "--chaos", "7"],
     "live_n1.txt": ["--sim", "-n", "1"],
+    "batch_fpassist_n2.txt": ["--sim", "-b", "-n", "2", "-S", "fpassist"],
+    "batch_cache_n2.txt": ["--sim", "-b", "-n", "2", "-S", "cache"],
+    "batch_branch_n2.txt": ["--sim", "-b", "-n", "2", "-S", "branch"],
+    "batch_mix_n2.txt": ["--sim", "-b", "-n", "2", "-S", "mix"],
+    "batch_latency_n2.txt": ["--sim", "-b", "-n", "2", "-S", "latency"],
+    "list_screens.txt": ["--list-screens"],
 }
 
 
