@@ -45,7 +45,7 @@ def main() -> None:
             "name": "memory-view",
             "description": "IPC next to per-level miss rates",
             "columns": [
-                {"header": "IPC", "expr": "instructions / cycles"},
+                "IPC",  # a catalogue metric, by name
                 {"header": "L2/100", "expr": "100 * l2_misses / instructions",
                  "decimals": 1},
                 {"header": "L3/100", "expr": "100 * l3_misses / instructions",

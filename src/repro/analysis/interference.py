@@ -38,22 +38,6 @@ class SlowdownReport:
         return self.solo_mean / self.corun_mean
 
 
-def frame_slowdown(
-    frames,
-    pid: int,
-    header: str,
-    solo: tuple[float, float],
-    corun: tuple[float, float],
-) -> SlowdownReport:
-    """Slowdown of one task's metric straight from SnapshotFrames.
-
-    Builds the victim's series columnar-side (no per-sample loop) and
-    compares the two windows like :func:`corun_slowdown`.
-    """
-    series = MetricSeries.from_frames(frames, pid, header)
-    return corun_slowdown(series, solo, corun)
-
-
 def corun_slowdown(
     series: MetricSeries, solo: tuple[float, float], corun: tuple[float, float]
 ) -> SlowdownReport:

@@ -8,8 +8,11 @@ The public surface a downstream user works with:
   :meth:`~repro.core.app.TipTop.run_batch`,
   :meth:`~repro.core.app.TipTop.run_collect` or
   :meth:`~repro.core.app.TipTop.run_live`.
+* :mod:`repro.core.metrics` — the metric catalogue: every derived
+  column's formula, width and decimals, keyed by its printed header.
 * :mod:`repro.core.screen` — column/screen definitions (the default screen
-  is Figure 1's ``PID USER %CPU Mcycle Minst IPC DMIS COMMAND``).
+  is Figure 1's ``PID USER %CPU Mcycle Minst IPC DMIS COMMAND``); screens
+  are lists of catalogue names or inline expressions.
 * :mod:`repro.core.options` — tool options mirroring tiptop's CLI.
 * :mod:`repro.core.frame` — :class:`~repro.core.frame.SnapshotFrame`, the
   columnar block every refresh produces and every consumer reads.

@@ -14,9 +14,10 @@ import os
 import sys
 
 from repro.core.app import RealHost, SimHost, TipTop
+from repro.core.config_file import load_screens
 from repro.core.options import Options
-from repro.core.screen import builtin_screens, get_screen
-from repro.errors import PerfNotSupportedError, ReproError
+from repro.core.screen import Screen, get_screen, screens
+from repro.errors import ConfigError, PerfNotSupportedError, ReproError
 from repro.sim.workloads import datacenter
 
 
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with user-defined screens "
                              "(tiptop's XML config equivalent)")
     parser.add_argument("--list-screens", action="store_true",
-                        help="list built-in screens and exit")
+                        help="list the screens (built-in and -W) and exit")
     parser.add_argument("--sim", action="store_true",
                         help="monitor a demo simulated node instead of the "
                              "real kernel (required where no PMU exists)")
@@ -225,12 +226,15 @@ def _run_serve(args: argparse.Namespace, options: Options, screen) -> int:
     return 0
 
 
-def _run_connect(args: argparse.Namespace, options: Options) -> int:
+def _run_connect(
+    args: argparse.Namespace, options: Options, extra: list[Screen]
+) -> int:
     """The --connect path: the viewer side of the collector split.
 
     Served frames are bitwise-identical to local sampling, so they feed
     the ordinary batch renderer (and the server names its screen in
-    HELLO, so columns always match what the daemon counts).
+    HELLO, so columns always match what the daemon counts). A screen the
+    daemon loaded from a file resolves through the viewer's own ``-W``.
     """
     import asyncio
 
@@ -243,7 +247,7 @@ def _run_connect(args: argparse.Namespace, options: Options) -> int:
     async def go() -> int:
         client = ServeClient(host_name, int(port_text), client_id="tiptop")
         hello = await client.connect()
-        screen = get_screen(hello.get("screen", "default"))
+        screen = get_screen(hello.get("screen", "default"), extra)
         shown = 0
         try:
             async for _seq, frame in client.frames():
@@ -279,8 +283,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        extra = load_screens(args.screen_file) if args.screen_file else []
+    except ConfigError as exc:
+        print(f"tiptop: {exc}", file=sys.stderr)
+        return 1
     if args.list_screens:
-        for screen in builtin_screens():
+        for screen in screens(extra):
             print(f"{screen.name:10s} {screen.description}")
         return 0
     if args.replay is not None:
@@ -362,13 +371,8 @@ def _main(argv: list[str] | None) -> int:
         if args.grid_workers is not None:
             return _run_grid(options)
         if args.connect is not None:
-            return _run_connect(args, options)
-        if args.screen_file:
-            from repro.core.config_file import find_screen, load_screens
-
-            screen = find_screen(load_screens(args.screen_file), args.screen)
-        else:
-            screen = get_screen(args.screen)
+            return _run_connect(args, options, extra)
+        screen = get_screen(args.screen, extra)
         if args.serve is not None:
             return _run_serve(args, options, screen)
         if args.sim:

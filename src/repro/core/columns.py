@@ -74,6 +74,10 @@ class Column:
             )
         if self.width <= 0:
             raise ConfigError(f"column {self.header!r} needs a positive width")
+        if self.decimals < 0:
+            raise ConfigError(
+                f"column {self.header!r} needs a non-negative decimals count"
+            )
 
     def to_format(self) -> ColumnFormat:
         """Rendering spec for the table layer."""

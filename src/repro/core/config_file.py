@@ -3,7 +3,8 @@
 Real tiptop reads user-defined screens from an XML file; this reproduction
 uses JSON (no extra dependencies) with the same information content: named
 screens made of derived columns over counter expressions. A file holds one
-screen or a list of screens::
+screen or a list of screens; a column names a metric of the catalogue
+(:mod:`repro.core.metrics`) or gives its own expression::
 
     {
       "screens": [
@@ -11,15 +12,18 @@ screen or a list of screens::
           "name": "hpc",
           "description": "roofline-ish rates",
           "columns": [
-            {"header": "FPC", "expr": "fp_operations / cycles"},
-            {"header": "LPC", "expr": "loads / cycles"}
+            "FPC",
+            {"header": "L/F", "expr": "loads / fp_operations"}
           ]
         }
       ]
     }
 
-Loaded screens are validated eagerly (unknown identifiers fail at load
-time, not mid-monitoring) and can shadow built-ins by name.
+The built-in screens are written in this format too
+(:data:`repro.core.screen.BUILTIN_CONFIGS`). Loaded screens are validated
+eagerly (unknown identifiers fail at load time, not mid-monitoring) and
+shadow built-ins by name: :func:`repro.core.screen.get_screen` looks in
+the loaded list first.
 """
 
 from __future__ import annotations
@@ -75,17 +79,3 @@ def load_screens(path: str | Path) -> list[Screen]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_screens(data)
-
-
-def find_screen(screens: list[Screen], name: str) -> Screen:
-    """Pick a screen by name from a loaded list.
-
-    Raises:
-        ConfigError: no screen of that name in the file.
-    """
-    for screen in screens:
-        if screen.name == name:
-            return screen
-    raise ConfigError(
-        f"no screen named {name!r} in config (has: {[s.name for s in screens]})"
-    )

@@ -26,14 +26,14 @@ handling.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 
 from repro.core import formatter
 from repro.core.columns import ColumnKind
 from repro.core.options import Options
 from repro.core.sampler import Sampler
-from repro.core.screen import Screen, builtin_screens, get_screen
+from repro.core.screen import Screen, get_screen, screens
 from repro.errors import ConfigError, ReproError
 
 #: Idle threshold applied when 'i' hides idle tasks.
@@ -52,8 +52,9 @@ SORTABLE_KINDS = frozenset({
 MIN_WIDTH = 10
 
 
-def help_frame() -> str:
-    """The frame shown for the 'h' command."""
+def help_frame(extra: Sequence[Screen] = ()) -> str:
+    """The frame shown for the 'h' command; ``extra`` screens are listed
+    after the built-ins, as ``s`` accepts them."""
     lines = ["tiptop interactive commands:"]
     lines += [
         "  q        quit",
@@ -65,7 +66,7 @@ def help_frame() -> str:
         "  u [UID]  filter by uid (no argument clears)",
         "  w [N]    clip frames to N columns (no argument resets)",
         "  h        this help",
-        "screens: " + ", ".join(s.name for s in builtin_screens()),
+        "screens: " + ", ".join(s.name for s in screens(extra)),
     ]
     return "\n".join(lines)
 
@@ -82,7 +83,8 @@ class InteractiveSession:
             would poll stdin).
         paint: frame sink.
         extra_screens: additional named screens selectable with ``s``
-            (e.g. loaded from a config file).
+            (e.g. loaded from a config file); one named like a built-in
+            replaces it.
     """
 
     def __init__(
@@ -97,12 +99,10 @@ class InteractiveSession:
     ) -> None:
         self.host = host
         self.options = options or Options()
-        self.screen = screen or get_screen(self.options.screen)
+        self._extra = extra_screens or []
+        self.screen = screen or get_screen(self.options.screen, self._extra)
         self._input = input_source or (lambda: ())
         self._paint = paint or (lambda s: None)
-        self._screens = {s.name: s for s in builtin_screens()}
-        for s in extra_screens or ():
-            self._screens[s.name] = s
         self._hide_idle = False
         self._quit = False
         self._width: int | None = None
@@ -170,11 +170,7 @@ class InteractiveSession:
                 # hand the sampler the new options.
                 self._sampler.options = self.options
         elif key == "s":
-            if arg not in self._screens:
-                raise ConfigError(
-                    f"unknown screen {arg!r} (have: {sorted(self._screens)})"
-                )
-            self.screen = self._screens[arg]
+            self.screen = get_screen(arg, self._extra)
             self._reattach()
         elif key == "u":
             uid = None
@@ -199,8 +195,9 @@ class InteractiveSession:
                     )
                 self._width = width
         elif key == "h":
-            self._paint(help_frame())
-            self.frames.append(help_frame())
+            frame = help_frame(self._extra)
+            self._paint(frame)
+            self.frames.append(frame)
         else:
             raise ConfigError(f"unknown command {command!r}")
 

@@ -150,6 +150,9 @@ class ProcessList:
             if tid not in visible:
                 del self.quarantined[tid]
                 self.quarantine_history.pop(tid, None)
+        # Denials go the same way. On a real kernel tids are recycled, and
+        # a stale denial would skip a later task the monitor may count.
+        self.denied.intersection_update(visible)
         return attached, detached
 
     def _attach(self, tid: int) -> CounterGroup | None:
@@ -159,7 +162,7 @@ class ProcessList:
         times (with exponential backoff when ``options.retry_backoff`` is
         set); exhaustion or a hard error counts one attach failure and
         leaves the task for the next refresh. Permission denials are
-        cached permanently.
+        cached while the task stays listed.
         """
         attempts = 0
         while True:

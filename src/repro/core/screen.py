@@ -3,13 +3,18 @@
 The default screen reproduces Figure 1 exactly:
 ``PID USER %CPU Mcycle Minst IPC DMIS COMMAND``. Further built-in screens
 cover the paper's other use cases — the FP-assist column added in §3.1, the
-L2/L3 cache view of §3.4 (Fig. 11), a branch view, and an instruction-mix
-view for the §2.6 characterisation rates. Custom screens come from plain
-dicts (the equivalent of tiptop's XML configuration file).
+L1/L2/L3 cache view of §3.4 (Fig. 11), a branch view, an instruction-mix
+view for the §2.6 characterisation rates and a memory-latency view.
+
+Every screen, built-in or custom, is built by :func:`screen_from_config`
+from a plain dict (the equivalent of tiptop's XML configuration file)
+whose columns name :mod:`repro.core.metrics` entries or give an inline
+expression. :func:`get_screen` is the one name-to-screen lookup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.columns import (
@@ -21,6 +26,7 @@ from repro.core.columns import (
     expr_column,
 )
 from repro.core.expr import canonical_name
+from repro.core.metrics import METRICS
 from repro.errors import ConfigError
 from repro.perf.events import EventSpec, event_names, resolve_event
 
@@ -86,131 +92,115 @@ class Screen:
         return list(needed.values())
 
 
-def _screen(name: str, description: str, *columns: Column) -> Screen:
-    return Screen(name=name, description=description, columns=tuple(columns))
-
-
-#: Fig. 1's layout: the out-of-the-box tiptop view.
-DEFAULT_SCREEN = _screen(
-    "default",
-    "cycles, instructions, IPC and LLC misses (Figure 1)",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("Mcycle", "cycles / 1000000", width=9, decimals=0),
-    expr_column("Minst", "instructions / 1000000", width=9, decimals=0),
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("DMIS", "100 * cache_misses / instructions", width=5, decimals=1),
-    COMMAND_COLUMN,
+#: The built-in screens, in the ``-W`` screen-file format: each column
+#: names a :data:`~repro.core.metrics.METRICS` entry.
+BUILTIN_CONFIGS: tuple[dict, ...] = (
+    # Fig. 1's layout: the out-of-the-box tiptop view.
+    {
+        "name": "default",
+        "description": "cycles, instructions, IPC and LLC misses (Figure 1)",
+        "columns": ["Mcycle", "Minst", "IPC", "DMIS"],
+    },
+    # §3.1: "We added a new column to tiptop in order to trace
+    # simultaneously IPC and FP assist events."
+    {
+        "name": "fpassist",
+        "description": "IPC plus micro-code FP assists per 100 instructions (§3.1)",
+        "columns": ["IPC", "ASSIST", "UPI"],
+    },
+    # §3.4 / Fig. 11: per-level cache misses per 100 instructions.
+    {
+        "name": "cache",
+        "description": "per-level cache misses per 100 instructions (Fig. 11)",
+        "columns": ["IPC", "L1MIS", "L2MIS", "L3MIS"],
+    },
+    {
+        "name": "branch",
+        "description": "branch density and misprediction ratio",
+        "columns": ["IPC", "BPI", "%MISP"],
+    },
+    # §2.6's application-characterisation rates. DMIS adds memory traffic:
+    # together with FPC it is the roofline placement input (§2.6's
+    # processor-selection use).
+    {
+        "name": "mix",
+        "description": "instruction-mix rates of §2.6 (FPI, LPI, BPI, FPC, LPC)",
+        "columns": ["IPC", "FPI", "LPI", "BPI", "FPC", "LPC", "DMIS"],
+    },
+    # §3.4's outlook implemented: average memory latency per task, the
+    # signal for DRAM-level contention that LLC miss counts alone cannot
+    # show.
+    {
+        "name": "latency",
+        "description": "average memory-access latency (detects DRAM contention, §3.4)",
+        "columns": ["IPC", "DMIS", "MEMLAT"],
+    },
 )
 
-#: §3.1: "We added a new column to tiptop in order to trace simultaneously
-#: IPC and FP assist events."
-FPASSIST_SCREEN = _screen(
-    "fpassist",
-    "IPC plus micro-code FP assists per 100 instructions (§3.1)",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("ASSIST", "100 * fp_assist / instructions", width=7, decimals=1),
-    expr_column("UPI", "uops_executed / instructions", width=6),
-    COMMAND_COLUMN,
-)
 
-#: §3.4 / Fig. 11: per-level cache misses per 100 instructions.
-CACHE_SCREEN = _screen(
-    "cache",
-    "per-level cache misses per 100 instructions (Fig. 11)",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("L1MIS", "100 * l1d_misses / instructions", width=6, decimals=1),
-    expr_column("L2MIS", "100 * l2_misses / instructions", width=6, decimals=1),
-    expr_column("L3MIS", "100 * l3_misses / instructions", width=6, decimals=1),
-    COMMAND_COLUMN,
-)
+def screens(extra: Sequence[Screen] = ()) -> list[Screen]:
+    """Every selectable screen: the built-ins, then ``extra``'s new names.
 
-BRANCH_SCREEN = _screen(
-    "branch",
-    "branch density and misprediction ratio",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("BPI", "branch_instructions / instructions", width=5),
-    expr_column(
-        "%MISP", "100 * branch_misses / branch_instructions", width=6, decimals=1
-    ),
-    COMMAND_COLUMN,
-)
-
-#: §2.6's application-characterisation rates (FPI/LPI/BPI, FPC/LPC).
-MIX_SCREEN = _screen(
-    "mix",
-    "instruction-mix rates of §2.6 (FPI, LPI, BPI, FPC, LPC)",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("FPI", "fp_operations / instructions", width=5),
-    expr_column("LPI", "loads / instructions", width=5),
-    expr_column("BPI", "branch_instructions / instructions", width=5),
-    expr_column("FPC", "fp_operations / cycles", width=5),
-    expr_column("LPC", "loads / cycles", width=5),
-    # Memory traffic alongside the rates: together with FPC this is the
-    # roofline placement input (§2.6's processor-selection use).
-    expr_column("DMIS", "100 * cache_misses / instructions", width=5, decimals=1),
-    COMMAND_COLUMN,
-)
-
-#: §3.4's outlook implemented: average memory latency per task, the signal
-#: for DRAM-level contention that LLC miss counts alone cannot show.
-LATENCY_SCREEN = _screen(
-    "latency",
-    "average memory-access latency (detects DRAM contention, §3.4)",
-    PID_COLUMN,
-    USER_COLUMN,
-    CPU_COLUMN,
-    expr_column("IPC", "instructions / cycles", width=5),
-    expr_column("DMIS", "100 * cache_misses / instructions", width=5, decimals=1),
-    expr_column(
-        "MEMLAT", "mem_latency_cycles / cache_misses", width=7, decimals=0
-    ),
-    COMMAND_COLUMN,
-)
-
-_BUILTINS: dict[str, Screen] = {
-    s.name: s
-    for s in (
-        DEFAULT_SCREEN,
-        FPASSIST_SCREEN,
-        CACHE_SCREEN,
-        BRANCH_SCREEN,
-        MIX_SCREEN,
-        LATENCY_SCREEN,
-    )
-}
+    A screen in ``extra`` (e.g. loaded with ``-W``) replaces the built-in
+    of the same name in place.
+    """
+    table = dict(_BUILTINS)
+    table.update((screen.name, screen) for screen in extra)
+    return list(table.values())
 
 
 def builtin_screens() -> list[Screen]:
     """All built-in screens."""
-    return list(_BUILTINS.values())
+    return screens()
 
 
-def get_screen(name: str) -> Screen:
-    """Look up a built-in screen.
+def get_screen(name: str, extra: Sequence[Screen] = ()) -> Screen:
+    """Look up a screen by name: ``extra`` first, then the built-ins.
 
     Raises:
         ConfigError: unknown screen name.
     """
+    for screen in extra:
+        if screen.name == name:
+            return screen
     try:
         return _BUILTINS[name]
     except KeyError as exc:
         raise ConfigError(
-            f"unknown screen {name!r}; built-ins: {sorted(_BUILTINS)}"
+            f"unknown screen {name!r} (have: {[s.name for s in screens(extra)]})"
         ) from exc
+
+
+def _json_int(entry: dict, key: str, default: int) -> int:
+    value = entry.get(key, default)
+    # bool is an int subclass, but ``"width": true`` is not a width.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"column {entry!r}: {key} must be an integer")
+    return value
+
+
+def _config_column(entry: object) -> Column:
+    """One screen-file column: a catalogue name or an inline dict."""
+    if isinstance(entry, str):
+        try:
+            return METRICS[entry].column()
+        except KeyError as exc:
+            raise ConfigError(
+                f"unknown metric {entry!r}; catalogue: {sorted(METRICS)}"
+            ) from exc
+    try:
+        header = entry["header"]
+        text = entry["expr"]
+    except (TypeError, KeyError) as exc:
+        raise ConfigError(f"bad column entry {entry!r}: {exc}") from exc
+    if not isinstance(header, str) or not isinstance(text, str):
+        raise ConfigError(f"column {entry!r}: header and expr must be strings")
+    return expr_column(
+        header,
+        text,
+        width=_json_int(entry, "width", 8),
+        decimals=_json_int(entry, "decimals", 2),
+    )
 
 
 def screen_from_config(config: dict) -> Screen:
@@ -222,40 +212,29 @@ def screen_from_config(config: dict) -> Screen:
             "name": "mine",
             "description": "my view",
             "columns": [
-                {"header": "IPC", "expr": "instructions / cycles"},
-                {"header": "DMIS", "expr": "100*cache_misses/instructions",
+                "IPC",
+                {"header": "L1/L3", "expr": "l1d_misses / l3_misses",
                  "width": 6, "decimals": 1},
             ],
         })
 
-    Intrinsic PID/USER/%CPU/COMMAND columns are added around the derived
-    ones automatically unless ``"bare": True``.
+    A column is either the name of a :data:`~repro.core.metrics.METRICS`
+    entry or an inline ``{"header", "expr", "width", "decimals"}`` dict
+    (width 8 and 2 decimals unless given). Intrinsic PID/USER/%CPU/COMMAND
+    columns are added around the derived ones automatically unless
+    ``"bare": True``.
 
     Raises:
         ConfigError: missing keys or malformed column entries.
     """
     try:
         name = config["name"]
-        column_dicts = config["columns"]
+        entries = config["columns"]
     except KeyError as exc:
         raise ConfigError(f"screen config missing key {exc}") from exc
-    if not isinstance(column_dicts, (list, tuple)) or not column_dicts:
+    if not isinstance(entries, (list, tuple)) or not entries:
         raise ConfigError("screen config needs a non-empty 'columns' list")
-    derived: list[Column] = []
-    for entry in column_dicts:
-        try:
-            header = entry["header"]
-            text = entry["expr"]
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"bad column entry {entry!r}: {exc}") from exc
-        derived.append(
-            expr_column(
-                header,
-                text,
-                width=int(entry.get("width", 8)),
-                decimals=int(entry.get("decimals", 2)),
-            )
-        )
+    derived = [_config_column(entry) for entry in entries]
     if config.get("bare"):
         columns = tuple(derived)
     else:
@@ -267,3 +246,8 @@ def screen_from_config(config: dict) -> Screen:
     )
     screen.required_events()  # validate identifiers eagerly
     return screen
+
+
+_BUILTINS: dict[str, Screen] = {
+    screen.name: screen for screen in map(screen_from_config, BUILTIN_CONFIGS)
+}

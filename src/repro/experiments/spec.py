@@ -123,10 +123,6 @@ class ExperimentSpec:
     configs: tuple[CellConfig, ...]
     source: str = ""  # where this spec was loaded from, for reports
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.configs) * len(self.workloads) * len(self.seeds)
-
     def to_dict(self) -> dict:
         """A JSON-clean rendering embedded in artifacts."""
         return {

@@ -221,8 +221,3 @@ class RealBackend:
                 raise _errno_error(
                     exc.errno or errno.EIO, f"close of counter fd {handle}"
                 ) from exc
-
-    def close_all(self) -> None:
-        """Release every fd this backend still holds (cleanup helper)."""
-        for fd in list(self._open_fds):
-            self.close(fd)

@@ -120,11 +120,6 @@ class MicroKernel:
             raise WorkloadError(f"kernel {self.name!r}: negative geometry")
 
     # -- static structure ----------------------------------------------------
-    @property
-    def instructions_per_iteration(self) -> int:
-        """Static body length."""
-        return len(self.body)
-
     def _count_ops(self, *ops: Op) -> int:
         return sum(1 for i in self.body if i.op in ops)
 

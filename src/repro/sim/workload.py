@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.errors import WorkloadError
 from repro.sim.branch import BranchBehavior
 from repro.sim.cache import MemoryBehavior
@@ -108,9 +106,6 @@ class Workload:
     def total_instructions(self) -> float:
         """Total retired instructions (inf for endless workloads)."""
         return self._tables()[0] * self.repeat
-
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum([p.instructions for p in self.phases])
 
     def _tables(self) -> tuple[float, tuple[float, ...]]:
         """``(per_pass, cumulative budgets)``, memoised.

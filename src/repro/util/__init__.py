@@ -1,29 +1,15 @@
-"""Shared utilities: units, tables, ring buffers, online statistics."""
+"""Shared utilities: units, tables, backoff, statistics."""
 
-from repro.util.units import (
-    format_count,
-    format_millions,
-    format_percent,
-    format_rate,
-    format_seconds,
-    parse_size,
-)
+from repro.util.units import format_seconds, parse_size
 from repro.util.backoff import BackoffPolicy
-from repro.util.ringbuffer import RingBuffer
-from repro.util.stats import OnlineStats, ewma
+from repro.util.stats import ewma
 from repro.util.tabulate import Align, ColumnFormat, render_table
 
 __all__ = [
     "Align",
     "BackoffPolicy",
     "ColumnFormat",
-    "OnlineStats",
-    "RingBuffer",
     "ewma",
-    "format_count",
-    "format_millions",
-    "format_percent",
-    "format_rate",
     "format_seconds",
     "parse_size",
     "render_table",

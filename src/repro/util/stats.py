@@ -1,90 +1,10 @@
-"""Online statistics helpers used by the sampler and the analysis layer."""
+"""Statistics helpers for the analysis layer and the benchmarks."""
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-
-
-class OnlineStats:
-    """Welford online mean/variance accumulator.
-
-    Numerically stable single-pass computation; used to summarise per-task
-    metric streams (e.g. average IPC over a run) without storing samples.
-    """
-
-    __slots__ = ("_n", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one sample into the accumulator."""
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    def add_many(self, xs: Iterable[float]) -> None:
-        """Fold every sample of ``xs``."""
-        for x in xs:
-            self.add(x)
-
-    @property
-    def count(self) -> int:
-        """Number of samples folded so far."""
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (NaN when empty)."""
-        return self._mean if self._n else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance with Bessel correction (NaN for n < 2)."""
-        return self._m2 / (self._n - 1) if self._n > 1 else math.nan
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation (NaN for n < 2)."""
-        v = self.variance
-        return math.sqrt(v) if not math.isnan(v) else math.nan
-
-    @property
-    def min(self) -> float:
-        """Smallest sample (inf when empty)."""
-        return self._min
-
-    @property
-    def max(self) -> float:
-        """Largest sample (-inf when empty)."""
-        return self._max
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to folding both inputs."""
-        out = OnlineStats()
-        if self._n == 0:
-            out._n, out._mean, out._m2 = other._n, other._mean, other._m2
-        elif other._n == 0:
-            out._n, out._mean, out._m2 = self._n, self._mean, self._m2
-        else:
-            n = self._n + other._n
-            delta = other._mean - self._mean
-            out._n = n
-            out._mean = self._mean + delta * other._n / n
-            out._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
 
 
 def ewma(samples: Sequence[float], alpha: float) -> np.ndarray:

@@ -1,14 +1,12 @@
-"""Human-readable formatting of counts, rates and sizes.
+"""Parsing and formatting of sizes and elapsed times.
 
-Tiptop prints cycle and instruction counts in millions (``Mcycle``,
-``Minst``) and cache sizes in KB/MB as in the hwloc topology rendering.
-These helpers centralise the formatting rules so every screen and report
-agrees on them.
+Cache sizes read and print in KB/MB as in the hwloc topology rendering;
+elapsed time prints as ``H:MM:SS`` like top's TIME column. Screen cells
+format through their column's width and decimals
+(:meth:`repro.core.columns.Column.to_format`), not through this module.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.errors import ConfigError
 
@@ -63,48 +61,6 @@ def format_size(nbytes: int) -> str:
     if nbytes >= 1024 and nbytes % 1024 == 0:
         return f"{nbytes // 1024}KB"
     return f"{nbytes}B"
-
-
-def format_millions(value: float, width: int = 0) -> str:
-    """Format a raw event count in millions, as tiptop's Mcycle/Minst columns.
-
-    The paper's Figure 1 shows integer millions (e.g. ``26456``); we keep one
-    decimal below 100 M for readability of short intervals.
-    """
-    m = value / 1e6
-    text = f"{m:.1f}" if abs(m) < 100 else f"{m:.0f}"
-    return text.rjust(width) if width else text
-
-
-def format_count(value: float, width: int = 0) -> str:
-    """Format a raw count with K/M/G scaling (``12.3M``, ``987K``)."""
-    a = abs(value)
-    if a >= 1e9:
-        text = f"{value / 1e9:.1f}G"
-    elif a >= 1e6:
-        text = f"{value / 1e6:.1f}M"
-    elif a >= 1e3:
-        text = f"{value / 1e3:.1f}K"
-    else:
-        text = f"{value:.0f}"
-    return text.rjust(width) if width else text
-
-
-def format_percent(value: float, width: int = 0) -> str:
-    """Format a ratio already expressed in percent (``99.9``)."""
-    text = "  -" if value is None or math.isnan(value) else f"{value:.1f}"
-    return text.rjust(width) if width else text
-
-
-def format_rate(value: float, width: int = 0) -> str:
-    """Format a per-interval ratio like IPC or misses/100-instructions."""
-    if value is None or math.isnan(value):
-        text = "-"
-    elif abs(value) >= 100:
-        text = f"{value:.0f}"
-    else:
-        text = f"{value:.2f}"
-    return text.rjust(width) if width else text
 
 
 def format_seconds(seconds: float) -> str:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core.cli import main
-from repro.core.config_file import find_screen, load_screens, parse_screens
+from repro.core.config_file import load_screens, parse_screens
+from repro.core.screen import get_screen
 from repro.errors import ConfigError
 
 GOOD = {
@@ -67,7 +68,7 @@ class TestLoad:
         path = tmp_path / "screens.json"
         path.write_text(json.dumps(GOOD))
         screens = load_screens(path)
-        hpc = find_screen(screens, "hpc")
+        hpc = get_screen("hpc", screens)
         assert {e.name for e in hpc.required_events()} == {
             "fp-operations", "loads", "cycles",
         }
@@ -86,7 +87,7 @@ class TestLoad:
         path = tmp_path / "screens.json"
         path.write_text(json.dumps(GOOD))
         with pytest.raises(ConfigError):
-            find_screen(load_screens(path), "absent")
+            get_screen("absent", load_screens(path))
 
 
 class TestCliIntegration:
@@ -103,4 +104,40 @@ class TestCliIntegration:
         path.write_text(json.dumps(GOOD))
         rc = main(["--sim", "-b", "-n", "1", "-W", str(path), "-S", "absent"])
         assert rc == 1
-        assert "no screen named" in capsys.readouterr().err
+        assert "unknown screen 'absent'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, header",
+        [([], "DMIS"), (["-S", "cache"], "L2MIS")],
+        ids=["no-S", "builtin"],
+    )
+    def test_screen_file_keeps_builtins(self, tmp_path, capsys, args, header):
+        path = tmp_path / "screens.json"
+        path.write_text(json.dumps(GOOD))
+        rc = main(["--sim", "-b", "-n", "1", "-W", str(path), *args])
+        assert rc == 0
+        assert header in capsys.readouterr().out
+
+    def test_file_screen_shadows_builtin(self, tmp_path, capsys):
+        path = tmp_path / "screens.json"
+        path.write_text(json.dumps({"name": "cache", "columns": ["GHZ"]}))
+        rc = main(["--sim", "-b", "-n", "1", "-W", str(path), "-S", "cache"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "GHZ" in out and "L2MIS" not in out
+
+    def test_list_screens_with_file(self, tmp_path, capsys):
+        path = tmp_path / "screens.json"
+        shadow = {"name": "cache", "description": "mine", "columns": ["IPC"]}
+        path.write_text(json.dumps([shadow, *GOOD["screens"]]))
+        assert main(["--list-screens", "-W", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "default", "fpassist", "cache", "branch", "mix", "latency",
+            "hpc", "tiny",
+        ]
+        assert lines[2] == "cache      mine"
+
+    def test_list_screens_reports_bad_file(self, tmp_path, capsys):
+        assert main(["--list-screens", "-W", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("tiptop: cannot read")

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Options, SimHost
 from repro.core.interactive import InteractiveSession, help_frame
+from repro.core.screen import screen_from_config
 from repro.errors import ConfigError
 
 
@@ -82,6 +83,18 @@ class TestCommands:
         session = _session(host, Keys(["h"], ["q"]))
         frames = session.run()
         assert any("interactive commands" in f for f in frames)
+
+    def test_extra_screens_are_listed_and_selectable(self, host):
+        hpc = screen_from_config({"name": "hpc", "columns": ["FPC", "LPC"]})
+        session = InteractiveSession(
+            host,
+            Options(delay=2.0),
+            input_source=Keys(["h", "s hpc"], ["q"]),
+            extra_screens=[hpc],
+        )
+        frames = session.run()
+        assert frames[0].endswith("latency, hpc")
+        assert "FPC" in frames[-1]
 
     def test_unknown_command_reports(self, host):
         session = _session(host, Keys(["z"], ["q"]))

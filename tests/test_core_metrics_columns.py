@@ -1,4 +1,4 @@
-"""Canonical metrics and column definitions."""
+"""The metric catalogue and column definitions."""
 
 import math
 
@@ -12,8 +12,13 @@ from repro.core.columns import (
     expr_column,
 )
 from repro.core.expr import Expression
-from repro.core.metrics import METRICS, get_metric
+from repro.core.metrics import METRICS
+from repro.core.screen import screen_from_config
 from repro.errors import ConfigError
+
+
+def _value(name, env):
+    return METRICS[name].column().expression.evaluate(env)
 
 
 class TestMetrics:
@@ -27,6 +32,7 @@ class TestMetrics:
         "fp_assist": 120.0,
         "fp_operations": 100.0,
         "loads": 250.0,
+        "l1d_misses": 40.0,
         "l2_misses": 30.0,
         "l3_misses": 20.0,
         "uops_executed": 1300.0,
@@ -35,44 +41,46 @@ class TestMetrics:
     }
 
     def test_ipc(self):
-        assert get_metric("IPC").compute(self.ENV) == 0.5
+        assert _value("IPC", self.ENV) == 0.5
 
     def test_dmis(self):
-        assert get_metric("DMIS").compute(self.ENV) == 0.9
+        assert _value("DMIS", self.ENV) == 0.9
 
     def test_miss_ratio(self):
-        assert get_metric("MISS_RATIO").compute(self.ENV) == 10.0
+        assert _value("MISS_RATIO", self.ENV) == 10.0
 
     def test_branch_metrics(self):
-        assert get_metric("BMIS").compute(self.ENV) == 0.4
-        assert get_metric("BMISPRED").compute(self.ENV) == 2.0
+        assert _value("BMIS", self.ENV) == 0.4
+        assert _value("%MISP", self.ENV) == 2.0
 
     def test_fp_assist(self):
-        assert get_metric("FP_ASSIST").compute(self.ENV) == 12.0
+        assert _value("ASSIST", self.ENV) == 12.0
 
     def test_characterisation_rates(self):
-        assert get_metric("FPI").compute(self.ENV) == 0.1
-        assert get_metric("LPI").compute(self.ENV) == 0.25
-        assert get_metric("BPI").compute(self.ENV) == 0.2
-        assert get_metric("FPC").compute(self.ENV) == 0.05
-        assert get_metric("LPC").compute(self.ENV) == 0.125
-
-    def test_case_insensitive_lookup(self):
-        assert get_metric("ipc") is METRICS["IPC"]
+        assert _value("FPI", self.ENV) == 0.1
+        assert _value("LPI", self.ENV) == 0.25
+        assert _value("BPI", self.ENV) == 0.2
+        assert _value("FPC", self.ENV) == 0.05
+        assert _value("LPC", self.ENV) == 0.125
 
     def test_unknown_metric(self):
-        with pytest.raises(KeyError):
-            get_metric("WARP_FACTOR")
+        with pytest.raises(ConfigError, match="unknown metric 'WARP_FACTOR'"):
+            screen_from_config({"name": "x", "columns": ["WARP_FACTOR"]})
 
     def test_all_metrics_evaluate(self):
-        for metric in METRICS.values():
-            value = metric.compute(self.ENV)
+        for name in METRICS:
+            value = _value(name, self.ENV)
             assert isinstance(value, float)
             assert not math.isnan(value)
 
     def test_empty_interval_gives_nan(self):
         env = dict.fromkeys(self.ENV, 0.0)
-        assert math.isnan(get_metric("IPC").compute(env))
+        assert math.isnan(_value("IPC", env))
+
+    def test_column_carries_layout(self):
+        column = METRICS["Mcycle"].column()
+        assert (column.header, column.width, column.decimals) == ("Mcycle", 9, 0)
+        assert column.expression.text == "cycles / 1000000"
 
 
 class TestColumns:

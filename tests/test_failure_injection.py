@@ -25,6 +25,7 @@ from repro.perf.faults import FaultPlan, FaultSpec
 from repro.perf.simbackend import SimBackend
 from repro.procfs.model import ProcessInfo
 from repro.procfs.simproc import SimProcReader
+from repro.sim.workloads import datacenter
 
 
 def make_sampler(machine, *, faults=None, screen=None, options=None,
@@ -403,4 +404,21 @@ class TestPermanentDenial:
         # The denial is cached; no repeated attach storm.
         assert sampler.proclist.denied == denied_after_first
         assert len(denied_after_first) == 1
+        sampler.close()
+
+    def test_denials_end_with_their_tasks(self):
+        """A denied tid is forgotten once it is no longer listed, so the
+        set stays as small as the other users' live tasks (on a real
+        kernel a recycled tid may belong to the monitoring user)."""
+        machine = datacenter.make_node(tick=0.5)
+        short = datacenter.compute_job("short", 1.0, duration_hint=1.5)
+        _backend, sampler = make_sampler(machine, monitor_uid=500)
+        sampler.sample()
+        for _ in range(20):
+            machine.spawn("theirs", short, uid=1002)
+            machine.run_for(1.0)
+            sampler.sample()
+        listed = {p.pid for p in SimProcReader(machine).list_processes()}
+        assert 0 < len(sampler.proclist.denied) <= 2
+        assert sampler.proclist.denied <= listed
         sampler.close()

@@ -1,8 +1,5 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +10,6 @@ from repro.sim.cache import MemoryBehavior, hit_ratio, miss_chain
 from repro.sim.counters import CounterTable
 from repro.sim.events import Event
 from repro.sim.isa import InstructionMix
-from repro.util.ringbuffer import RingBuffer
-from repro.util.stats import OnlineStats
 
 # ---------------------------------------------------------------------------
 # Cache model invariants
@@ -161,38 +156,3 @@ def test_expression_matches_python(a, b, c):
     expr = Expression("a * b + c - a / (b + 1000001)")
     expected = a * b + c - a / (b + 1000001)
     assert expr.evaluate(env) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Utility invariants
-# ---------------------------------------------------------------------------
-
-@given(st.lists(st.integers(), max_size=200), st.integers(min_value=1, max_value=16))
-def test_ringbuffer_keeps_suffix(items, capacity):
-    rb = RingBuffer(capacity)
-    rb.extend(items)
-    assert list(rb) == items[-capacity:]
-
-
-@given(st.lists(_small_float, min_size=2, max_size=100))
-def test_online_stats_match_numpy(xs):
-    s = OnlineStats()
-    s.add_many(xs)
-    assert s.mean == pytest.approx(float(np.mean(xs)), rel=1e-6, abs=1e-6)
-    assert s.variance == pytest.approx(
-        float(np.var(xs, ddof=1)), rel=1e-5, abs=1e-5
-    )
-
-
-@given(
-    st.lists(_small_float, min_size=1, max_size=50),
-    st.lists(_small_float, min_size=1, max_size=50),
-)
-def test_online_stats_merge_associative(xs, ys):
-    a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-    a.add_many(xs)
-    b.add_many(ys)
-    c.add_many(xs + ys)
-    merged = a.merge(b)
-    assert merged.count == c.count
-    assert merged.mean == pytest.approx(c.mean, rel=1e-6, abs=1e-6)

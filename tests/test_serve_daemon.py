@@ -9,6 +9,7 @@ the streams deterministic regardless of real scheduling.
 from __future__ import annotations
 
 import asyncio
+import json
 import re
 import subprocess
 import sys
@@ -279,13 +280,13 @@ def test_cli_bad_connect_address(capsys):
     assert "connect" in capsys.readouterr().err
 
 
-def test_cli_serve_and_connect_subprocess():
-    """The real thing: a daemon subprocess on an ephemeral port, a
-    connect subprocess rendering its frames to stdout."""
+def _serve_and_connect(server_args, viewer_args, header):
+    """A daemon subprocess on an ephemeral port, a connect subprocess
+    rendering its frames to stdout."""
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro.core.cli",
-            "--sim", "--serve", "0", "-d", "0.4", "-n", "2",
+            "--sim", "--serve", "0", "-d", "0.4", "-n", "2", *server_args,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -299,7 +300,7 @@ def test_cli_serve_and_connect_subprocess():
         viewer = subprocess.run(
             [
                 sys.executable, "-m", "repro.core.cli",
-                "--connect", f"127.0.0.1:{port}", "-n", "2",
+                "--connect", f"127.0.0.1:{port}", "-n", "2", *viewer_args,
             ],
             capture_output=True,
             text=True,
@@ -309,6 +310,20 @@ def test_cli_serve_and_connect_subprocess():
         # Two rendered batches, real process names from the sim node.
         assert viewer.stdout.count("PID") == 2
         assert "process1" in viewer.stdout
+        assert header in viewer.stdout
         assert server.wait(timeout=60) == 0
     finally:
         server.kill()
+
+
+def test_cli_serve_and_connect_subprocess():
+    """The real thing, on the default screen."""
+    _serve_and_connect([], [], "DMIS")
+
+
+def test_cli_serve_and_connect_screen_file(tmp_path):
+    """The daemon serves a ``-W`` screen and names it in HELLO; the
+    viewer resolves that name through its own ``-W``."""
+    path = tmp_path / "screens.json"
+    path.write_text(json.dumps({"name": "hpc", "columns": ["FPC", "LPC"]}))
+    _serve_and_connect(["-W", str(path), "-S", "hpc"], ["-W", str(path)], "FPC")

@@ -1,55 +1,8 @@
-"""Online statistics."""
+"""Statistics helpers."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.util.stats import OnlineStats, ewma, median_of_runs
-
-
-class TestOnlineStats:
-    def test_empty_is_nan(self):
-        s = OnlineStats()
-        assert math.isnan(s.mean)
-        assert math.isnan(s.variance)
-        assert s.count == 0
-
-    def test_single_sample(self):
-        s = OnlineStats()
-        s.add(3.0)
-        assert s.mean == 3.0
-        assert math.isnan(s.variance)
-
-    def test_matches_numpy(self):
-        data = [1.5, 2.0, 2.5, 10.0, -3.0, 0.0]
-        s = OnlineStats()
-        s.add_many(data)
-        assert s.mean == pytest.approx(np.mean(data))
-        assert s.variance == pytest.approx(np.var(data, ddof=1))
-        assert s.stddev == pytest.approx(np.std(data, ddof=1))
-        assert s.min == min(data)
-        assert s.max == max(data)
-
-    def test_merge_equals_combined(self):
-        a_data, b_data = [1.0, 2.0, 3.0], [10.0, 20.0]
-        a, b = OnlineStats(), OnlineStats()
-        a.add_many(a_data)
-        b.add_many(b_data)
-        merged = a.merge(b)
-        combined = a_data + b_data
-        assert merged.count == 5
-        assert merged.mean == pytest.approx(np.mean(combined))
-        assert merged.variance == pytest.approx(np.var(combined, ddof=1))
-        assert merged.min == 1.0
-        assert merged.max == 20.0
-
-    def test_merge_with_empty(self):
-        a = OnlineStats()
-        b = OnlineStats()
-        b.add_many([4.0, 6.0])
-        assert a.merge(b).mean == pytest.approx(5.0)
-        assert b.merge(a).mean == pytest.approx(5.0)
+from repro.util.stats import ewma, median_of_runs
 
 
 class TestEwma:

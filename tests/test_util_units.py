@@ -1,19 +1,9 @@
 """Units formatting/parsing."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigError
-from repro.util.units import (
-    format_count,
-    format_millions,
-    format_percent,
-    format_rate,
-    format_seconds,
-    format_size,
-    parse_size,
-)
+from repro.util.units import format_seconds, format_size, parse_size
 
 
 class TestParseSize:
@@ -61,51 +51,6 @@ class TestFormatSize:
 
     def test_small_bytes(self):
         assert format_size(100) == "100B"
-
-
-class TestFormatMillions:
-    def test_fig1_scale(self):
-        # Fig. 1 shows Mcycle 26456 — i.e. 2.6456e10 cycles.
-        assert format_millions(2.6456e10) == "26456"
-
-    def test_small_value_keeps_decimal(self):
-        assert format_millions(1.5e6) == "1.5"
-
-    def test_width_pads(self):
-        assert format_millions(1.5e6, width=8) == "     1.5"
-
-
-class TestFormatCount:
-    def test_giga(self):
-        assert format_count(2.5e9) == "2.5G"
-
-    def test_mega(self):
-        assert format_count(3.2e6) == "3.2M"
-
-    def test_kilo(self):
-        assert format_count(9_100) == "9.1K"
-
-    def test_unit(self):
-        assert format_count(42) == "42"
-
-
-class TestFormatRate:
-    def test_ipc_two_decimals(self):
-        assert format_rate(1.9671) == "1.97"
-
-    def test_nan_dash(self):
-        assert format_rate(math.nan) == "-"
-
-    def test_large_no_decimals(self):
-        assert format_rate(250.0) == "250"
-
-
-class TestFormatPercent:
-    def test_typical(self):
-        assert format_percent(99.94) == "99.9"
-
-    def test_nan(self):
-        assert format_percent(math.nan).strip() == "-"
 
 
 class TestFormatSeconds:
