@@ -232,9 +232,7 @@ class TipTop:
             if i == 0:
                 continue
             t0 = time.perf_counter()
-            frame = formatter.render_frame(
-                self.screen, snapshot, idle_threshold=self.options.idle_threshold
-            )
+            frame = formatter.render_frame(self.screen, snapshot)
             self._emit_profile(time.perf_counter() - t0)
             frames.append(frame)
             sink(frame)

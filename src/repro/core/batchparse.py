@@ -9,13 +9,9 @@ a format drift between renderer and parser should fail loudly.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.frame import INTRINSIC_KINDS, SnapshotFrame
 from repro.errors import ReproError
 
 _STAMP_RE = re.compile(
@@ -120,83 +116,6 @@ def parse_blocks(stream: str) -> list[BatchBlock]:
             )
         )
     return blocks
-
-
-def frames_from_blocks(blocks: list[BatchBlock]) -> list[SnapshotFrame]:
-    """Lift parsed batch blocks into columnar SnapshotFrames.
-
-    Column kinds are recovered from the intrinsic headers; every other
-    header becomes an ``expr`` column when its cells are numeric (NaN for
-    "-" cells) and a ``label`` column otherwise. Counter deltas are not
-    part of the batch format, so ``deltas`` is empty; uids are unknown.
-    """
-    frames: list[SnapshotFrame] = []
-    for block in blocks:
-        n = len(block.rows)
-
-        def cells(header: str) -> list:
-            return [row.cells.get(header) for row in block.rows]
-
-        def numeric(header: str, fallback: float) -> np.ndarray:
-            return np.fromiter(
-                (
-                    v if isinstance(v, float) else fallback
-                    for v in cells(header)
-                ),
-                dtype=float,
-                count=n,
-            )
-
-        columns: list[tuple[str, str]] = []
-        metrics: dict[str, np.ndarray] = {}
-        labels: dict[str, tuple[str, ...]] = {}
-        for header in block.headers:
-            kind = INTRINSIC_KINDS.get(header)
-            if kind is None:
-                values = cells(header)
-                if any(isinstance(v, str) for v in values):
-                    kind = "label"
-                    labels[header] = tuple(
-                        v if isinstance(v, str) else "" for v in values
-                    )
-                else:
-                    kind = "expr"
-                    metrics[header] = np.fromiter(
-                        (
-                            v if isinstance(v, float) else math.nan
-                            for v in values
-                        ),
-                        dtype=float,
-                        count=n,
-                    )
-            columns.append((header, kind))
-
-        pids = np.fromiter(
-            (row.pid for row in block.rows), dtype=np.int64, count=n
-        )
-        frames.append(
-            SnapshotFrame(
-                time=block.time,
-                interval=block.interval,
-                pids=pids,
-                tids=pids.copy(),
-                uids=np.full(n, -1, dtype=np.int64),
-                users=tuple(
-                    v if isinstance(v, str) else "" for v in cells("USER")
-                ),
-                comms=tuple(
-                    v if isinstance(v, str) else "" for v in cells("COMMAND")
-                ),
-                cpu_pct=numeric("%CPU", math.nan),
-                cpu_time=numeric("TIME+", 0.0),
-                processors=numeric("P", -1).astype(np.int64),
-                deltas={},
-                metrics=metrics,
-                labels=labels,
-                columns=tuple(columns),
-            )
-        )
-    return frames
 
 
 def series_from_blocks(

@@ -102,15 +102,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_grid(options: Options) -> int:
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Reject out-of-range grid, serve and connect values.
+
+    Raises:
+        ConfigError: a worker or host count below 1, a port outside
+            0..65535, or a connect address that is not ``host:port``.
+    """
+    if args.grid_workers is not None and args.grid_workers < 1:
+        raise ConfigError(f"grid_workers must be >= 1, got {args.grid_workers}")
+    if args.grid_hosts is not None and args.grid_hosts < 1:
+        raise ConfigError(f"grid_hosts must be >= 1, got {args.grid_hosts}")
+    if args.serve is not None and not 0 <= args.serve <= 65535:
+        raise ConfigError(f"serve_port must be 0..65535, got {args.serve}")
+    if args.connect is not None:
+        host, _, port = args.connect.rpartition(":")
+        if not host or not port.isdigit() or not 0 < int(port) <= 65535:
+            raise ConfigError(
+                f"connect must be 'host:port', got {args.connect!r}"
+            )
+
+
+def _run_grid(args: argparse.Namespace) -> int:
     """The --grid-workers path: drive the §3.4 SGE grid for the requested
     span and print a dispatch summary (engine timings go to stderr with
     --profile). Results are identical at any worker count."""
     from repro.sim.grid import Grid
 
-    span = options.delay * (options.iterations or 10)
+    span = args.delay * args.iterations
     supervision = None
-    if options.grid_chaos is not None or options.net_chaos is not None:
+    if args.grid_chaos is not None or args.net_chaos is not None:
         from repro.sim.supervisor import Supervision
 
         # Chaos runs recover many times; a tight deadline and no backoff
@@ -119,19 +140,19 @@ def _run_grid(options: Options) -> int:
     with Grid(
         tick=1.0,
         seed=1,
-        workers=options.grid_workers,
-        profile=options.profile,
-        grid_chaos=options.grid_chaos,
-        net_chaos=options.net_chaos,
+        workers=args.grid_workers,
+        profile=args.profile,
+        grid_chaos=args.grid_chaos,
+        net_chaos=args.net_chaos,
         supervision=supervision,
-        hosts=options.grid_hosts,
+        hosts=args.grid_hosts,
     ) as grid:
         jobs = datacenter.populate_grid(grid)
         grid.run_for(span)
         engine = grid.engine.name
         print(
             f"grid: {len(grid.specs)} nodes, engine={engine} "
-            f"workers={options.grid_workers}, ran {span:g}s "
+            f"workers={args.grid_workers}, ran {span:g}s "
             f"in {grid.stats['epochs']} epochs"
         )
         for job in jobs:
@@ -146,7 +167,7 @@ def _run_grid(options: Options) -> int:
         print("utilisation:")
         for node, load in sorted(grid.utilisation().items()):
             print(f"  {node:10s} {load:6.1%}")
-        if options.grid_chaos is not None:
+        if args.grid_chaos is not None:
             stats = grid.stats
             print(
                 f"supervisor: failures={stats['worker_failures']} "
@@ -160,7 +181,7 @@ def _run_grid(options: Options) -> int:
                     f"{k}={event[k]}" for k in sorted(event) if k != "event"
                 )
                 print(f"  {event['event']:8s} {fields}")
-        if options.net_chaos is not None:
+        if args.net_chaos is not None:
             # The whole point of --net-chaos is that stdout stays
             # byte-identical to an unpartitioned run (CI diffs it), so
             # the recovery summary goes to stderr.
@@ -175,7 +196,7 @@ def _run_grid(options: Options) -> int:
                 f"degraded={'yes' if stats['degraded'] else 'no'}",
                 file=sys.stderr,
             )
-        if options.profile:
+        if args.profile:
             stats = grid.stats
             print(
                 f"grid-profile: total epochs={stats['epochs']} "
@@ -226,9 +247,7 @@ def _run_serve(args: argparse.Namespace, options: Options, screen) -> int:
     return 0
 
 
-def _run_connect(
-    args: argparse.Namespace, options: Options, extra: list[Screen]
-) -> int:
+def _run_connect(args: argparse.Namespace, extra: list[Screen]) -> int:
     """The --connect path: the viewer side of the collector split.
 
     Served frames are bitwise-identical to local sampling, so they feed
@@ -242,7 +261,7 @@ def _run_connect(
     from repro.core.sampler import Snapshot
     from repro.serve.client import ServeClient
 
-    host_name, _, port_text = options.connect.rpartition(":")
+    host_name, _, port_text = args.connect.rpartition(":")
 
     async def go() -> int:
         client = ServeClient(host_name, int(port_text), client_id="tiptop")
@@ -361,17 +380,12 @@ def _main(argv: list[str] | None) -> int:
             screen=args.screen,
             profile=args.profile,
             chaos=args.chaos,
-            grid_workers=1 if args.grid_workers is None else args.grid_workers,
-            grid_chaos=args.grid_chaos,
-            net_chaos=args.net_chaos,
-            grid_hosts=args.grid_hosts,
-            serve_port=args.serve,
-            connect=args.connect,
         )
+        _check_ranges(args)  # after Options: a bad -d or -n is reported first
         if args.grid_workers is not None:
-            return _run_grid(options)
+            return _run_grid(args)
         if args.connect is not None:
-            return _run_connect(args, options, extra)
+            return _run_connect(args, extra)
         screen = get_screen(args.screen, extra)
         if args.serve is not None:
             return _run_serve(args, options, screen)

@@ -43,8 +43,7 @@ class SnapshotFrame:
         interval: seconds since the previous snapshot (0.0 on the first).
         pids: process ids, int64.
         tids: monitored task ids (== pids unless per-thread mode), int64.
-        uids: owner uids, int64 (-1 when unknown, e.g. read from a legacy
-            CSV).
+        uids: owner uids, int64 (-1 when unknown).
         users: owner login names.
         comms: command names.
         cpu_pct: %CPU over the interval, float64.

@@ -1,15 +1,16 @@
 """Tracked-task set: discover, attach, detach — and survive failures.
 
-Each refresh, tiptop rescans the process list: new tasks get counters
-attached (monitoring can start at any time — no restart needed, §2.2), and
-tasks that exited are detached and their counters closed. The attach/read
-error paths follow an explicit lifecycle policy:
+Each refresh applies the sampling pass's one /proc listing: new tasks get
+counters attached (monitoring can start at any time — no restart needed,
+§2.2), and tasks that exited are detached and their counters closed. The
+attach/read error paths follow an explicit lifecycle policy:
 
 * **Permission denials** (other users' processes under an unprivileged
   monitor) are remembered so they are not retried on every refresh.
-* **Transient errors** (EINTR/EAGAIN/corrupt reads) get a bounded number
-  of immediate retries with optional backoff; only exhaustion counts as
-  an attach failure, and the task is retried at the next refresh.
+* **Transient errors** (EINTR/EAGAIN/corrupt reads) get up to
+  :data:`RETRY_LIMIT` immediate retries (:func:`retry_transient`, the
+  one rule both attach and read follow); only exhaustion counts as an
+  attach failure, and the task is retried at the next refresh.
 * **Per-task failures** (stale handles, ESRCH mid-read) *quarantine* the
   task: its counters are closed at once (no fd leaks), and reattach is
   attempted after an exponentially growing number of refreshes. A task
@@ -24,22 +25,47 @@ adds the quarantined set for programmatic consumers.
 
 from __future__ import annotations
 
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.core.options import Options
-from repro.errors import (
-    NoSuchTaskError,
-    PerfError,
-    PerfPermissionError,
-    TransientPerfError,
-)
+from repro.errors import PerfError, PerfPermissionError, TransientPerfError
 from repro.perf.counter import Backend, CounterGroup
 from repro.perf.events import EventSpec
-from repro.procfs.model import ProcessInfo, TaskProvider
+from repro.procfs.model import ProcessInfo
 
 #: Cap on the quarantine backoff, in refreshes (2**(failures-1), clamped).
 MAX_QUARANTINE_REFRESHES = 8
+
+#: Extra attempts after a transient perf error (EINTR/EAGAIN/corrupt
+#: read) before an attach or a read is given up for the refresh.
+RETRY_LIMIT = 2
+
+T = TypeVar("T")
+
+
+def retry_transient(op: Callable[[], T], on_retry: Callable[[], None]) -> T:
+    """Call ``op``, retrying transient perf errors up to :data:`RETRY_LIMIT`
+    extra times.
+
+    ``on_retry`` runs before each retry, so retries that precede a hard
+    error or exhaustion are counted too. Retries are immediate.
+
+    Raises:
+        TransientPerfError: the last transient error, once the budget is
+            spent.
+        PerfError: any other error, at once.
+    """
+    retries = 0
+    while True:
+        try:
+            return op()
+        except TransientPerfError:
+            if retries == RETRY_LIMIT:
+                raise
+            retries += 1
+            on_retry()
 
 
 @dataclass
@@ -55,7 +81,6 @@ class TrackedTask:
     tid: int
     group: CounterGroup
     last_info: ProcessInfo | None = None
-    first_seen: float = 0.0
     health: str = "ok"
     reattach_reported: bool = False
 
@@ -81,13 +106,11 @@ class ProcessList:
 
     Args:
         backend: perf backend for counter attach/close.
-        tasks: /proc provider.
         events: counter events each task gets.
-        options: watch filters, per-thread mode, retry budget.
+        options: watch filters, per-thread mode, task cap.
     """
 
     backend: Backend
-    tasks: TaskProvider
     events: list[EventSpec]
     options: Options
     tracked: dict[int, TrackedTask] = field(default_factory=dict)
@@ -101,17 +124,23 @@ class ProcessList:
     attach_retries: int = 0
     refresh_count: int = 0
 
-    def refresh(self) -> tuple[list[TrackedTask], list[int]]:
-        """Rescan /proc; attach new tasks, drop dead ones.
+    def refresh(
+        self, listing: dict[int, ProcessInfo]
+    ) -> tuple[list[TrackedTask], list[int]]:
+        """Apply this refresh's /proc listing: attach new tasks, drop dead
+        ones.
+
+        Args:
+            listing: every live process by pid, as the sampling pass
+                listed it.
 
         Returns:
             (attached, detached_tids) for this refresh.
         """
         self.refresh_count += 1
-        now = self.tasks.uptime()
         visible = {}
-        for info in self.tasks.list_processes():
-            if not self.options.wants(pid=info.pid, uid=info.uid, comm=info.comm):
+        for info in listing.values():
+            if not self.options.wants(pid=info.pid, uid=info.uid):
                 continue
             if self.options.per_thread:
                 for tid in info.tids:
@@ -131,7 +160,7 @@ class ProcessList:
             group = self._attach(tid)
             if group is None:
                 continue
-            task = TrackedTask(pid=info.pid, tid=tid, group=group, first_seen=now)
+            task = TrackedTask(pid=info.pid, tid=tid, group=group)
             if entry is not None:
                 del self.quarantined[tid]
                 task.health = "reattached"
@@ -156,40 +185,30 @@ class ProcessList:
         return attached, detached
 
     def _attach(self, tid: int) -> CounterGroup | None:
-        """Open the task's counter group under the retry policy.
+        """Open the task's counter group under :func:`retry_transient`.
 
-        Transient errors are retried up to ``options.retry_limit`` extra
-        times (with exponential backoff when ``options.retry_backoff`` is
-        set); exhaustion or a hard error counts one attach failure and
-        leaves the task for the next refresh. Permission denials are
+        Exhausted retries or a hard error count one attach failure and
+        leave the task for the next refresh. Permission denials are
         cached while the task stays listed.
         """
-        attempts = 0
-        while True:
-            try:
-                return CounterGroup(
+        try:
+            return retry_transient(
+                lambda: CounterGroup(
                     self.backend,
                     self.events,
                     tid,
                     inherit=not self.options.per_thread,
-                )
-            except PerfPermissionError:
-                self.denied.add(tid)
-                return None
-            except TransientPerfError:
-                attempts += 1
-                if attempts > self.options.retry_limit:
-                    self.attach_errors += 1
-                    return None
-                self.attach_retries += 1
-                self._backoff(attempts)
-            except (NoSuchTaskError, PerfError):
-                self.attach_errors += 1
-                return None
+                ),
+                self._count_attach_retry,
+            )
+        except PerfPermissionError:
+            self.denied.add(tid)
+        except PerfError:
+            self.attach_errors += 1
+        return None
 
-    def _backoff(self, attempts: int) -> None:
-        if self.options.retry_backoff > 0:
-            time.sleep(self.options.retry_backoff * 2 ** (attempts - 1))
+    def _count_attach_retry(self) -> None:
+        self.attach_retries += 1
 
     def quarantine(self, tid: int, reason: str) -> None:
         """Bench a failing task: close its counters now, reattach later.

@@ -11,8 +11,7 @@ by pid, by command, against time or against cumulative instructions
 CSV persistence round-trips losslessly through the frames: counter deltas,
 NaN metric cells, non-ASCII command names, tids/uids/processors and the
 screen column layout all survive ``to_csv`` -> ``from_csv`` bit-for-bit
-(floats are serialised with ``repr``). The reader also accepts the older
-five-fixed-columns format that carried deltas only.
+(floats are serialised with ``repr``).
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ class Recorder:
     def to_csv(self) -> str:
         """Serialise the recording as CSV (one line per task-interval).
 
-        Columns: the five legacy fixed columns (time, pid, comm, user,
+        Columns: the five fixed columns (time, pid, comm, user,
         cpu_pct), every counter delta (union across frames, sorted), the
         extended identity columns (tid, uid, cpu_time, processor,
         interval), one ``value:<header>`` column per derived metric, one
@@ -173,10 +172,6 @@ class Recorder:
     def from_csv(cls, text: str) -> "Recorder":
         """Rebuild a recording from :meth:`to_csv` output.
 
-        Also accepts the legacy format (five fixed columns plus deltas
-        only); such rows group into frames by equal consecutive
-        timestamps with zero intervals and unknown tids/uids/processors.
-
         Raises:
             ValueError: malformed header or rows.
         """
@@ -184,20 +179,13 @@ class Recorder:
         if not rows:
             return cls()
         header = rows[0]
-        if header[: len(_FIXED)] != _FIXED:
+        if header[: len(_FIXED)] != _FIXED or header[-1] != _COLSPEC:
             raise ValueError(f"unexpected CSV header {header[:5]}")
         for row in rows[1:]:
             if len(row) != len(header):
                 raise ValueError(f"row arity mismatch: {','.join(row)!r}")
         recorder = cls()
-        if header[-1] == _COLSPEC:
-            recorder._frames.extend(_frames_from_extended_csv(header, rows[1:]))
-        else:
-            events = header[len(_FIXED):]
-            recorder._frames.extend(
-                _frame_from_legacy_group(group, events)
-                for group in _runs(rows[1:], lambda row: float(row[0]))
-            )
+        recorder._frames.extend(_frames_from_extended_csv(header, rows[1:]))
         return recorder
 
 
@@ -274,36 +262,6 @@ def _runs(rows: list[list[str]], key) -> list[list[list[str]]]:
             runs.append([])
         runs[-1].append(row)
     return runs
-
-
-def _frame_from_legacy_group(
-    group: list[list[str]], events: list[str]
-) -> SnapshotFrame:
-    """One frame of the legacy format: deltas only, zero interval,
-    unknown tids (read as the pid), uids and processors."""
-    n = len(group)
-    n_fixed = len(_FIXED)
-    pids = np.fromiter((int(r[1]) for r in group), dtype=np.int64, count=n)
-    return SnapshotFrame(
-        time=float(group[0][0]),
-        interval=0.0,
-        pids=pids,
-        tids=pids.copy(),
-        uids=np.full(n, -1, dtype=np.int64),
-        users=tuple(r[3] for r in group),
-        comms=tuple(r[2] for r in group),
-        cpu_pct=np.fromiter((float(r[4]) for r in group), dtype=float, count=n),
-        cpu_time=np.zeros(n),
-        processors=np.full(n, -1, dtype=np.int64),
-        deltas={
-            e: np.fromiter(
-                (float(r[n_fixed + j]) for r in group), dtype=float, count=n
-            )
-            for j, e in enumerate(events)
-        },
-        metrics={},
-        labels={},
-    )
 
 
 def _frames_from_extended_csv(

@@ -2,9 +2,9 @@
 
 Tiptop is "basically an infinite loop that displays how many times the
 requested events have happened for each task, and then goes idle until some
-timeout expires" (§2.3). :class:`Sampler` owns one turn of that loop: read
-every tracked task's counters and /proc entry, compute per-interval deltas
-and the screen's derived columns, and emit one
+timeout expires" (§2.3). :class:`Sampler` owns one turn of that loop: list
+/proc once, read every tracked task's counters against that listing,
+compute per-interval deltas and the screen's derived columns, and emit one
 :class:`~repro.core.frame.SnapshotFrame` — the columnar block the rest of
 the pipeline consumes. Derived columns evaluate vectorised over whole
 delta arrays (one numpy pass per column) rather than per task.
@@ -12,7 +12,8 @@ delta arrays (one numpy pass per column) rather than per task.
 :class:`Snapshot`.
 
 Reads follow the resilience policy of :mod:`repro.core.proclist`: transient
-perf errors are retried within a bounded budget, hard per-task failures
+perf errors are retried under the same rule as attaches
+(:func:`~repro.core.proclist.retry_transient`), hard per-task failures
 quarantine the task (counters closed immediately, reattach after backoff),
 and each task's lifecycle state is published as the HEALTH column when the
 screen carries one (``--chaos`` mode does this automatically).
@@ -21,7 +22,6 @@ screen carries one (``--chaos`` mode does this automatically).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -31,9 +31,9 @@ from repro.core.columns import ColumnKind
 from repro.core.expr import canonical_name
 from repro.core.frame import SnapshotFrame
 from repro.core.options import Options
-from repro.core.proclist import ProcessList, TrackedTask
+from repro.core.proclist import ProcessList, TrackedTask, retry_transient
 from repro.core.screen import Screen
-from repro.errors import PerfError, ProcfsError, TransientPerfError
+from repro.errors import PerfError, TransientPerfError
 from repro.perf.counter import Backend
 from repro.procfs.model import ProcessInfo, TaskProvider, cpu_percent
 
@@ -60,9 +60,10 @@ class SampleTiming:
     """Wall-time breakdown of one sampling pass (the ``--profile`` data).
 
     Attributes:
-        read_seconds: reading counters and /proc for all tasks.
+        read_seconds: reading counters for all tasks.
         eval_seconds: building the frame and evaluating derived columns.
-        refresh_seconds: process-list attach/detach bookkeeping.
+        refresh_seconds: listing /proc and the process list's
+            attach/detach bookkeeping.
         tasks: number of tasks sampled.
     """
 
@@ -93,7 +94,7 @@ class Sampler:
         self.screen = screen
         self.tasks = tasks
         self.events = screen.required_events()
-        self.proclist = ProcessList(backend, tasks, self.events, self.options)
+        self.proclist = ProcessList(backend, self.events, self.options)
         self._last_time: float | None = None
         self.last_timing: SampleTiming | None = None
         #: Successful-after-retry and given-up read tallies (chaos stats).
@@ -115,29 +116,42 @@ class Sampler:
     def sample_frame(self) -> SnapshotFrame:
         """Take one columnar snapshot (read deltas, evaluate columns).
 
-        Counters of already-tracked tasks are read *before* the process
-        list is refreshed, so a task that exited during the interval still
-        contributes its final deltas (the counter fd outlives the task, as
-        on Linux); it is then detached. Newly discovered tasks get their
-        counters attached at the end and contribute from the next interval
-        on — monitoring sees only events after it starts (§2.2).
+        /proc is listed once per pass, and both the process list and the
+        counter reads work from that listing. Counters of already-tracked
+        tasks are read *before* the process list is refreshed, so a task
+        that exited during the interval (it is missing from the listing)
+        still contributes its final deltas under its last known identity
+        (the counter fd outlives the task, as on Linux); it is then
+        detached. Newly discovered tasks get their counters attached at
+        the end and contribute from the next interval on — monitoring sees
+        only events after it starts (§2.2).
         """
         now = self.tasks.uptime()
         first = self._last_time is None
         interval = 0.0 if first else now - self._last_time
         self._last_time = now
-        refresh_seconds = 0.0
+        t0 = perf_counter()
+        listing = {info.pid: info for info in self.tasks.list_processes()}
         if first:
-            t0 = perf_counter()
-            self.proclist.refresh()
-            refresh_seconds += perf_counter() - t0
+            self.proclist.refresh(listing)
+        refresh_seconds = perf_counter() - t0
 
         t0 = perf_counter()
         gathered: list[tuple[TrackedTask, ProcessInfo, dict[str, float], float]] = []
         for task in list(self.proclist.tracked.values()):
-            reading = self._read_task(task, interval)
-            if reading is not None:
-                gathered.append(reading)
+            info = listing.get(task.pid)
+            if info is None and task.last_info is None:
+                continue
+            deltas = self._read_deltas(task)
+            if deltas is None:
+                continue
+            if info is None:
+                # Exited during the interval: final deltas, state X.
+                gathered.append((task, task.last_info, deltas, 0.0))
+            else:
+                pct = cpu_percent(task.last_info, info, interval, uptime=now)
+                task.last_info = info
+                gathered.append((task, info, deltas, pct))
         read_seconds = perf_counter() - t0
 
         t0 = perf_counter()
@@ -147,7 +161,7 @@ class Sampler:
 
         if not first:
             t0 = perf_counter()
-            self.proclist.refresh()
+            self.proclist.refresh(listing)
             refresh_seconds += perf_counter() - t0
         self.last_timing = SampleTiming(
             read_seconds=read_seconds,
@@ -157,70 +171,39 @@ class Sampler:
         )
         return frame
 
-    def _read_task(
-        self, task: TrackedTask, interval: float
-    ) -> tuple[TrackedTask, ProcessInfo, dict[str, float], float] | None:
-        final = False
-        try:
-            info = self.tasks.process(task.pid)
-        except ProcfsError:
-            # The task exited during the interval; report its final deltas
-            # against the last known identity (state X).
-            if task.last_info is None:
-                return None
-            info = task.last_info
-            final = True
-        deltas = self._read_deltas(task)
-        if deltas is None:
-            return None
-        if final:
-            pct = 0.0
-        else:
-            pct = cpu_percent(
-                task.last_info, info, interval, uptime=self.tasks.uptime()
-            )
-        task.last_info = info
-        return task, info, deltas, pct
-
     def _read_deltas(self, task: TrackedTask) -> dict[str, float] | None:
         """Read one task's counter group under the lifecycle policy.
 
-        Transient errors (EINTR/EAGAIN/corrupt reads) are retried up to
-        ``options.retry_limit`` extra times; exhaustion skips the task's
-        row for this interval but keeps its counters attached (health
-        "retrying"). Hard errors — stale handles, a target that the
-        kernel says is gone — quarantine the task: counters are closed
-        immediately and reattach happens after a backoff, so a failing
-        task can never wedge the sampling loop or leak fds.
+        Transient errors (EINTR/EAGAIN/corrupt reads) are retried under
+        :func:`~repro.core.proclist.retry_transient`; exhaustion skips the
+        task's row for this interval but keeps its counters attached
+        (health "retrying"). Hard errors — stale handles, a target that
+        the kernel says is gone — quarantine the task: counters are
+        closed immediately and reattach happens after a backoff, so a
+        failing task can never wedge the sampling loop or leak fds.
         """
-        attempts = 0
-        while True:
-            try:
-                deltas = task.group.read_deltas()
-            except TransientPerfError:
-                attempts += 1
-                if attempts > self.options.retry_limit:
-                    task.health = "retrying"
-                    self.read_skips += 1
-                    return None
-                self.read_retries += 1
-                if self.options.retry_backoff > 0:
-                    time.sleep(
-                        self.options.retry_backoff * 2 ** (attempts - 1)
-                    )
-                continue
-            except PerfError as exc:
-                self.proclist.quarantine(task.tid, type(exc).__name__)
-                return None
-            if attempts:
-                task.health = "retry"
-            elif task.health == "reattached" and not task.reattach_reported:
-                task.reattach_reported = True
-            else:
-                task.health = "ok"
-                # A full clean interval resets the quarantine backoff.
-                self.proclist.note_healthy(task.tid)
-            return deltas
+        retries = self.read_retries
+        try:
+            deltas = retry_transient(task.group.read_deltas, self._count_read_retry)
+        except TransientPerfError:
+            task.health = "retrying"
+            self.read_skips += 1
+            return None
+        except PerfError as exc:
+            self.proclist.quarantine(task.tid, type(exc).__name__)
+            return None
+        if self.read_retries != retries:
+            task.health = "retry"
+        elif task.health == "reattached" and not task.reattach_reported:
+            task.reattach_reported = True
+        else:
+            task.health = "ok"
+            # A full clean interval resets the quarantine backoff.
+            self.proclist.note_healthy(task.tid)
+        return deltas
+
+    def _count_read_retry(self) -> None:
+        self.read_retries += 1
 
     def _build_frame(
         self,
@@ -229,18 +212,15 @@ class Sampler:
         gathered: list[tuple[TrackedTask, ProcessInfo, dict[str, float], float]],
     ) -> SnapshotFrame:
         n = len(gathered)
-        event_names: list[str] = []
-        for _, _, deltas, _ in gathered:
-            for name in deltas:
-                if name not in event_names:
-                    event_names.append(name)
+        # Every tracked group opens ``self.events``; a frame with no rows
+        # carries no delta columns.
         delta_cols = {
-            name: np.fromiter(
-                (deltas.get(name, 0.0) for _, _, deltas, _ in gathered),
+            event.name: np.fromiter(
+                (deltas[event.name] for _, _, deltas, _ in gathered),
                 dtype=float,
                 count=n,
             )
-            for name in event_names
+            for event in (self.events if n else ())
         }
         cpu_pct = np.fromiter((pct for *_, pct in gathered), dtype=float, count=n)
 
@@ -300,29 +280,15 @@ class Sampler:
     def _sort_order(self, frame: SnapshotFrame) -> list[int]:
         """The descending sort permutation on ``options.sort_by``.
 
-        String and absent columns key as 0.0. The sort is a stable
-        timsort over Python scalars, so ties and NaN keys order the same
-        way on every run.
+        ``%CPU`` always keys on ``cpu_pct``; other keys read
+        :meth:`SnapshotFrame.numeric_column`, and string or absent
+        columns key as 0.0. The sort is a stable timsort over Python
+        scalars, so ties and NaN keys order the same way on every run.
         """
         key = self.options.sort_by
-        n = len(frame)
-        if key == "%CPU":
-            values = frame.cpu_pct.tolist()
-        else:
-            kind = frame.column_kind(key)
-            if kind == "pid":
-                values = frame.pids.tolist()
-            elif kind == "cpu":
-                values = frame.cpu_pct.tolist()
-            elif kind == "time":
-                values = frame.cpu_time.tolist()
-            elif kind == "processor":
-                values = frame.processors.tolist()
-            elif kind == "expr":
-                values = frame.metrics[key].tolist()
-            else:
-                values = [0.0] * n
-        return sorted(range(n), key=values.__getitem__, reverse=True)
+        column = frame.cpu_pct if key == "%CPU" else frame.numeric_column(key)
+        values = [0.0] * len(frame) if column is None else column.tolist()
+        return sorted(range(len(frame)), key=values.__getitem__, reverse=True)
 
     def close(self) -> None:
         """Detach all counters."""

@@ -43,8 +43,9 @@ class TransientPerfError(PerfError):
     The kernel (real or simulated) reported a condition that does not
     invalidate the counter or its target — the same call may well succeed
     if reissued. Consumers (:class:`~repro.core.sampler.Sampler`,
-    :class:`~repro.core.proclist.ProcessList`) retry these with a bounded
-    backoff instead of dropping the task.
+    :class:`~repro.core.proclist.ProcessList`) retry these a bounded
+    number of times (:func:`~repro.core.proclist.retry_transient`)
+    instead of dropping the task.
     """
 
 

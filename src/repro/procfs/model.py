@@ -35,18 +35,14 @@ class ProcessInfo:
 
 
 class TaskProvider(Protocol):
-    """Provider interface over /proc (real or simulated)."""
+    """Provider interface over /proc (real or simulated).
+
+    The sampler lists once per refresh and looks every tracked task up in
+    that listing; a pid missing from it has exited.
+    """
 
     def list_processes(self) -> list[ProcessInfo]:
         """All visible live processes."""
-        ...
-
-    def process(self, pid: int) -> ProcessInfo:
-        """One process.
-
-        Raises:
-            ProcfsError: when the pid does not exist (anymore).
-        """
         ...
 
     def uptime(self) -> float:

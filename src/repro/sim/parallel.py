@@ -67,7 +67,7 @@ from repro.sim.core import RateCache, solo_rates
 from repro.sim.machine import SimMachine
 
 if TYPE_CHECKING:
-    from repro.sim.grid import Grid, NodeSpec
+    from repro.sim.grid import NodeSpec
     from repro.sim.process import SimProcess
     from repro.sim.netchaos import NetChaosPlan
     from repro.sim.supervisor import GridFaultPlan, Supervision

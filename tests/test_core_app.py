@@ -43,15 +43,6 @@ class TestLiveMode:
         assert frames[0].startswith("tiptop - up ")
         assert "2 tasks" in frames[0]
 
-    def test_idle_threshold_hides_rows(self, coarse_machine, endless_workload):
-        coarse_machine.spawn("busy", endless_workload)
-        coarse_machine.spawn("idle-ish", endless_workload, duty_cycle=0.2)
-        host = SimHost(coarse_machine)
-        with TipTop(host, Options(delay=10.0, idle_threshold=60.0)) as app:
-            frames = app.run_live(1, paint=lambda s: None)
-        assert "busy" in frames[0]
-        assert "idle-ish" not in frames[0]
-
 
 class TestCollect:
     def test_recorder_filled(self, busy_host):

@@ -1,5 +1,7 @@
 """Tool options."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.options import Options
@@ -21,54 +23,47 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Options(iterations=0)
 
-    def test_bad_idle_threshold(self):
-        with pytest.raises(ConfigError):
-            Options(idle_threshold=-1)
-
     def test_bad_max_tasks(self):
         with pytest.raises(ConfigError):
             Options(max_tasks=0)
 
     def test_chaos_defaults_off(self):
-        o = Options()
-        assert o.chaos is None
-        assert o.retry_limit == 2
-        assert o.retry_backoff == 0.0
+        assert Options().chaos is None
 
-    def test_bad_retry_limit(self):
-        with pytest.raises(ConfigError):
-            Options(retry_limit=-1)
-
-    def test_zero_retry_limit_allowed(self):
-        assert Options(retry_limit=0).retry_limit == 0
-
-    def test_bad_retry_backoff(self):
-        with pytest.raises(ConfigError):
-            Options(retry_backoff=-0.1)
+    def test_fields_are_the_tools_own(self):
+        """Grid, serve and connect values live on the command line only."""
+        assert [f.name for f in dataclasses.fields(Options)] == [
+            "delay",
+            "batch",
+            "iterations",
+            "per_thread",
+            "watch_uid",
+            "watch_pids",
+            "screen",
+            "sort_by",
+            "max_tasks",
+            "profile",
+            "chaos",
+        ]
 
 
 class TestWants:
     def test_default_watches_everything(self):
         o = Options()
-        assert o.wants(pid=1, uid=0, comm="anything")
+        assert o.wants(pid=1, uid=0)
 
     def test_uid_filter(self):
         o = Options(watch_uid=1000)
-        assert o.wants(pid=1, uid=1000, comm="x")
-        assert not o.wants(pid=1, uid=1001, comm="x")
+        assert o.wants(pid=1, uid=1000)
+        assert not o.wants(pid=1, uid=1001)
 
     def test_pid_filter(self):
         o = Options(watch_pids=frozenset({5, 6}))
-        assert o.wants(pid=5, uid=0, comm="x")
-        assert not o.wants(pid=7, uid=0, comm="x")
-
-    def test_command_filter(self):
-        o = Options(watch_commands=frozenset({"mcf"}))
-        assert o.wants(pid=1, uid=0, comm="mcf")
-        assert not o.wants(pid=1, uid=0, comm="astar")
+        assert o.wants(pid=5, uid=0)
+        assert not o.wants(pid=7, uid=0)
 
     def test_filters_combine(self):
-        o = Options(watch_uid=1000, watch_commands=frozenset({"mcf"}))
-        assert o.wants(pid=1, uid=1000, comm="mcf")
-        assert not o.wants(pid=1, uid=1000, comm="astar")
-        assert not o.wants(pid=1, uid=0, comm="mcf")
+        o = Options(watch_uid=1000, watch_pids=frozenset({5}))
+        assert o.wants(pid=5, uid=1000)
+        assert not o.wants(pid=6, uid=1000)
+        assert not o.wants(pid=5, uid=0)

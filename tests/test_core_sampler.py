@@ -1,12 +1,19 @@
 """Sampler + process list over the simulated host."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.core.columns import PROCESSOR_COLUMN, TIME_COLUMN
 from repro.core.options import Options
 from repro.core.sampler import Sampler
 from repro.core.screen import get_screen
 from repro.perf.simbackend import SimBackend
 from repro.procfs.simproc import SimProcReader
+from repro.sim.arch import NEHALEM
+from repro.sim.machine import SimMachine
+from repro.sim.workloads import synthetic
 
 
 def _sampler(machine, options=None, screen="default"):
@@ -65,11 +72,14 @@ class TestSampling:
         coarse_machine.run_for(30.0)  # workload is ~10 s
         final = s.sample().frame
         # The exit interval still reports the final deltas (like reading
-        # the counter fd of an exited task on Linux)...
+        # the counter fd of an exited task on Linux), under the last known
+        # identity and with no CPU share...
         assert len(final) == 1
         assert final.deltas["instructions"][0] == pytest.approx(
             basic_workload.total_instructions, rel=1e-6
         )
+        assert final.comms == ("brief",)
+        assert final.cpu_pct.tolist() == [0.0]
         # ...then the task is gone and its counters are released.
         assert coarse_machine.counters.open_count() == 0
         coarse_machine.run_for(5.0)
@@ -109,6 +119,33 @@ class TestSampling:
         coarse_machine.run_for(5.0)
         ipcs = s.sample().frame.metrics["IPC"].tolist()
         assert ipcs == sorted(ipcs, reverse=True)
+
+    def test_sort_keys_follow_their_columns(self):
+        machine = SimMachine(
+            NEHALEM, sockets=1, cores_per_socket=2, tick=0.25, seed=3
+        )
+        for spec in synthetic.generate_specs(6, seed=3):
+            machine.spawn(spec.name, synthetic.build(spec, NEHALEM, seed=11))
+        screen = get_screen("default").with_columns(TIME_COLUMN, PROCESSOR_COLUMN)
+        s = Sampler(SimBackend(machine), SimProcReader(machine), screen)
+        s.sample()
+        machine.run_for(4.0)
+        frame = s.sample().frame
+        columns = {
+            "PID": frame.pids.tolist(),
+            "P": frame.processors.tolist(),
+            "TIME+": frame.cpu_time.tolist(),
+            "IPC": frame.metrics["IPC"].tolist(),
+        }
+        assert all(len(set(values)) > 1 for values in columns.values())
+        for key, values in columns.items():
+            s.options = replace(s.options, sort_by=key)
+            order = s._sort_order(frame)
+            assert [values[i] for i in order] == sorted(values, reverse=True)
+        # A string column keys every row as 0.0: the stable sort keeps
+        # the frame's order.
+        s.options = replace(s.options, sort_by="USER")
+        assert s._sort_order(frame) == list(range(len(frame)))
 
     def test_per_thread_mode(self, coarse_machine, endless_workload):
         coarse_machine.spawn("mt", endless_workload, nthreads=3)
@@ -150,3 +187,43 @@ class TestSampling:
         s.sample()
         s.close()
         assert coarse_machine.counters.open_count() == 0
+
+
+class CountingTasks:
+    """A /proc provider that counts the calls made on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def uptime(self):
+        return self.inner.uptime()
+
+    def list_processes(self):
+        self.calls["list_processes"] += 1
+        return self.inner.list_processes()
+
+    def process(self, pid):
+        self.calls["process"] += 1
+        return self.inner.process(pid)
+
+
+class TestOnePass:
+    def test_one_listing_and_no_lookups_per_pass(
+        self, coarse_machine, basic_workload, endless_workload
+    ):
+        """Every pass lists /proc once and fetches no task on its own,
+        first pass, steady state and an exit interval alike."""
+        coarse_machine.spawn("brief", basic_workload)  # exits after ~10 s
+        coarse_machine.spawn("mt", endless_workload, nthreads=2)
+        tasks = CountingTasks(SimProcReader(coarse_machine))
+        s = Sampler(SimBackend(coarse_machine), tasks, get_screen("default"))
+        s.sample_frame()
+        assert tasks.calls == {"list_processes": 1}
+        coarse_machine.spawn("late", endless_workload)
+        for seconds in (5.0, 10.0, 5.0):
+            coarse_machine.run_for(seconds)
+            tasks.calls.clear()
+            s.sample_frame()
+            assert tasks.calls == {"list_processes": 1}
+        s.close()

@@ -15,7 +15,6 @@ seeded fault plans).
 import pytest
 
 from repro.core.columns import HEALTH_COLUMN
-from repro.core.options import Options
 from repro.core.sampler import Sampler
 from repro.core.screen import get_screen
 from repro.errors import FdLimitError
@@ -41,8 +40,8 @@ def make_sampler(machine, *, faults=None, screen=None, options=None,
 
 
 class VanishingTasks:
-    """A /proc provider whose chosen pid exists in listings but not reads
-    (the classic exit-between-listdir-and-open race)."""
+    """A /proc provider that lists a pid the kernel no longer has (the
+    classic exit-between-listdir-and-open race)."""
 
     def __init__(self, inner, ghost_pid):
         self.inner = inner
@@ -65,9 +64,6 @@ class VanishingTasks:
             processor=0,
         )
         return [*procs, ghost]
-
-    def process(self, pid):
-        return self.inner.process(pid)  # raises for the ghost
 
 
 class TestAttachFailures:
@@ -124,6 +120,29 @@ class TestAttachFailures:
         assert sampler.proclist.attach_retries == 1
         sampler.close()
         assert coarse_machine.counters.open_count() == 0
+
+    def test_transient_then_denied_counts_the_retry(
+        self, coarse_machine, endless_workload
+    ):
+        """EAGAIN, then a permission denial on the retry: the retry is
+        counted, the denial cached, and no attach failure charged."""
+        proc = coarse_machine.spawn("root-owned", endless_workload, uid=0)
+        faults = FaultPlan(
+            0, [FaultSpec("open", "eagain", at_calls=frozenset({1}))]
+        )
+        backend, sampler = make_sampler(
+            coarse_machine, faults=faults, monitor_uid=1001
+        )
+        snap = sampler.sample()
+        assert len(snap.frame) == 0
+        assert sampler.proclist.attach_retries == 1
+        assert sampler.proclist.attach_errors == 0
+        assert sampler.proclist.denied == {proc.pid}
+        opens = faults.call_count("open")
+        coarse_machine.run_for(2.0)
+        sampler.sample()
+        assert faults.call_count("open") == opens  # not retried
+        sampler.close()
 
     def test_fd_limit_is_retried_next_refresh_not_denied(
         self, coarse_machine, endless_workload
@@ -193,6 +212,27 @@ class TestReadFailures:
         assert sampler.read_retries == 1
         assert sampler.proclist.tracked[int(snap.frame.tids[0])].health == "retry"
         sampler.close()
+
+    def test_transient_then_esrch_counts_the_retry(
+        self, coarse_machine, endless_workload
+    ):
+        """EINTR, then ESRCH on the retry: the retry is counted and the
+        task is quarantined, not skipped."""
+        proc = coarse_machine.spawn("a", endless_workload)
+        faults = FaultPlan(0)
+        backend, sampler = make_sampler(coarse_machine, faults=faults)
+        sampler.sample()
+        coarse_machine.run_for(2.0)
+        nxt = faults.call_count("read")
+        faults.add(FaultSpec("read", "eintr", at_calls=frozenset({nxt + 1})))
+        faults.add(FaultSpec("read", "esrch", at_calls=frozenset({nxt + 2})))
+        snap = sampler.sample()
+        assert len(snap.frame) == 0
+        assert sampler.read_retries == 1
+        assert sampler.read_skips == 0
+        assert sampler.proclist.quarantine_history == {proc.pid: 1}
+        sampler.close()
+        assert backend.opened_total == backend.closed_total
 
     def test_exhausted_transient_reads_skip_but_keep_counters(
         self, coarse_machine, endless_workload

@@ -3,8 +3,8 @@
 Covers the frame container, the vectorised expression evaluator
 (bitwise-identical to the scalar walker), the frame-backed Recorder
 (series match a cell-by-cell reference, CSV round trips losslessly
-including NaN cells and non-ASCII command names), batch blocks lifted back
-into frames, and the ``--profile`` breakdown.
+including NaN cells and non-ASCII command names), and the ``--profile``
+breakdown.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.timeseries import MetricSeries
 from repro.core.app import SimHost, TipTop
-from repro.core.batchparse import frames_from_blocks, parse_blocks
 from repro.core.cli import main
 from repro.core.expr import Expression
 from repro.core.frame import SnapshotFrame
@@ -255,29 +254,6 @@ class TestLosslessCsv:
         assert back.comms == ("naïve-προ€ess",)
         assert back.users == ("üser",)
         assert math.isnan(back.metrics["IPC"][0])
-
-    def test_legacy_format_still_parses(self):
-        legacy = (
-            "time,pid,comm,user,cpu_pct,instructions\n"
-            "1.000,42,lbm,alice,99.50,123456\n"
-        )
-        [frame] = Recorder.from_csv(legacy).frames
-        assert frame.pids.tolist() == [42]
-        assert frame.deltas["instructions"].tolist() == [123456.0]
-
-
-class TestFrameRendering:
-    def test_batch_blocks_lift_into_frames(self):
-        with make_app() as app:
-            blocks = app.run_batch(2, write=lambda s: None)
-        frames = frames_from_blocks(parse_blocks("".join(blocks)))
-        assert len(frames) == 2
-        parsed = parse_blocks("".join(blocks))
-        for frame, block in zip(frames, parsed):
-            assert frame.time == block.time
-            assert len(frame) == len(block.rows)
-            assert frame.pids.tolist() == [r.pid for r in block.rows]
-            assert [h for h, _ in frame.columns] == list(block.headers)
 
 
 class TestProfileFlag:

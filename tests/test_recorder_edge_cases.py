@@ -1,5 +1,5 @@
-"""Recorder edge cases: empty recordings, all-quarantined frames, legacy
-CSV, and the chaos HEALTH column's round trip."""
+"""Recorder edge cases: empty recordings, all-quarantined frames, and the
+chaos HEALTH column's round trip."""
 
 from __future__ import annotations
 
@@ -80,33 +80,6 @@ class TestAllTasksQuarantined:
         back = Recorder.from_csv(recorder.to_csv())
         assert len(back.frames) == len(recorder.frames)
         sampler.close()
-
-
-class TestLegacyCsv:
-    LEGACY = (
-        "time,pid,comm,user,cpu_pct,instructions\n"
-        "5.0,100,vim,alice,12.5,1000000.0\n"
-        "5.0,101,cc1,bob,99.0,2000000.0\n"
-        "10.0,100,vim,alice,10.0,1500000.0\n"
-    )
-
-    def test_legacy_six_column_csv_parses(self):
-        recorder = Recorder.from_csv(self.LEGACY)
-        assert recorder.pids() == [100, 101]
-        assert len(recorder.frames) == 2  # grouped by timestamp
-        first, second = recorder.frames
-        assert (first.time, second.time) == (5.0, 10.0)
-        assert first.pids.tolist() == [100, 101]
-        assert second.pids.tolist() == [100]
-        assert first.deltas["instructions"].tolist() == [1000000.0, 2000000.0]
-        assert first.users == ("alice", "bob")
-        assert recorder.total_delta(100, "instructions") == 2500000.0
-
-    def test_legacy_csv_re_serialises(self):
-        recorder = Recorder.from_csv(self.LEGACY)
-        back = Recorder.from_csv(recorder.to_csv())
-        assert back.pids() == recorder.pids()
-        assert back.total_delta(101, "instructions") == 2000000.0
 
 
 class TestHealthColumnRoundTrip:

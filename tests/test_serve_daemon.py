@@ -253,16 +253,6 @@ def test_duplicate_client_id_second_connection_rejected():
     assert error is not None and "already subscribed" in error
 
 
-def test_module_smoke_gate(capsys):
-    """The CI smoke entry point (python -m repro.serve --smoke), run
-    in-process: 3 clients, digest-equal to the solo run, exit 0."""
-    from repro.serve.__main__ import main as serve_main
-
-    assert serve_main(["--smoke", "--delay", "0.5", "--iterations", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "serve smoke: OK 3 clients x 2 frames" in out
-
-
 # -- CLI wiring ---------------------------------------------------------------
 
 def test_cli_serve_requires_sim(capsys):

@@ -27,7 +27,7 @@ from repro.core.options import Options
 from repro.core.sampler import Sampler
 from repro.core.screen import get_screen
 from repro.errors import ResumeGapError, SessionError, WireSequenceError
-from repro.serve.client import ServeClient, collect
+from repro.serve.client import collect
 from repro.serve.daemon import CollectorDaemon
 from repro.serve.protocol import frame_digest
 from repro.sim.netchaos import NetChaosPlan, NetFaultSpec
@@ -280,13 +280,3 @@ def test_steady_client_is_never_disturbed_by_anothers_cuts():
     assert chaotic[1].reconnects >= 2
     assert steady[1].reconnects == 0
 
-
-def test_partition_smoke_gate(capsys):
-    """The CI gate (python -m repro.serve --partition-smoke) run
-    in-process: cut clients reconnect, streams stay bitwise-equal."""
-    from repro.serve.__main__ import main as serve_main
-
-    assert serve_main(["--partition-smoke", "--delay", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "partition smoke: OK" in out
-    assert "bitwise-equal" in out

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.verify import check, execute
+from repro.verify.runner import run_served
 from repro.verify.scenario import Scenario
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -60,3 +61,19 @@ def test_corpus_covers_both_kinds():
 def test_corpus_covers_chaos_and_quiet():
     chaotic = [Scenario.from_json(p.read_text()).chaotic for p in CORPUS]
     assert any(chaotic) and not all(chaotic)
+
+
+def test_net_chaos_serve_schedule_fires():
+    """The served-stream and net-partition-recovery oracles pass
+    vacuously on a schedule that cuts nothing. The corpus's net-chaos
+    serve scenario must cut at least one link and leave at least one
+    subscriber uncut, so both a resumed and a straight stream are
+    checked."""
+    scenarios = [Scenario.from_json(p.read_text()) for p in CORPUS]
+    served = [s for s in scenarios if s.serve and s.net_chaotic]
+    assert served
+    for scenario in served:
+        result = run_served(scenario)
+        assert result["net_cuts"] >= 1
+        reconnects = [c["reconnects"] for c in result["clients"].values()]
+        assert any(reconnects) and not all(reconnects), reconnects
