@@ -64,8 +64,9 @@ def main() -> None:
     )
     print(f"tiptop -b on {busiest}:")
     node = grid.node(busiest)
+    blocks: list[str] = []
     with TipTop(SimHost(node), Options(delay=5.0)) as app:
-        blocks = app.run_batch(2, write=lambda s: None)
+        app.run_batch(2, write=blocks.append)
     print(blocks[-1])
 
     # The awk side: parse the stream and pull one pid's IPC series.

@@ -190,53 +190,59 @@ class TipTop:
         self,
         iterations: int,
         write: Callable[[str], object] | None = None,
-    ) -> list[str]:
+    ) -> int:
         """Batch mode: stream one text block per interval (like ``top -b``).
+
+        Blocks are handed to ``write`` and not kept, so a long run holds
+        one block at a time.
 
         Args:
             iterations: number of intervals.
             write: sink for each block (default: stdout).
 
         Returns:
-            The emitted blocks.
+            The number of blocks written.
         """
         sink = write or (lambda s: sys.stdout.write(s + "\n"))
-        blocks: list[str] = []
+        written = 0
         for i, snapshot in enumerate(self.snapshots(iterations)):
             if i == 0:
                 continue
             t0 = time.perf_counter()
             block = formatter.render_batch(self.screen, snapshot)
             self._emit_profile(time.perf_counter() - t0)
-            blocks.append(block)
             sink(block)
-        return blocks
+            written += 1
+        return written
 
     def run_live(
         self,
         iterations: int,
         paint: Callable[[str], object] | None = None,
-    ) -> list[str]:
+    ) -> int:
         """Live mode: repaint a full frame each interval.
 
         Without a real terminal the frames go to ``paint`` (default: stdout
-        preceded by an ANSI clear), and are returned for inspection.
+        preceded by an ANSI clear); none are kept.
+
+        Returns:
+            The number of frames painted.
         """
         def default_paint(frame: str) -> None:
             sys.stdout.write("\x1b[H\x1b[2J" + frame + "\n")
             sys.stdout.flush()
 
         sink = paint or default_paint
-        frames: list[str] = []
+        painted = 0
         for i, snapshot in enumerate(self.snapshots(iterations)):
             if i == 0:
                 continue
             t0 = time.perf_counter()
             frame = formatter.render_frame(self.screen, snapshot)
             self._emit_profile(time.perf_counter() - t0)
-            frames.append(frame)
             sink(frame)
-        return frames
+            painted += 1
+        return painted
 
     def close(self) -> None:
         """Detach all counters."""

@@ -10,7 +10,7 @@ screen is a tuple of them, buildable from a plain dict
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.expr import Expression
@@ -31,15 +31,10 @@ class ColumnKind(enum.Enum):
     HEALTH = "health"
 
 
-def _fmt_fixed(decimals: int):
-    def fmt(value: object) -> str:
-        if isinstance(value, float) and math.isnan(value):
-            return "-"
-        if isinstance(value, (int, float)):
-            return f"{value:.{decimals}f}"
-        return str(value)
-
-    return fmt
+#: Kinds whose cells show their values as text, as they are.
+_TEXT_KINDS = frozenset({ColumnKind.USER, ColumnKind.COMMAND, ColumnKind.HEALTH})
+#: Kinds whose cells show integers.
+_INT_KINDS = frozenset({ColumnKind.PID, ColumnKind.PROCESSOR})
 
 
 @dataclass(frozen=True)
@@ -80,20 +75,27 @@ class Column:
             )
 
     def to_format(self) -> ColumnFormat:
-        """Rendering spec for the table layer."""
-        if self.kind in (ColumnKind.USER, ColumnKind.COMMAND, ColumnKind.HEALTH):
-            render = str
-        elif self.kind is ColumnKind.PID or self.kind is ColumnKind.PROCESSOR:
-            render = lambda v: str(int(v))  # noqa: E731
-        else:
-            render = _fmt_fixed(self.decimals)
+        """Layout spec for the table layer."""
         return ColumnFormat(
             header=self.header,
             width=self.width,
             align=self.align,
             truncate=self.truncate,
-            render=render,
         )
+
+    def format_values(self, values: Sequence) -> list[str]:
+        """This column's cell texts, one comprehension for the column.
+
+        USER, COMMAND and HEALTH show text as it is; PID and P show ints;
+        every other kind shows ``decimals`` fixed decimals, with ``"-"``
+        for NaN.
+        """
+        if self.kind in _TEXT_KINDS:
+            return list(map(str, values))
+        if self.kind in _INT_KINDS:
+            return [str(int(v)) for v in values]
+        fixed = f"{{:.{self.decimals}f}}".format
+        return ["-" if v != v else fixed(v) for v in values]
 
     def variables(self) -> frozenset[str]:
         """Identifiers this column's expression references (empty if intrinsic)."""

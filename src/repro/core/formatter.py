@@ -5,13 +5,15 @@ the original; a plain string frame here, which is also what the tests
 assert against), batch mode appends snapshot blocks to a stream "convenient
 for further processing" with sed/awk-style tools.
 
-The renderers pull table cells column-wise from the snapshot's
-:class:`~repro.core.frame.SnapshotFrame` (one ``tolist`` per column).
+The renderers work column by column: each screen column's cells come from
+one field of the snapshot's :class:`~repro.core.frame.SnapshotFrame` (one
+``tolist``), are formatted in one comprehension and fitted to the column's
+width in one more, and the rows are joined from the fitted columns.
 """
 
 from __future__ import annotations
 
-from repro.core.columns import ColumnKind
+from repro.core.columns import Column, ColumnKind
 from repro.core.frame import SnapshotFrame
 from repro.core.sampler import Snapshot
 from repro.core.screen import Screen
@@ -19,34 +21,35 @@ from repro.util.tabulate import render_table
 from repro.util.units import format_seconds
 
 
-def _frame_columns(screen: Screen, frame: SnapshotFrame) -> list[list]:
-    """One Python list per screen column, in row order."""
-    columns: list[list] = []
-    for c in screen.columns:
-        if c.kind is ColumnKind.PID:
-            columns.append(frame.pids.tolist())
-        elif c.kind is ColumnKind.USER:
-            columns.append(list(frame.users))
-        elif c.kind is ColumnKind.CPU_PCT:
-            columns.append(frame.cpu_pct.tolist())
-        elif c.kind is ColumnKind.TIME:
-            columns.append(frame.cpu_time.tolist())
-        elif c.kind is ColumnKind.COMMAND:
-            columns.append(list(frame.comms))
-        elif c.kind is ColumnKind.PROCESSOR:
-            columns.append(frame.processors.tolist())
-        elif c.header in frame.metrics:
-            columns.append(frame.metrics[c.header].tolist())
-        else:
-            columns.append(list(frame.labels.get(c.header, [""] * len(frame))))
-    return columns
+def _column_texts(column: Column, frame: SnapshotFrame) -> list[str]:
+    """One screen column's cell texts, in row order."""
+    kind = column.kind
+    if kind is ColumnKind.PID:
+        values = frame.pids.tolist()
+    elif kind is ColumnKind.USER:
+        values = frame.users
+    elif kind is ColumnKind.CPU_PCT:
+        values = frame.cpu_pct.tolist()
+    elif kind is ColumnKind.TIME:
+        values = frame.cpu_time.tolist()
+    elif kind is ColumnKind.COMMAND:
+        values = frame.comms
+    elif kind is ColumnKind.PROCESSOR:
+        values = frame.processors.tolist()
+    elif column.header in frame.metrics:
+        values = frame.metrics[column.header].tolist()
+    else:
+        # Label columns (HEALTH) carry strings, shown as they are.
+        return list(frame.labels.get(column.header, ("",) * len(frame)))
+    return column.format_values(values)
 
 
 def render_frame_table(screen: Screen, frame: SnapshotFrame) -> str:
     """The column table for a frame (header included)."""
-    formats = [c.to_format() for c in screen.columns]
-    data = [list(cells) for cells in zip(*_frame_columns(screen, frame))]
-    return render_table(formats, data)
+    return render_table(
+        [c.to_format() for c in screen.columns],
+        [_column_texts(c, frame) for c in screen.columns],
+    )
 
 
 def render_frame(

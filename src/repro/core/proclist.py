@@ -8,15 +8,19 @@ attach/read error paths follow an explicit lifecycle policy:
 * **Permission denials** (other users' processes under an unprivileged
   monitor) are remembered so they are not retried on every refresh.
 * **Transient errors** (EINTR/EAGAIN/corrupt reads) get up to
-  :data:`RETRY_LIMIT` immediate retries (:func:`retry_transient`, the
-  one rule both attach and read follow); only exhaustion counts as an
-  attach failure, and the task is retried at the next refresh.
+  :data:`~repro.perf.counter.RETRY_LIMIT` immediate retries
+  (:func:`~repro.perf.counter.retry_transient`, the one rule both attach
+  and read follow); only exhaustion counts as an attach failure, and the
+  task is retried at the next refresh.
 * **Per-task failures** (stale handles, ESRCH mid-read) *quarantine* the
   task: its counters are closed at once (no fd leaks), and reattach is
   attempted after an exponentially growing number of refreshes. A task
   that comes back is marked ``reattached`` for one interval. The episode
   count survives reattach (a flapping task keeps escalating) until the
   task completes a clean interval.
+
+Each tracked task owns one row of :attr:`ProcessList.baselines`, its
+counters' delta baselines, from attach until its group is closed.
 
 The per-task ``health`` value ("ok", "retry", "reattached") feeds the
 HEALTH screen column under ``--chaos``; :meth:`ProcessList.health_report`
@@ -25,61 +29,36 @@ adds the quarantined set for programmatic consumers.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from repro.core.options import Options
-from repro.errors import PerfError, PerfPermissionError, TransientPerfError
-from repro.perf.counter import Backend, CounterGroup
+from repro.errors import PerfError, PerfPermissionError
+from repro.perf.counter import (
+    Backend,
+    BaselineTable,
+    CounterGroup,
+    retry_transient,
+)
 from repro.perf.events import EventSpec
 from repro.procfs.model import ProcessInfo
 
 #: Cap on the quarantine backoff, in refreshes (2**(failures-1), clamped).
 MAX_QUARANTINE_REFRESHES = 8
 
-#: Extra attempts after a transient perf error (EINTR/EAGAIN/corrupt
-#: read) before an attach or a read is given up for the refresh.
-RETRY_LIMIT = 2
-
-T = TypeVar("T")
-
-
-def retry_transient(op: Callable[[], T], on_retry: Callable[[], None]) -> T:
-    """Call ``op``, retrying transient perf errors up to :data:`RETRY_LIMIT`
-    extra times.
-
-    ``on_retry`` runs before each retry, so retries that precede a hard
-    error or exhaustion are counted too. Retries are immediate.
-
-    Raises:
-        TransientPerfError: the last transient error, once the budget is
-            spent.
-        PerfError: any other error, at once.
-    """
-    retries = 0
-    while True:
-        try:
-            return op()
-        except TransientPerfError:
-            if retries == RETRY_LIMIT:
-                raise
-            retries += 1
-            on_retry()
-
-
 @dataclass
 class TrackedTask:
     """One monitored task and its counters.
 
     ``tid`` is the process pid in per-process mode, or an individual thread
-    id in per-thread mode (§2.2). ``health`` is the task's lifecycle state
-    as of its last sampled interval.
+    id in per-thread mode (§2.2). ``row`` is the task's row in the process
+    list's baseline table. ``health`` is the task's lifecycle state as of
+    its last sampled interval.
     """
 
     pid: int
     tid: int
     group: CounterGroup
+    row: int
     last_info: ProcessInfo | None = None
     health: str = "ok"
     reattach_reported: bool = False
@@ -123,6 +102,11 @@ class ProcessList:
     attach_errors: int = 0
     attach_retries: int = 0
     refresh_count: int = 0
+    #: Delta baselines, one row per tracked task and one column per event.
+    baselines: BaselineTable = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.baselines = BaselineTable(len(self.events))
 
     def refresh(
         self, listing: dict[int, ProcessInfo]
@@ -160,7 +144,9 @@ class ProcessList:
             group = self._attach(tid)
             if group is None:
                 continue
-            task = TrackedTask(pid=info.pid, tid=tid, group=group)
+            task = TrackedTask(
+                pid=info.pid, tid=tid, group=group, row=self.baselines.alloc()
+            )
             if entry is not None:
                 del self.quarantined[tid]
                 task.health = "reattached"
@@ -170,8 +156,7 @@ class ProcessList:
         detached: list[int] = []
         for tid in list(self.tracked):
             if tid not in visible:
-                self.tracked[tid].group.close()
-                del self.tracked[tid]
+                self._release(self.tracked.pop(tid))
                 detached.append(tid)
         # A quarantined task that is no longer even listed has exited for
         # good; tids are not recycled, so its entry is dead weight.
@@ -210,6 +195,11 @@ class ProcessList:
     def _count_attach_retry(self) -> None:
         self.attach_retries += 1
 
+    def _release(self, task: TrackedTask) -> None:
+        """Close a task's counters and free its baseline row."""
+        task.group.close()
+        self.baselines.free(task.row)
+
     def quarantine(self, tid: int, reason: str) -> None:
         """Bench a failing task: close its counters now, reattach later.
 
@@ -220,7 +210,7 @@ class ProcessList:
         """
         task = self.tracked.pop(tid, None)
         if task is not None:
-            task.group.close()
+            self._release(task)
         failures = self.quarantine_history.get(tid, 0) + 1
         self.quarantine_history[tid] = failures
         backoff = min(2 ** (failures - 1), MAX_QUARANTINE_REFRESHES)
@@ -249,5 +239,5 @@ class ProcessList:
     def close(self) -> None:
         """Detach everything (shutdown)."""
         for task in self.tracked.values():
-            task.group.close()
+            self._release(task)
         self.tracked.clear()

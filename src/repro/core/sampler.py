@@ -11,12 +11,16 @@ delta arrays (one numpy pass per column) rather than per task.
 :meth:`Sampler.sample` hands the same frame to consumers wrapped in a
 :class:`Snapshot`.
 
-Reads follow the resilience policy of :mod:`repro.core.proclist`: transient
-perf errors are retried under the same rule as attaches
-(:func:`~repro.core.proclist.retry_transient`), hard per-task failures
-quarantine the task (counters closed immediately, reattach after backoff),
-and each task's lifecycle state is published as the HEALTH column when the
-screen carries one (``--chaos`` mode does this automatically).
+A pass reads every tracked task's counters in one
+:func:`~repro.perf.counter.read_groups` call and scales all deltas in one
+step over the process list's baseline table; the frame's delta columns are
+rows of that result. Reads follow the resilience policy of
+:mod:`repro.core.proclist`: transient perf errors are retried under the
+same rule as attaches (:func:`~repro.perf.counter.retry_transient`), hard
+per-task failures quarantine the task (counters closed immediately,
+reattach after backoff), and each task's lifecycle state is published as
+the HEALTH column when the screen carries one (``--chaos`` mode does this
+automatically).
 """
 
 from __future__ import annotations
@@ -31,11 +35,14 @@ from repro.core.columns import ColumnKind
 from repro.core.expr import canonical_name
 from repro.core.frame import SnapshotFrame
 from repro.core.options import Options
-from repro.core.proclist import ProcessList, TrackedTask, retry_transient
+from repro.core.proclist import ProcessList, TrackedTask
 from repro.core.screen import Screen
 from repro.errors import PerfError, TransientPerfError
-from repro.perf.counter import Backend
+from repro.perf.counter import Backend, read_groups
 from repro.procfs.model import ProcessInfo, TaskProvider, cpu_percent
+
+#: The listing columns of a pass that sampled no task.
+_NO_INFOS = ProcessInfo._make(() for _ in ProcessInfo._fields)
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,8 @@ class SampleTiming:
     """Wall-time breakdown of one sampling pass (the ``--profile`` data).
 
     Attributes:
-        read_seconds: reading counters for all tasks.
+        read_seconds: the batched counter read, settling each task's
+            outcome, and scaling the deltas.
         eval_seconds: building the frame and evaluating derived columns.
         refresh_seconds: listing /proc and the process list's
             attach/detach bookkeeping.
@@ -137,25 +145,57 @@ class Sampler:
         refresh_seconds = perf_counter() - t0
 
         t0 = perf_counter()
-        gathered: list[tuple[TrackedTask, ProcessInfo, dict[str, float], float]] = []
-        for task in list(self.proclist.tracked.values()):
-            info = listing.get(task.pid)
-            if info is None and task.last_info is None:
+        # A task missing from the listing exited during the interval: it
+        # still reports its final deltas, unless it was never listed.
+        tasks = [
+            task
+            for task in self.proclist.tracked.values()
+            if task.pid in listing or task.last_info is not None
+        ]
+        reads = read_groups(
+            self.proclist.backend, [task.group.handles for task in tasks]
+        )
+        clean: list[int] = []
+        sampled: list[TrackedTask] = []
+        infos: list[ProcessInfo] = []
+        pcts: list[float] = []
+        outcomes = zip(tasks, reads.errors, reads.retries)
+        for k, (task, error, retries) in enumerate(outcomes):
+            self.read_retries += retries
+            if error is not None:
+                self._read_failed(task, error)
                 continue
-            deltas = self._read_deltas(task)
-            if deltas is None:
-                continue
-            if info is None:
-                # Exited during the interval: final deltas, state X.
-                gathered.append((task, task.last_info, deltas, 0.0))
+            if retries:
+                task.health = "retry"
+            elif task.health == "reattached" and not task.reattach_reported:
+                task.reattach_reported = True
             else:
-                pct = cpu_percent(task.last_info, info, interval, uptime=now)
+                task.health = "ok"
+                # A full clean interval resets the quarantine backoff.
+                self.proclist.note_healthy(task.tid)
+            info = listing.get(task.pid)
+            if info is None:
+                # Exited during the interval: final deltas, last identity.
+                infos.append(task.last_info)
+                pcts.append(0.0)
+            else:
+                pcts.append(cpu_percent(task.last_info, info, interval, uptime=now))
                 task.last_info = info
-                gathered.append((task, info, deltas, pct))
+                infos.append(info)
+            clean.append(k)
+            sampled.append(task)
+        shape = (len(tasks), len(self.events))
+        picked = np.array(clean, dtype=np.intp)
+        deltas = self.proclist.baselines.fold(
+            np.array([task.row for task in sampled], dtype=np.intp),
+            reads.value.reshape(shape)[picked],
+            reads.time_enabled.reshape(shape)[picked],
+            reads.time_running.reshape(shape)[picked],
+        )
         read_seconds = perf_counter() - t0
 
         t0 = perf_counter()
-        frame = self._build_frame(now, interval, gathered)
+        frame = self._build_frame(now, interval, sampled, infos, pcts, deltas)
         frame = frame.take(self._sort_order(frame))
         eval_seconds = perf_counter() - t0
 
@@ -167,62 +207,44 @@ class Sampler:
             read_seconds=read_seconds,
             eval_seconds=eval_seconds,
             refresh_seconds=refresh_seconds,
-            tasks=len(gathered),
+            tasks=len(sampled),
         )
         return frame
 
-    def _read_deltas(self, task: TrackedTask) -> dict[str, float] | None:
-        """Read one task's counter group under the lifecycle policy.
+    def _read_failed(self, task: TrackedTask, error: PerfError) -> None:
+        """Settle a task whose counter read failed once retries were spent.
 
-        Transient errors (EINTR/EAGAIN/corrupt reads) are retried under
-        :func:`~repro.core.proclist.retry_transient`; exhaustion skips the
-        task's row for this interval but keeps its counters attached
-        (health "retrying"). Hard errors — stale handles, a target that
-        the kernel says is gone — quarantine the task: counters are
-        closed immediately and reattach happens after a backoff, so a
-        failing task can never wedge the sampling loop or leak fds.
+        Transient errors (EINTR/EAGAIN/corrupt reads) skip the task's row
+        for this interval but keep its counters attached (health
+        "retrying"). Hard errors — stale handles, a target that the
+        kernel says is gone — quarantine the task: counters are closed
+        immediately and reattach happens after a backoff, so a failing
+        task can never wedge the sampling loop or leak fds.
         """
-        retries = self.read_retries
-        try:
-            deltas = retry_transient(task.group.read_deltas, self._count_read_retry)
-        except TransientPerfError:
+        if isinstance(error, TransientPerfError):
             task.health = "retrying"
             self.read_skips += 1
-            return None
-        except PerfError as exc:
-            self.proclist.quarantine(task.tid, type(exc).__name__)
-            return None
-        if self.read_retries != retries:
-            task.health = "retry"
-        elif task.health == "reattached" and not task.reattach_reported:
-            task.reattach_reported = True
         else:
-            task.health = "ok"
-            # A full clean interval resets the quarantine backoff.
-            self.proclist.note_healthy(task.tid)
-        return deltas
-
-    def _count_read_retry(self) -> None:
-        self.read_retries += 1
+            self.proclist.quarantine(task.tid, type(error).__name__)
 
     def _build_frame(
         self,
         now: float,
         interval: float,
-        gathered: list[tuple[TrackedTask, ProcessInfo, dict[str, float], float]],
+        sampled: list[TrackedTask],
+        infos: list[ProcessInfo],
+        pcts: list[float],
+        deltas: np.ndarray,
     ) -> SnapshotFrame:
-        n = len(gathered)
+        n = len(sampled)
         # Every tracked group opens ``self.events``; a frame with no rows
         # carries no delta columns.
-        delta_cols = {
-            event.name: np.fromiter(
-                (deltas[event.name] for _, _, deltas, _ in gathered),
-                dtype=float,
-                count=n,
-            )
-            for event in (self.events if n else ())
-        }
-        cpu_pct = np.fromiter((pct for *_, pct in gathered), dtype=float, count=n)
+        delta_cols = (
+            {event.name: row for event, row in zip(self.events, deltas)}
+            if n
+            else {}
+        )
+        cpu_pct = np.array(pcts, dtype=float)
 
         env: dict[str, np.ndarray | float] = {
             canonical_name(k): v for k, v in delta_cols.items()
@@ -242,35 +264,21 @@ class Sampler:
 
         labels: dict[str, tuple[str, ...]] = {}
         if self._health_header is not None:
-            labels[self._health_header] = tuple(
-                task.health for task, _, _, _ in gathered
-            )
+            labels[self._health_header] = tuple(task.health for task in sampled)
 
+        # One transpose turns the listing records into columns.
+        listed = ProcessInfo._make(zip(*infos)) if infos else _NO_INFOS
         return SnapshotFrame(
             time=now,
             interval=interval,
-            pids=np.fromiter(
-                (info.pid for _, info, _, _ in gathered), dtype=np.int64, count=n
-            ),
-            tids=np.fromiter(
-                (task.tid for task, _, _, _ in gathered), dtype=np.int64, count=n
-            ),
-            uids=np.fromiter(
-                (info.uid for _, info, _, _ in gathered), dtype=np.int64, count=n
-            ),
-            users=tuple(info.user for _, info, _, _ in gathered),
-            comms=tuple(info.comm for _, info, _, _ in gathered),
+            pids=np.array(listed.pid, dtype=np.int64),
+            tids=np.array([task.tid for task in sampled], dtype=np.int64),
+            uids=np.array(listed.uid, dtype=np.int64),
+            users=listed.user,
+            comms=listed.comm,
             cpu_pct=cpu_pct,
-            cpu_time=np.fromiter(
-                (info.cpu_seconds for _, info, _, _ in gathered),
-                dtype=float,
-                count=n,
-            ),
-            processors=np.fromiter(
-                (info.processor for _, info, _, _ in gathered),
-                dtype=np.int64,
-                count=n,
-            ),
+            cpu_time=np.array(listed.cpu_seconds, dtype=float),
+            processors=np.array(listed.processor, dtype=np.int64),
             deltas=delta_cols,
             metrics=metrics,
             labels=labels,

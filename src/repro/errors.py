@@ -44,7 +44,7 @@ class TransientPerfError(PerfError):
     invalidate the counter or its target — the same call may well succeed
     if reissued. Consumers (:class:`~repro.core.sampler.Sampler`,
     :class:`~repro.core.proclist.ProcessList`) retry these a bounded
-    number of times (:func:`~repro.core.proclist.retry_transient`)
+    number of times (:func:`~repro.perf.counter.retry_transient`)
     instead of dropping the task.
     """
 

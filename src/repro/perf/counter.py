@@ -6,15 +6,54 @@ of events since the last refresh (§2.3), scaling by
 ``time_enabled / time_running`` when the kernel multiplexed the counter off
 the PMU part of the time. :class:`CounterGroup` bundles the counters of one
 task (one per event of interest) behind a single ``read_deltas`` call.
+
+A sampling pass reads every tracked task at once: :func:`read_groups`
+takes one handle list per task and makes one batched backend call when the
+backend offers one (the analogue of PERF_FORMAT_GROUP, where one
+``read(2)`` returns a whole group), and :class:`BaselineTable` keeps the
+delta baselines of all tasks in arrays, so the pass scales every delta in
+one numpy step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, TypeVar
 
-from repro.errors import CounterStateError, PerfError
+import numpy as np
+
+from repro.errors import CounterStateError, PerfError, TransientPerfError
 from repro.perf.events import EventSpec
+
+#: Extra attempts after a transient perf error (EINTR/EAGAIN/corrupt
+#: read) before an attach or a read is given up for the refresh.
+RETRY_LIMIT = 2
+
+T = TypeVar("T")
+
+
+def retry_transient(op: Callable[[], T], on_retry: Callable[[], None]) -> T:
+    """Call ``op``, retrying transient perf errors up to :data:`RETRY_LIMIT`
+    extra times.
+
+    ``on_retry`` runs before each retry, so retries that precede a hard
+    error or exhaustion are counted too. Retries are immediate.
+
+    Raises:
+        TransientPerfError: the last transient error, once the budget is
+            spent.
+        PerfError: any other error, at once.
+    """
+    retries = 0
+    while True:
+        try:
+            return op()
+        except TransientPerfError:
+            if retries == RETRY_LIMIT:
+                raise
+            retries += 1
+            on_retry()
 
 
 @dataclass(frozen=True)
@@ -30,6 +69,9 @@ class Backend(Protocol):
     """The kernel-facing surface both backends implement.
 
     Handles are opaque integers (file descriptors for the real kernel).
+    A backend may also offer ``read_groups(groups) -> GroupReads``, one
+    call for a whole sampling pass; :func:`read_groups` falls back to
+    per-handle :meth:`read` calls for a backend without it.
     """
 
     def open(
@@ -128,8 +170,8 @@ class Counter:
         return self._delta_from(self.read())
 
     def _delta_from(self, now: Reading) -> float:
-        """Fold one raw reading into the delta baseline (shared by the
-        per-counter and batched read paths)."""
+        """Fold one raw reading into the delta baseline
+        (:meth:`BaselineTable.fold` is the same rule over arrays)."""
         d_value = now.value - self._last.value
         d_enabled = now.time_enabled - self._last.time_enabled
         d_running = now.time_running - self._last.time_running
@@ -201,34 +243,23 @@ class CounterGroup:
             # either exists fully or not at all.
             self.close()
             raise
+        #: The group's handles in event order, as :func:`read_groups`
+        #: takes them (stale once the group is closed).
+        self.handles = tuple(c._require_handle() for c in self.counters)
 
     def read_deltas(self) -> dict[str, float]:
         """Scaled deltas for every event, keyed by event name.
 
-        Uses the backend's batched ``read_many`` when it offers one (the
-        sim backend does), reading the whole group in a single call; the
-        per-event delta math is the same either way.
-
-        Both paths are two-phase: every counter is read *before* any
-        delta baseline moves. A read that fails mid-group (EINTR on
-        counter k of n) therefore leaves all n baselines untouched, and a
-        retry of the whole group reproduces exactly what a batched read
-        would have returned — previously the sequential path folded
-        baselines as it went, so counters before the faulting one
-        silently lost their interval on retry.
+        Two-phase: every counter is read *before* any delta baseline
+        moves. A read that fails mid-group (EINTR on counter k of n)
+        therefore leaves all n baselines untouched, and a retry of the
+        whole group reports the full interval for every counter.
         """
-        if self.counters:
-            read_many = getattr(self.counters[0].backend, "read_many", None)
-            if read_many is not None:
-                handles = [c._require_handle() for c in self.counters]
-                readings = read_many(handles)
-            else:
-                readings = [c.read() for c in self.counters]
-            return {
-                c.event.name: c._delta_from(r)
-                for c, r in zip(self.counters, readings)
-            }
-        return {}
+        readings = [c.read() for c in self.counters]
+        return {
+            c.event.name: c._delta_from(r)
+            for c, r in zip(self.counters, readings)
+        }
 
     def enable(self) -> None:
         """Arm every counter."""
@@ -259,3 +290,152 @@ class CounterGroup:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+@dataclass(frozen=True)
+class GroupReads:
+    """One sampling pass's counter reads (what :func:`read_groups` returns).
+
+    Attributes:
+        value: raw counter values, int64, one entry per handle with the
+            groups concatenated in order (zero for a failed group).
+        time_enabled: the kernel's enabled clock per handle, float64.
+        time_running: the kernel's running clock per handle, float64.
+        errors: per group, the error that failed its read once retries
+            were spent, or None.
+        retries: per group, the transient retries it used.
+    """
+
+    value: np.ndarray
+    time_enabled: np.ndarray
+    time_running: np.ndarray
+    errors: list[PerfError | None]
+    retries: list[int]
+
+
+def read_groups(backend: Backend, groups: Sequence[Sequence[int]]) -> GroupReads:
+    """Read a whole pass: one handle list per task, in one backend call
+    when the backend offers ``read_groups``, else one :meth:`Backend.read`
+    per handle (:func:`read_each_group`).
+
+    Either way each group's read succeeds whole or fails alone, and a
+    batched backend answers bit for bit what its per-handle reads would.
+    """
+    batched = getattr(backend, "read_groups", None)
+    if batched is not None:
+        return batched(groups)
+    return read_each_group(
+        lambda handles: [backend.read(h) for h in handles], groups
+    )
+
+
+def read_each_group(
+    read_group: Callable[[Sequence[int]], list[Reading]],
+    groups: Sequence[Sequence[int]],
+) -> GroupReads:
+    """A pass as one ``read_group`` call per group, each under
+    :func:`retry_transient`.
+
+    A fault fails only its own group, and a group's retries happen in
+    place, before the next group's first read.
+    """
+    n = sum(map(len, groups))
+    value = np.zeros(n, dtype=np.int64)
+    enabled = np.zeros(n)
+    running = np.zeros(n)
+    errors: list[PerfError | None] = []
+    retries: list[int] = []
+    start = 0
+    for handles in groups:
+        spent: list[None] = []
+        try:
+            readings = retry_transient(
+                lambda: read_group(handles), lambda: spent.append(None)
+            )
+        except PerfError as exc:
+            errors.append(exc)
+        else:
+            errors.append(None)
+            stop = start + len(handles)
+            value[start:stop] = [r.value for r in readings]
+            enabled[start:stop] = [r.time_enabled for r in readings]
+            running[start:stop] = [r.time_running for r in readings]
+        retries.append(len(spent))
+        start += len(handles)
+    return GroupReads(value, enabled, running, errors, retries)
+
+
+class BaselineTable:
+    """Delta baselines of many counter groups: one row per group, one
+    column per event.
+
+    The array form of :meth:`Counter._delta_from`. :meth:`fold` scales a
+    whole pass's readings against their rows in one numpy step, bit for
+    bit what the per-counter rule computes, and moves those rows to the
+    new readings. A fresh row starts from the zero reading, as a fresh
+    :class:`Counter` does, and freed rows are recycled, so :attr:`size`
+    never exceeds the most rows held at once.
+
+    Args:
+        width: events per group.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        #: Rows handed out so far (free ones included).
+        self.size = 0
+        self.value = np.zeros((1, width), dtype=np.int64)
+        self.time_enabled = np.zeros((1, width))
+        self.time_running = np.zeros((1, width))
+        self._free: list[int] = []
+
+    def alloc(self) -> int:
+        """A zeroed row for a newly opened group."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self.size
+            self.size += 1
+            if row == len(self.value):
+                for name in ("value", "time_enabled", "time_running"):
+                    old = getattr(self, name)
+                    setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+        self.value[row] = 0
+        self.time_enabled[row] = 0.0
+        self.time_running[row] = 0.0
+        return row
+
+    def free(self, row: int) -> None:
+        """Return a closed group's row for reuse."""
+        self._free.append(row)
+
+    def fold(
+        self,
+        rows: np.ndarray,
+        value: np.ndarray,
+        time_enabled: np.ndarray,
+        time_running: np.ndarray,
+    ) -> np.ndarray:
+        """Scaled deltas of ``rows`` since their baselines; the baselines
+        move to the new readings.
+
+        Args:
+            rows: one table row per group read.
+            value, time_enabled, time_running: the new readings, shaped
+                ``(len(rows), width)``.
+
+        Returns:
+            Event-major ``(width, len(rows))`` deltas: Δvalue·(Δte/Δtr),
+            and 0.0 where the counter never ran (Δtr <= 0).
+        """
+        d_value = value - self.value[rows]
+        d_enabled = time_enabled - self.time_enabled[rows]
+        d_running = time_running - self.time_running[rows]
+        self.value[rows] = value
+        self.time_enabled[rows] = time_enabled
+        self.time_running[rows] = time_running
+        with np.errstate(all="ignore"):
+            scaled = np.where(
+                d_running > 0, d_value * (d_enabled / d_running), 0.0
+            )
+        return np.ascontiguousarray(scaled.T)

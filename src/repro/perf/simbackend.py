@@ -15,6 +15,8 @@ counter table. Kernel behaviours modelled:
   per-thread kernel counters and sums them.
 * **Multiplexing**: handled by the machine's counter table; ``read``
   returns ``time_enabled``/``time_running`` so user space can scale.
+* **Batched reads**: :meth:`SimBackend.read_groups` serves a whole
+  sampling pass as one gather over the counter table's columns.
 * **Faults**: an optional :class:`~repro.perf.faults.FaultPlan` injects
   seeded failures (ESRCH, EMFILE, EINTR, EAGAIN, corrupt reads,
   multiplex starvation) into open/enable/read/close — the misbehaving
@@ -24,15 +26,19 @@ counter table. Kernel behaviours modelled:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import (
     CounterStateError,
     EventError,
     NoSuchTaskError,
     PerfPermissionError,
+    SimulationError,
 )
-from repro.perf.counter import Reading
+from repro.perf.counter import GroupReads, Reading, read_each_group
 from repro.perf.events import EventSpec
 from repro.perf.faults import FaultPlan
 from repro.sim.counters import KernelCounter
@@ -75,6 +81,9 @@ class SimBackend:
         self.monitor_uid = monitor_uid
         self.faults = faults
         self._handles: dict[int, _Handle] = {}
+        #: Column slots of each open handle's kernel counters, fixed until
+        #: close (what :meth:`read_groups` gathers).
+        self._slots: dict[int, tuple[int, ...]] = {}
         self._ids = itertools.count(100)
         #: lifetime open/close tally, for leak accounting in tests.
         self.opened_total = 0
@@ -82,22 +91,24 @@ class SimBackend:
 
     # -- helpers ---------------------------------------------------------
     def _target_tids(self, tid: int, inherit: bool) -> list[int]:
-        # A tid may name a process leader or an individual thread.
-        for proc in self.machine.processes.values():
-            if proc.pid == tid:
-                self._check_permission(proc.uid)
-                if not proc.alive:
-                    raise NoSuchTaskError(f"task {tid} has exited")
-                if inherit:
-                    return [t.tid for t in proc.threads if t.alive]
-                return [proc.threads[0].tid]
-            for t in proc.threads:
-                if t.tid == tid:
-                    self._check_permission(proc.uid)
-                    if not t.alive:
-                        raise NoSuchTaskError(f"task {tid} has exited")
-                    return [tid]
-        raise NoSuchTaskError(f"no such task {tid}")
+        # A tid names a process leader or one of its threads; permission
+        # is checked before liveness on both paths.
+        proc = self.machine.processes.get(tid)
+        if proc is not None:
+            self._check_permission(proc.uid)
+            if not proc.alive:
+                raise NoSuchTaskError(f"task {tid} has exited")
+            if inherit:
+                return [t.tid for t in proc.threads if t.alive]
+            return [proc.threads[0].tid]
+        try:
+            thread = self.machine.thread(tid)
+        except SimulationError:
+            raise NoSuchTaskError(f"no such task {tid}") from None
+        self._check_permission(thread.process.uid)
+        if not thread.alive:
+            raise NoSuchTaskError(f"task {tid} has exited")
+        return [tid]
 
     def _check_permission(self, owner_uid: int) -> None:
         if self.monitor_uid != ROOT_UID and self.monitor_uid != owner_uid:
@@ -161,6 +172,7 @@ class SimBackend:
             raise
         handle = next(self._ids)
         self._handles[handle] = _Handle(handle, tid, kcs)
+        self._slots[handle] = tuple(kc.slot for kc in kcs)
         self.opened_total += 1
         return handle
 
@@ -191,21 +203,59 @@ class SimBackend:
 
     def read(self, handle: int) -> Reading:
         """Sum the per-thread kernel counters behind this handle."""
-        h = self._get(handle)
-        if self._inject("read", h.tid) == "starve":
-            return self._starved_reading(h)
-        return self._read_handle(h)
+        return self._read_group([handle])[0]
 
-    def read_many(self, handles: list[int]) -> list[Reading]:
-        """Batched :meth:`read`: one Reading per handle, in order.
+    def read_groups(self, groups: Sequence[Sequence[int]]) -> GroupReads:
+        """A whole sampling pass, one handle list per task (see
+        :func:`repro.perf.counter.read_groups`).
 
-        One call per counter group (one task) instead of one per
-        counter — the syscall-batching analogue of perf's group reads. Results are
-        exactly what per-handle ``read`` calls would return, including any
-        injected faults: each handle consults the fault plan exactly as an
-        individual ``read`` would, and an injected error aborts the whole
-        batch before any delta baseline moves.
+        Without a fault plan the pass is one gather over the counter
+        table's columns, with the arithmetic of
+        :meth:`CounterTable.read_group`: each kernel counter truncates to
+        an int before an inherit handle sums its threads, and the clocks
+        are the per-handle maximum, floored at 0.0. No read can starve
+        without a plan, so this path records no ``last_reading``.
+
+        With a plan, each group is one :meth:`_read_group` under the retry
+        rule: every handle consults the plan in order, and a task's
+        retries happen before the next task's first read. A stale handle
+        fails only its own group, either way.
         """
+        if self.faults is not None:
+            return read_each_group(self._read_group, groups)
+        handles = list(itertools.chain.from_iterable(groups))
+        try:
+            slots = list(map(self._slots.__getitem__, handles))
+        except KeyError:
+            # A stale handle: let the per-group path fail just its group.
+            return read_each_group(self._read_group, groups)
+        total = sum(map(len, slots))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(slots), dtype=np.intp, count=total
+        )
+        columns = self.machine.counters.columns
+        value = columns.value[flat].astype(np.int64)
+        enabled = columns.time_enabled[flat]
+        running = columns.time_running[flat]
+        if total != len(handles):
+            # Inherit handles fan out over threads (always >= 1 each).
+            counts = np.fromiter(map(len, slots), dtype=np.intp, count=len(slots))
+            starts = np.cumsum(counts) - counts
+            value = np.add.reduceat(value, starts)
+            enabled = np.maximum.reduceat(enabled, starts)
+            running = np.maximum.reduceat(running, starts)
+        return GroupReads(
+            value,
+            np.maximum(enabled, 0.0),
+            np.maximum(running, 0.0),
+            [None] * len(groups),
+            [0] * len(groups),
+        )
+
+    def _read_group(self, handles: Sequence[int]) -> list[Reading]:
+        """One attempt at one group under the fault plan: every handle is
+        resolved first, then each consults the plan and reads (or starves)
+        in order; an injected error aborts the group."""
         resolved = [self._get(handle) for handle in handles]
         readings: list[Reading] = []
         for h in resolved:
@@ -249,6 +299,7 @@ class SimBackend:
                 self.machine.counters.close(kc.counter_id)
         h.closed = True
         del self._handles[handle]
+        del self._slots[handle]
         self.closed_total += 1
         self._inject("close", h.tid)
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 
-@dataclass(frozen=True)
-class ProcessInfo:
+class ProcessInfo(NamedTuple):
     """What tiptop needs to know about one task from /proc.
+
+    A named tuple: cheap to build once per process per listing, and a
+    list of them transposes into columns with one ``zip``.
 
     Attributes:
         pid: process id.

@@ -152,6 +152,11 @@ class KernelCounter:
             cols.version += 1
 
     @property
+    def slot(self) -> int:
+        """This counter's index in the table's columns (fixed until close)."""
+        return self._slot
+
+    @property
     def sampling(self) -> bool:
         """True when the counter runs in sampling mode."""
         return self.sample_period is not None

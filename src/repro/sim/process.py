@@ -138,13 +138,15 @@ class SimProcess:
 
     @property
     def state(self) -> TaskState:
-        """Aggregate state: runnable if any thread is."""
-        states = {t.state for t in self.threads}
-        if TaskState.RUNNABLE in states:
-            return TaskState.RUNNABLE
-        if TaskState.SLEEPING in states:
-            return TaskState.SLEEPING
-        return TaskState.DEAD
+        """Aggregate state: runnable if any thread is, else sleeping if any
+        thread is, else dead."""
+        state = TaskState.DEAD
+        for t in self.threads:
+            if t.state is TaskState.RUNNABLE:
+                return TaskState.RUNNABLE
+            if t.state is TaskState.SLEEPING:
+                state = TaskState.SLEEPING
+        return state
 
     @property
     def retired(self) -> float:

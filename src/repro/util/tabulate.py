@@ -2,15 +2,16 @@
 
 Tiptop has no graphics (§2.1) — output is fixed-width text in the spirit of
 ``top``. This module owns alignment, truncation and header rendering so the
-formatter only decides *what* to show.
+formatter only decides *what* to show. Tables are laid out column by
+column: each column's texts are fitted in one pass, and rows are joined
+from the fitted columns.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 
 class Align(enum.Enum):
@@ -22,7 +23,7 @@ class Align(enum.Enum):
 
 @dataclass(frozen=True)
 class ColumnFormat:
-    """Rendering spec for one table column.
+    """Layout of one table column.
 
     Attributes:
         header: column title as printed.
@@ -31,57 +32,46 @@ class ColumnFormat:
         align: LEFT or RIGHT.
         truncate: hard-cap values at ``width`` characters (used for COMMAND,
             which is the last, left-aligned column in top-like tools).
-        render: callable turning the raw cell value into text.
     """
 
     header: str
     width: int
     align: Align = Align.RIGHT
     truncate: bool = False
-    render: Callable[[Any], str] = field(default=str)
 
-    def format_cell(self, value: Any) -> str:
-        """Render ``value`` into a padded (and possibly truncated) field."""
-        text = self.render(value)
-        if self.truncate and len(text) > self.width:
-            text = text[: self.width]
+    def fit(self, texts: Sequence[str]) -> list[str]:
+        """Truncate (when set) and pad every text of this column."""
+        width = self.width
+        if self.truncate:
+            texts = [text[:width] for text in texts]
         if self.align is Align.LEFT:
-            return text.ljust(self.width)
-        return text.rjust(self.width)
-
-    def format_header(self) -> str:
-        """Render the header cell with the same geometry as data cells."""
-        text = self.header
-        if self.truncate and len(text) > self.width:
-            text = text[: self.width]
-        if self.align is Align.LEFT:
-            return text.ljust(self.width)
-        return text.rjust(self.width)
+            return [text.ljust(width) for text in texts]
+        return [text.rjust(width) for text in texts]
 
 
 def render_table(
     columns: Sequence[ColumnFormat],
-    rows: Sequence[Sequence[Any]],
+    cells: Sequence[Sequence[str]],
     *,
     sep: str = " ",
     header: bool = True,
 ) -> str:
-    """Render ``rows`` under ``columns`` into a newline-joined string.
+    """Render column-major ``cells`` (one list of texts per column) into a
+    newline-joined string, each line stripped of trailing blanks.
 
-    Each row must have exactly one value per column.
+    The header goes through the same fitting as the data cells.
 
     Raises:
-        ValueError: on a row whose arity does not match the column list.
+        ValueError: unless there is one list of texts per column and all
+            lists are equally long.
     """
-    lines: list[str] = []
-    if header:
-        lines.append(sep.join(c.format_header() for c in columns).rstrip())
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(columns)}: {row!r}"
-            )
-        lines.append(
-            sep.join(c.format_cell(v) for c, v in zip(columns, row)).rstrip()
+    if len(cells) != len(columns) or len({len(texts) for texts in cells}) > 1:
+        raise ValueError(
+            f"expected {len(columns)} equally long columns of cells, got "
+            f"lengths {[len(texts) for texts in cells]}"
         )
-    return "\n".join(lines)
+    fitted = [
+        c.fit([c.header, *texts] if header else texts)
+        for c, texts in zip(columns, cells)
+    ]
+    return "\n".join(sep.join(line).rstrip() for line in zip(*fitted))

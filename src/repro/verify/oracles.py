@@ -244,8 +244,8 @@ def _served_stream(ex: Execution) -> list[Violation]:
 
 @oracle("read-agreement")
 def _read_agreement(ex: Execution) -> list[Violation]:
-    """Batched ``read_many`` vs per-handle ``read`` must agree exactly,
-    including under injected mid-batch faults."""
+    """The batched ``read_groups`` pass vs per-handle ``read`` calls must
+    agree exactly, including under injected mid-group faults."""
     if ex.base is None or ex.sequential is None:
         return []
     return _compare_runs(

@@ -9,8 +9,8 @@ scenario alone (no state crosses runs):
   kernel), batched counter reads.
 * ``reference`` — the clock driven by the scalar tick of
   :mod:`repro.verify.reference`; must be bitwise equal.
-* ``sequential`` — per-handle reads (the backend's ``read_many`` is
-  hidden); must agree with the batched read path.
+* ``sequential`` — per-handle reads (the backend shows only its
+  per-handle methods); must agree with the batched read path.
 * ``replay`` — a second base run; must be byte-identical (determinism).
 
 A **grid** scenario runs the dispatcher once per engine in
@@ -52,14 +52,22 @@ from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
 
 
+#: The per-handle Backend protocol, all a sequential run may see.
+_PER_HANDLE = frozenset({"open", "read", "enable", "disable", "reset", "close"})
+
+
 class _SequentialBackend:
-    """Backend proxy hiding ``read_many``: forces the per-handle path."""
+    """Backend proxy showing only the per-handle protocol.
+
+    Every batched read method, present or future, stays hidden, so each
+    counter is read with its own ``read`` call.
+    """
 
     def __init__(self, inner: SimBackend) -> None:
         self._inner = inner
 
     def __getattr__(self, name: str) -> Any:
-        if name == "read_many":
+        if name not in _PER_HANDLE:
             raise AttributeError(name)
         return getattr(self._inner, name)
 
@@ -225,8 +233,8 @@ def run_tool(
         advance: "kernel" moves the clock with ``run_for``, as the
             monitor's host does; "scalar" with the reference's
             :func:`~repro.verify.reference.run_for`.
-        sequential: hide the backend's ``read_many`` so every counter is
-            read through the per-handle path.
+        sequential: show the sampler only the backend's per-handle
+            methods, so every counter is read with its own ``read``.
     """
     machine = _build_machine(scenario)
     _plan_spawns(scenario, machine)

@@ -59,8 +59,9 @@ def make_host(faults: FaultPlan | None) -> SimHost:
 def test_sweep_seed_completes_without_leaks(seed):
     host = make_host(FaultPlan(seed, default_specs(2.0)))
     options = Options(delay=1.0, batch=True, chaos=seed)
+    blocks: list[str] = []
     with TipTop(host, options) as app:
-        blocks = app.run_batch(4)
+        assert app.run_batch(4, write=blocks.append) == 4
     assert len(blocks) == 4
     backend = host.backend
     assert backend.opened_total == backend.closed_total
@@ -74,7 +75,7 @@ def test_sweep_actually_injects_faults():
     for seed in range(10):
         host = make_host(FaultPlan(seed, default_specs(2.0)))
         with TipTop(host, Options(delay=1.0, batch=True, chaos=seed)) as app:
-            app.run_batch(4)
+            app.run_batch(4, write=lambda s: None)
         fired += host.backend.faults.stats.total_injected()
     assert fired > 0
 
@@ -84,8 +85,10 @@ class TestReplay:
         def run(seed: int) -> list[str]:
             host = make_host(None)  # TipTop seeds the plan from options
             options = Options(delay=1.0, batch=True, chaos=seed)
+            blocks: list[str] = []
             with TipTop(host, options) as app:
-                return app.run_batch(4)
+                app.run_batch(4, write=blocks.append)
+            return blocks
 
         assert run(7) == run(7)
         assert run(7) != run(8)

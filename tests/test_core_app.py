@@ -21,8 +21,9 @@ def busy_host(coarse_machine, endless_workload):
 
 class TestBatchMode:
     def test_blocks_emitted(self, busy_host):
+        blocks: list[str] = []
         with TipTop(busy_host, Options(delay=2.0)) as app:
-            blocks = app.run_batch(3, write=lambda s: None)
+            assert app.run_batch(3, write=blocks.append) == 3
         assert len(blocks) == 3
         for block in blocks:
             assert block.startswith("--- t=")
@@ -37,8 +38,9 @@ class TestBatchMode:
 
 class TestLiveMode:
     def test_frames_have_summary_line(self, busy_host):
+        frames: list[str] = []
         with TipTop(busy_host, Options(delay=1.0)) as app:
-            frames = app.run_live(2, paint=lambda s: None)
+            assert app.run_live(2, paint=frames.append) == 2
         assert len(frames) == 2
         assert frames[0].startswith("tiptop - up ")
         assert "2 tasks" in frames[0]

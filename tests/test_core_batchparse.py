@@ -11,8 +11,9 @@ from repro.errors import ReproError
 def stream_and_pids(coarse_machine, endless_workload):
     a = coarse_machine.spawn("alpha", endless_workload)
     b = coarse_machine.spawn("beta", endless_workload)
+    blocks: list[str] = []
     with TipTop(SimHost(coarse_machine), Options(delay=2.0)) as app:
-        blocks = app.run_batch(4, write=lambda s: None)
+        app.run_batch(4, write=blocks.append)
     return "\n".join(blocks), (a.pid, b.pid)
 
 

@@ -73,8 +73,9 @@ class TestDatacenterPipeline:
         machine = datacenter.make_node(tick=0.5)
         datacenter.populate_fig1(machine)
         app = TipTop(SimHost(machine), Options(delay=5.0))
+        blocks: list[str] = []
         with app:
-            blocks = app.run_batch(2, write=lambda s: None)
+            app.run_batch(2, write=blocks.append)
         last = blocks[-1]
         assert last.count("process") == 11
         assert "user1" in last and "user2" in last and "user3" in last

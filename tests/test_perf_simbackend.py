@@ -119,6 +119,74 @@ class TestInherit:
         assert b.read(h).value > 0
 
 
+class _NoScan(dict):
+    """A process table that fails the test if anything walks it."""
+
+    def values(self):
+        raise AssertionError("open scanned every process")
+
+    def __iter__(self):
+        raise AssertionError("open scanned every process")
+
+
+class TestTargetLookup:
+    """``open`` finds its target by tid, checking permission before
+    liveness on both the leader and the thread path."""
+
+    def _opened_tids(self, backend, handle):
+        (entry,) = [h for h in backend.live_handles() if h["handle"] == handle]
+        return len(entry["counters"])
+
+    def test_leader_tid_fans_out_over_threads(
+        self, nehalem_machine, endless_workload
+    ):
+        p = nehalem_machine.spawn("mt", endless_workload, nthreads=3)
+        nehalem_machine.processes = _NoScan(nehalem_machine.processes)
+        b = SimBackend(nehalem_machine)
+        whole = b.open(resolve_event("cycles"), p.pid, inherit=True)
+        lead = b.open(resolve_event("cycles"), p.pid)
+        assert self._opened_tids(b, whole) == 3
+        assert self._opened_tids(b, lead) == 1
+
+    def test_thread_tid_with_inherit_is_one_thread(
+        self, nehalem_machine, endless_workload
+    ):
+        p = nehalem_machine.spawn("mt", endless_workload, nthreads=3)
+        nehalem_machine.processes = _NoScan(nehalem_machine.processes)
+        b = SimBackend(nehalem_machine)
+        tid = p.threads[2].tid
+        h = b.open(resolve_event("cycles"), tid, inherit=True)
+        assert self._opened_tids(b, h) == 1
+        assert nehalem_machine.counters.counters_for(tid)
+
+    def test_exited_leader_and_thread(self, nehalem_machine, endless_workload):
+        p = nehalem_machine.spawn("mt", endless_workload, nthreads=2)
+        nehalem_machine.kill(p.pid)
+        b = SimBackend(nehalem_machine)
+        with pytest.raises(NoSuchTaskError, match=f"task {p.pid} has exited"):
+            b.open(resolve_event("cycles"), p.pid)
+        tid = p.threads[1].tid
+        with pytest.raises(NoSuchTaskError, match=f"task {tid} has exited"):
+            b.open(resolve_event("cycles"), tid)
+
+    def test_unknown_tid(self, machine, backend):
+        with pytest.raises(NoSuchTaskError, match="no such task 987654"):
+            backend.open(resolve_event("cycles"), 987654)
+
+    def test_denied_uid_before_liveness(self, nehalem_machine, endless_workload):
+        p = nehalem_machine.spawn(
+            "mt", endless_workload, nthreads=2, user="alice", uid=1001
+        )
+        b = SimBackend(nehalem_machine, monitor_uid=1002)
+        for tid in (p.pid, p.threads[1].tid):
+            with pytest.raises(PerfPermissionError, match="uid 1001"):
+                b.open(resolve_event("cycles"), tid)
+        nehalem_machine.kill(p.pid)
+        for tid in (p.pid, p.threads[1].tid):
+            with pytest.raises(PerfPermissionError):
+                b.open(resolve_event("cycles"), tid)
+
+
 class TestCounterSemantics:
     def test_events_only_after_attach(self, machine, backend):
         """Monitoring can start at any time; only later events are seen."""

@@ -101,12 +101,19 @@ def test_recorder_csv_roundtrip(frames):
 @settings(max_examples=60)
 def test_batch_blocks_always_reparse(rows, time):
     cols = [
-        ColumnFormat("PID", 7, render=lambda v: str(int(v))),
-        ColumnFormat("%CPU", 6, render=lambda v: f"{v:.1f}"),
-        ColumnFormat("IPC", 5, render=lambda v: f"{v:.2f}"),
+        ColumnFormat("PID", 7),
+        ColumnFormat("%CPU", 6),
+        ColumnFormat("IPC", 5),
         ColumnFormat("COMMAND", 15, align=Align.LEFT, truncate=True),
     ]
-    table = render_table(cols, [list(r) for r in rows])
+    pids, cpus, ipcs, comms = zip(*rows)
+    cells = [
+        [str(int(v)) for v in pids],
+        [f"{v:.1f}" for v in cpus],
+        [f"{v:.2f}" for v in ipcs],
+        list(comms),
+    ]
+    table = render_table(cols, cells)
     text = f"--- t={time:.1f}s interval=2.0s ---\n{table}\n"
     blocks = parse_blocks(text)
     assert len(blocks) == 1

@@ -5,10 +5,15 @@ Regression for a real divergence: the per-handle fallback in
 as it read. An EINTR injected mid-group (counter k of n) then left the
 first k-1 baselines already advanced, so the sampler's retry re-read
 identical values and silently reported zero deltas for those counters —
-while the batched ``read_many`` path (which reads everything before any
-baseline moves) reported the full interval. Both paths are two-phase
-now; the conformance harness's read-agreement oracle locks the contract.
+while the batched path (which reads everything before any baseline
+moves) reported the full interval. Both paths are two-phase now; the
+conformance harness's read-agreement oracle locks the contract, and
+:class:`TestOracleHonesty` checks that its ``sequential`` run really
+reads per handle.
 """
+
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,8 @@ from repro.perf.counter import CounterGroup
 from repro.perf.events import resolve_event
 from repro.perf.faults import FaultPlan, FaultSpec
 from repro.perf.simbackend import SimBackend
+from repro.core import sampler as sampler_module
+from repro.verify import runner
 from repro.verify.runner import _SequentialBackend, run_tool
 from repro.verify.scenario import FaultClause, Scenario, TaskPlan
 
@@ -107,3 +114,72 @@ class TestScenarioLevelAgreement:
         assert violations == [], "\n".join(
             f"[{v.oracle}] {v.message}" for v in violations
         )
+
+
+class _CountingSimBackend(SimBackend):
+    """Counts per-handle and batched reads on the real backend."""
+
+    calls: Counter = Counter()
+
+    def read(self, handle):
+        self.calls["read"] += 1
+        return super().read(handle)
+
+    def read_groups(self, groups):
+        self.calls["read_groups"] += 1
+        return super().read_groups(groups)
+
+
+class TestOracleHonesty:
+    """The read-agreement oracle compares batched with per-handle reads
+    only if the ``sequential`` run never reaches a batched method."""
+
+    CORPUS = Path(__file__).parent / "corpus"
+
+    def _run(self, monkeypatch, name, *, sequential):
+        calls = Counter()
+        passes: list[tuple[int, int, int]] = []
+        read_groups = sampler_module.read_groups
+
+        def tallied(backend, groups):
+            before = (calls["read"], calls["read_groups"])
+            reads = read_groups(backend, groups)
+            passes.append(
+                (
+                    sum(map(len, groups)),
+                    calls["read"] - before[0],
+                    calls["read_groups"] - before[1],
+                )
+            )
+            return reads
+
+        monkeypatch.setattr(_CountingSimBackend, "calls", calls)
+        monkeypatch.setattr(runner, "SimBackend", _CountingSimBackend)
+        monkeypatch.setattr(sampler_module, "read_groups", tallied)
+        scenario = Scenario.from_json((self.CORPUS / name).read_text())
+        run = run_tool(scenario, sequential=sequential)
+        assert len(passes) == scenario.iterations + 1
+        return run, passes
+
+    def test_sequential_run_reads_every_counter_itself(self, monkeypatch):
+        _, passes = self._run(
+            monkeypatch, "columnar-duty-churn.json", sequential=True
+        )
+        for handles, reads, batched in passes:
+            assert batched == 0
+            assert reads >= handles
+        assert sum(handles for handles, _, _ in passes) > 0
+
+    def test_sequential_chaos_run_makes_no_batched_call(self, monkeypatch):
+        run, passes = self._run(monkeypatch, "fault-storm.json", sequential=True)
+        assert run.read_retries > 0  # the chaos plan really fires
+        assert all(batched == 0 and reads > 0 for _, reads, batched in passes[1:])
+
+    @pytest.mark.parametrize(
+        "name", ["columnar-duty-churn.json", "fault-storm.json"]
+    )
+    def test_batched_run_makes_one_call_per_pass(self, monkeypatch, name):
+        _, passes = self._run(monkeypatch, name, sequential=False)
+        for _, reads, batched in passes:
+            assert batched == 1
+            assert reads == 0

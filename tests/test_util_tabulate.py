@@ -8,33 +8,32 @@ from repro.util.tabulate import Align, ColumnFormat, render_table
 class TestColumnFormat:
     def test_right_align_pads_left(self):
         col = ColumnFormat("N", width=5)
-        assert col.format_cell(42) == "   42"
+        assert col.fit(["42"]) == ["   42"]
 
     def test_left_align_pads_right(self):
         col = ColumnFormat("NAME", width=6, align=Align.LEFT)
-        assert col.format_cell("ab") == "ab    "
+        assert col.fit(["ab"]) == ["ab    "]
 
     def test_truncate(self):
         col = ColumnFormat("CMD", width=4, align=Align.LEFT, truncate=True)
-        assert col.format_cell("verylongcommand") == "very"
+        assert col.fit(["verylongcommand"]) == ["very"]
 
     def test_no_truncate_grows(self):
         col = ColumnFormat("N", width=2)
-        assert col.format_cell("12345") == "12345"
-
-    def test_custom_render(self):
-        col = ColumnFormat("X", width=6, render=lambda v: f"{v:.1f}")
-        assert col.format_cell(1.96) == "   2.0"
+        assert col.fit(["12345"]) == ["12345"]
 
     def test_header_same_geometry(self):
         col = ColumnFormat("COMMAND", width=4, align=Align.LEFT, truncate=True)
-        assert col.format_header() == "COMM"
+        assert render_table([col], [["verylong"]]).splitlines() == [
+            "COMM",
+            "very",
+        ]
 
 
 class TestRenderTable:
     def test_header_and_rows(self):
         cols = [ColumnFormat("A", 3), ColumnFormat("B", 3, align=Align.LEFT)]
-        text = render_table(cols, [[1, "x"], [2, "y"]])
+        text = render_table(cols, [["1", "2"], ["x", "y"]])
         lines = text.splitlines()
         assert lines[0] == "  A B"
         assert lines[1] == "  1 x"
@@ -42,13 +41,22 @@ class TestRenderTable:
 
     def test_no_header(self):
         cols = [ColumnFormat("A", 3)]
-        assert render_table(cols, [[7]], header=False) == "  7"
+        assert render_table(cols, [["7"]], header=False) == "  7"
 
     def test_arity_mismatch_raises(self):
         cols = [ColumnFormat("A", 3)]
         with pytest.raises(ValueError):
-            render_table(cols, [[1, 2]])
+            render_table(cols, [["1"], ["2"]])
+
+    def test_ragged_columns_raise(self):
+        cols = [ColumnFormat("A", 3), ColumnFormat("B", 3)]
+        with pytest.raises(ValueError):
+            render_table(cols, [["1", "2"], ["x"]])
 
     def test_trailing_whitespace_stripped(self):
         cols = [ColumnFormat("A", 3, align=Align.LEFT)]
         assert render_table(cols, [["x"]]).splitlines()[1] == "x"
+
+    def test_header_only_without_rows(self):
+        cols = [ColumnFormat("A", 3), ColumnFormat("B", 3, align=Align.LEFT)]
+        assert render_table(cols, [[], []]) == "  A B"
