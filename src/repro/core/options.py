@@ -57,11 +57,3 @@ class Options:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.max_tasks < 1:
             raise ConfigError("max_tasks must be >= 1")
-
-    def wants(self, *, pid: int, uid: int) -> bool:
-        """Whether a task passes the watch filters."""
-        if self.watch_uid is not None and uid != self.watch_uid:
-            return False
-        if self.watch_pids and pid not in self.watch_pids:
-            return False
-        return True

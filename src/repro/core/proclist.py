@@ -20,7 +20,9 @@ attach/read error paths follow an explicit lifecycle policy:
   task completes a clean interval.
 
 Each tracked task owns one row of :attr:`ProcessList.baselines`, its
-counters' delta baselines, from attach until its group is closed.
+counters' delta baselines, from attach until its group is closed. The same
+row indexes :attr:`ProcessList.last`, what the task's last sample listed
+in /proc.
 
 The per-task ``health`` value ("ok", "retry", "reattached") feeds the
 HEALTH screen column under ``--chaos``; :meth:`ProcessList.health_report`
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.options import Options
 from repro.errors import PerfError, PerfPermissionError
 from repro.perf.counter import (
@@ -40,10 +44,61 @@ from repro.perf.counter import (
     retry_transient,
 )
 from repro.perf.events import EventSpec
-from repro.procfs.model import ProcessInfo
+from repro.procfs.model import ProcessTable
 
 #: Cap on the quarantine backoff, in refreshes (2**(failures-1), clamped).
 MAX_QUARANTINE_REFRESHES = 8
+
+
+def watched(options: Options, table: ProcessTable) -> np.ndarray:
+    """Rows of ``table`` that pass the watch filters, in pid order."""
+    keep = np.ones(len(table), dtype=bool)
+    if options.watch_uid is not None:
+        keep &= table.uid == options.watch_uid
+    if options.watch_pids:
+        keep &= np.isin(table.pid, np.fromiter(options.watch_pids, np.int64))
+    return np.flatnonzero(keep)
+
+
+class LastSamples:
+    """What each tracked task's last clean sample listed, one entry per
+    baseline row.
+
+    ``time`` is the pass time of that sample, NaN until the task is first
+    sampled; ``cpu_seconds`` is the task's %CPU baseline; ``uid``,
+    ``user``, ``comm`` and ``processor`` are the identity a row reports
+    once the task is no longer listed.
+    """
+
+    _COLUMNS = ("time", "cpu_seconds", "uid", "processor", "user", "comm")
+
+    def __init__(self) -> None:
+        self.time = np.full(1, np.nan)
+        self.cpu_seconds = np.zeros(1)
+        self.uid = np.zeros(1, dtype=np.int64)
+        self.processor = np.zeros(1, dtype=np.int64)
+        self.user = np.full(1, "", dtype=object)
+        self.comm = np.full(1, "", dtype=object)
+
+    def reset(self, row: int) -> None:
+        """Mark a newly allocated baseline row as never sampled."""
+        if row >= len(self.time):
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+        self.time[row] = np.nan
+
+    def record(
+        self, rows: np.ndarray, table: ProcessTable, at: np.ndarray, now: float
+    ) -> None:
+        """Take table rows ``at`` as the last samples of ``rows``."""
+        self.time[rows] = now
+        self.cpu_seconds[rows] = table.cpu_seconds[at]
+        self.uid[rows] = table.uid[at]
+        self.processor[rows] = table.processor[at]
+        self.user[rows] = np.array(table.user, dtype=object)[at]
+        self.comm[rows] = np.array(table.comm, dtype=object)[at]
+
 
 @dataclass
 class TrackedTask:
@@ -51,15 +106,14 @@ class TrackedTask:
 
     ``tid`` is the process pid in per-process mode, or an individual thread
     id in per-thread mode (§2.2). ``row`` is the task's row in the process
-    list's baseline table. ``health`` is the task's lifecycle state as of
-    its last sampled interval.
+    list's baseline table and last samples. ``health`` is the task's
+    lifecycle state as of its last sampled interval.
     """
 
     pid: int
     tid: int
     group: CounterGroup
     row: int
-    last_info: ProcessInfo | None = None
     health: str = "ok"
     reattach_reported: bool = False
 
@@ -104,36 +158,37 @@ class ProcessList:
     refresh_count: int = 0
     #: Delta baselines, one row per tracked task and one column per event.
     baselines: BaselineTable = field(init=False)
+    #: What each tracked task's last sample listed, on the same rows.
+    last: LastSamples = field(init=False)
 
     def __post_init__(self) -> None:
         self.baselines = BaselineTable(len(self.events))
+        self.last = LastSamples()
 
     def refresh(
-        self, listing: dict[int, ProcessInfo]
+        self, table: ProcessTable
     ) -> tuple[list[TrackedTask], list[int]]:
         """Apply this refresh's /proc listing: attach new tasks, drop dead
         ones.
 
         Args:
-            listing: every live process by pid, as the sampling pass
-                listed it.
+            table: every live process, as the sampling pass listed it.
 
         Returns:
             (attached, detached_tids) for this refresh.
         """
         self.refresh_count += 1
-        visible = {}
-        for info in listing.values():
-            if not self.options.wants(pid=info.pid, uid=info.uid):
-                continue
-            if self.options.per_thread:
-                for tid in info.tids:
-                    visible[tid] = info
-            else:
-                visible[info.pid] = info
+        rows = watched(self.options, table)
+        pids = table.pid[rows].tolist()
+        # tid -> pid of every task the filters let through, in pid order.
+        if self.options.per_thread:
+            tids = [table.tids[k] for k in rows.tolist()]
+            visible = {tid: pid for pid, group in zip(pids, tids) for tid in group}
+        else:
+            visible = dict(zip(pids, pids))
 
         attached: list[TrackedTask] = []
-        for tid, info in visible.items():
+        for tid, pid in visible.items():
             if tid in self.tracked or tid in self.denied:
                 continue
             entry = self.quarantined.get(tid)
@@ -144,9 +199,9 @@ class ProcessList:
             group = self._attach(tid)
             if group is None:
                 continue
-            task = TrackedTask(
-                pid=info.pid, tid=tid, group=group, row=self.baselines.alloc()
-            )
+            row = self.baselines.alloc()
+            self.last.reset(row)
+            task = TrackedTask(pid=pid, tid=tid, group=group, row=row)
             if entry is not None:
                 del self.quarantined[tid]
                 task.health = "reattached"

@@ -11,10 +11,11 @@ delta arrays (one numpy pass per column) rather than per task.
 :meth:`Sampler.sample` hands the same frame to consumers wrapped in a
 :class:`Snapshot`.
 
-A pass reads every tracked task's counters in one
-:func:`~repro.perf.counter.read_groups` call and scales all deltas in one
-step over the process list's baseline table; the frame's delta columns are
-rows of that result. Reads follow the resilience policy of
+A pass finds every tracked task in the columnar /proc listing with one
+``searchsorted``, reads their counters in one
+:func:`~repro.perf.counter.read_groups` call, and computes %CPU and the
+scaled deltas of all of them in one numpy step each; the frame's columns
+are rows of those arrays. Reads follow the resilience policy of
 :mod:`repro.core.proclist`: transient perf errors are retried under the
 same rule as attaches (:func:`~repro.perf.counter.retry_transient`), hard
 per-task failures quarantine the task (counters closed immediately,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from time import perf_counter
 
 import numpy as np
@@ -39,10 +41,7 @@ from repro.core.proclist import ProcessList, TrackedTask
 from repro.core.screen import Screen
 from repro.errors import PerfError, TransientPerfError
 from repro.perf.counter import Backend, read_groups
-from repro.procfs.model import ProcessInfo, TaskProvider, cpu_percent
-
-#: The listing columns of a pass that sampled no task.
-_NO_INFOS = ProcessInfo._make(() for _ in ProcessInfo._fields)
+from repro.procfs.model import TaskProvider, cpu_percent
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,9 @@ class SampleTiming:
     """Wall-time breakdown of one sampling pass (the ``--profile`` data).
 
     Attributes:
-        read_seconds: the batched counter read, settling each task's
-            outcome, and scaling the deltas.
+        read_seconds: finding the tracked tasks in the listing, the
+            batched counter read, settling each task's outcome, %CPU,
+            and scaling the deltas.
         eval_seconds: building the frame and evaluating derived columns.
         refresh_seconds: listing /proc and the process list's
             attach/detach bookkeeping.
@@ -139,26 +139,26 @@ class Sampler:
         interval = 0.0 if first else now - self._last_time
         self._last_time = now
         t0 = perf_counter()
-        listing = {info.pid: info for info in self.tasks.list_processes()}
+        table = self.tasks.list_processes()
         if first:
-            self.proclist.refresh(listing)
+            self.proclist.refresh(table)
         refresh_seconds = perf_counter() - t0
 
         t0 = perf_counter()
+        last = self.proclist.last
+        tracked = list(self.proclist.tracked.values())
+        pids = np.array([task.pid for task in tracked], dtype=np.int64)
+        rows = np.array([task.row for task in tracked], dtype=np.intp)
+        at, listed = table.locate(pids)
         # A task missing from the listing exited during the interval: it
-        # still reports its final deltas, unless it was never listed.
-        tasks = [
-            task
-            for task in self.proclist.tracked.values()
-            if task.pid in listing or task.last_info is not None
-        ]
+        # still reports its final deltas, unless it was never sampled.
+        keep = listed | ~np.isnan(last.time[rows])
+        tasks = list(compress(tracked, keep.tolist()))
         reads = read_groups(
             self.proclist.backend, [task.group.handles for task in tasks]
         )
         clean: list[int] = []
         sampled: list[TrackedTask] = []
-        infos: list[ProcessInfo] = []
-        pcts: list[float] = []
         outcomes = zip(tasks, reads.errors, reads.retries)
         for k, (task, error, retries) in enumerate(outcomes):
             self.read_retries += retries
@@ -173,35 +173,42 @@ class Sampler:
                 task.health = "ok"
                 # A full clean interval resets the quarantine backoff.
                 self.proclist.note_healthy(task.tid)
-            info = listing.get(task.pid)
-            if info is None:
-                # Exited during the interval: final deltas, last identity.
-                infos.append(task.last_info)
-                pcts.append(0.0)
-            else:
-                pcts.append(cpu_percent(task.last_info, info, interval, uptime=now))
-                task.last_info = info
-                infos.append(info)
             clean.append(k)
             sampled.append(task)
+        settled = np.array(clean, dtype=np.intp)
+        picked = np.flatnonzero(keep)[settled]
+        rows, at, listed = rows[picked], at[picked], listed[picked]
+        # %CPU since each listed task's last sample; an exit row reads
+        # 0.0 and keeps its last sample as its identity.
+        pcts = np.zeros(len(picked))
+        now_rows, now_at = rows[listed], at[listed]
+        pcts[listed] = cpu_percent(
+            table.cpu_seconds[now_at],
+            last.cpu_seconds[now_rows],
+            last.time[now_rows],
+            table.start_time[now_at],
+            now,
+        )
+        last.record(now_rows, table, now_at, now)
         shape = (len(tasks), len(self.events))
-        picked = np.array(clean, dtype=np.intp)
         deltas = self.proclist.baselines.fold(
-            np.array([task.row for task in sampled], dtype=np.intp),
-            reads.value.reshape(shape)[picked],
-            reads.time_enabled.reshape(shape)[picked],
-            reads.time_running.reshape(shape)[picked],
+            rows,
+            reads.value.reshape(shape)[settled],
+            reads.time_enabled.reshape(shape)[settled],
+            reads.time_running.reshape(shape)[settled],
         )
         read_seconds = perf_counter() - t0
 
         t0 = perf_counter()
-        frame = self._build_frame(now, interval, sampled, infos, pcts, deltas)
+        frame = self._build_frame(
+            now, interval, sampled, pids[picked], rows, pcts, deltas
+        )
         frame = frame.take(self._sort_order(frame))
         eval_seconds = perf_counter() - t0
 
         if not first:
             t0 = perf_counter()
-            self.proclist.refresh(listing)
+            self.proclist.refresh(table)
             refresh_seconds += perf_counter() - t0
         self.last_timing = SampleTiming(
             read_seconds=read_seconds,
@@ -232,8 +239,9 @@ class Sampler:
         now: float,
         interval: float,
         sampled: list[TrackedTask],
-        infos: list[ProcessInfo],
-        pcts: list[float],
+        pids: np.ndarray,
+        rows: np.ndarray,
+        cpu_pct: np.ndarray,
         deltas: np.ndarray,
     ) -> SnapshotFrame:
         n = len(sampled)
@@ -244,7 +252,6 @@ class Sampler:
             if n
             else {}
         )
-        cpu_pct = np.array(pcts, dtype=float)
 
         env: dict[str, np.ndarray | float] = {
             canonical_name(k): v for k, v in delta_cols.items()
@@ -266,19 +273,20 @@ class Sampler:
         if self._health_header is not None:
             labels[self._health_header] = tuple(task.health for task in sampled)
 
-        # One transpose turns the listing records into columns.
-        listed = ProcessInfo._make(zip(*infos)) if infos else _NO_INFOS
+        # Every sampled row's identity is its task's last sample: this
+        # pass's table row if listed, else what it last listed.
+        last = self.proclist.last
         return SnapshotFrame(
             time=now,
             interval=interval,
-            pids=np.array(listed.pid, dtype=np.int64),
+            pids=pids,
             tids=np.array([task.tid for task in sampled], dtype=np.int64),
-            uids=np.array(listed.uid, dtype=np.int64),
-            users=listed.user,
-            comms=listed.comm,
+            uids=last.uid[rows],
+            users=tuple(last.user[rows]),
+            comms=tuple(last.comm[rows]),
             cpu_pct=cpu_pct,
-            cpu_time=np.array(listed.cpu_seconds, dtype=float),
-            processors=np.array(listed.processor, dtype=np.int64),
+            cpu_time=last.cpu_seconds[rows],
+            processors=last.processor[rows],
             deltas=delta_cols,
             metrics=metrics,
             labels=labels,

@@ -13,7 +13,7 @@ import pwd
 from pathlib import Path
 
 from repro.errors import ProcfsError
-from repro.procfs.model import ProcessInfo
+from repro.procfs.model import ProcessInfo, ProcessTable
 
 
 class ProcReader:
@@ -106,8 +106,9 @@ class ProcReader:
             processor=processor,
         )
 
-    def list_processes(self) -> list[ProcessInfo]:
-        """Every live process visible in /proc (races tolerated)."""
+    def list_processes(self) -> ProcessTable:
+        """Every live process visible in /proc, in pid order (races
+        tolerated)."""
         out: list[ProcessInfo] = []
         try:
             entries = os.listdir(self.root)
@@ -120,4 +121,4 @@ class ProcReader:
                 out.append(self.process(int(entry)))
             except ProcfsError:
                 continue  # process exited between listdir and read
-        return out
+        return ProcessTable.from_rows(out)

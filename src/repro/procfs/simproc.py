@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ProcfsError
-from repro.procfs.model import ProcessInfo
+from repro.procfs.model import ProcessInfo, ProcessTable
 from repro.sim.machine import SimMachine
 from repro.sim.process import SimProcess
 
@@ -18,18 +20,21 @@ class SimProcReader:
         """Virtual seconds since machine boot."""
         return self.machine.now
 
-    def _info(self, proc: SimProcess) -> ProcessInfo:
-        lead = proc.threads[0]
-        return ProcessInfo(
-            pid=proc.pid,
-            tids=tuple(t.tid for t in proc.threads),
-            uid=proc.uid,
-            user=proc.user,
-            comm=proc.command[:15],
-            state=proc.state.value,
-            cpu_seconds=proc.cpu_time,
-            start_time=proc.start_time,
-            processor=max(lead.last_pu, 0),
+    @staticmethod
+    def _table(procs: list[SimProcess]) -> ProcessTable:
+        """The /proc view of ``procs``, one comprehension per column."""
+        return ProcessTable(
+            pid=np.array([p.pid for p in procs], dtype=np.int64),
+            uid=np.array([p.uid for p in procs], dtype=np.int64),
+            cpu_seconds=np.array([p.cpu_time for p in procs], dtype=np.float64),
+            start_time=np.array([p.start_time for p in procs], dtype=np.float64),
+            processor=np.array(
+                [max(p.threads[0].last_pu, 0) for p in procs], dtype=np.int64
+            ),
+            user=tuple([p.user for p in procs]),
+            comm=tuple([p.command[:15] for p in procs]),
+            state=tuple([p.state.value for p in procs]),
+            tids=tuple([tuple([t.tid for t in p.threads]) for p in procs]),
         )
 
     def process(self, pid: int) -> ProcessInfo:
@@ -42,8 +47,8 @@ class SimProcReader:
         proc = self.machine.processes.get(pid)
         if proc is None or not proc.alive:
             raise ProcfsError(f"no /proc entry for pid {pid}")
-        return self._info(proc)
+        return self._table([proc]).rows()[0]
 
-    def list_processes(self) -> list[ProcessInfo]:
-        """All live simulated processes."""
-        return [self._info(p) for p in self.machine.live_processes()]
+    def list_processes(self) -> ProcessTable:
+        """All live simulated processes, in pid order."""
+        return self._table(self.machine.live_processes())

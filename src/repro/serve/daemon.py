@@ -31,7 +31,9 @@ of its client id, so each client's cut schedule is independent and
 stable across reconnects. Attempt counts per ``(link, seq)`` live on
 the daemon (not the session, which dies with the connection), so a
 multi-attempt partition heals after its scheduled duration instead of
-cutting the replayed frame forever.
+cutting the replayed frame forever. A count is dropped once its seq
+can never be sent on that link again, which keeps the map within the
+retention ring's span per link.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class CollectorDaemon:
         #: Cut connections so far (observability for tests and smoke).
         self.net_cuts = 0
         #: Send attempts per (link, seq). Daemon-level on purpose: the
-        #: heal schedule must survive the reconnects it causes.
+        #: heal schedule must survive the reconnects it causes. Pruned
+        #: after every publish by :meth:`_forget_unsendable`.
         self._net_attempts: dict[tuple[int, int], int] = {}
         self.hub = FanoutHub(
             queue_limit=queue_limit, retention=retention, compress=compress
@@ -138,6 +141,8 @@ class CollectorDaemon:
             frame = self.sampler.sample_frame()
             t1 = perf_counter()
             seq = self.hub.publish(frame)
+            if self.netchaos is not None:
+                self._forget_unsendable()
             t2 = perf_counter()
             published += 1
             if self.profile is not None:
@@ -167,6 +172,26 @@ class CollectorDaemon:
             self._server.close()
             await self._server.wait_closed()
         self.sampler.close()
+
+    def _forget_unsendable(self) -> None:
+        """Drop the attempt counts no later send can consult.
+
+        A link sends a seq again only while its session still queues it
+        or while the hub retains it for a resume; once a seq is older
+        than both, its count is dead weight.
+        """
+        retained = self.hub.retained_range()
+        oldest = retained[0] if retained else self.hub.next_seq
+        floors: dict[int, int] = {}
+        for session in self.hub.sessions.values():
+            if session.head is not None:
+                link = _link(session.client_id)
+                floors[link] = min(floors.get(link, oldest), session.head)
+        self._net_attempts = {
+            key: count
+            for key, count in self._net_attempts.items()
+            if key[1] >= floors.get(key[0], oldest)
+        }
 
     # -- per-client protocol ------------------------------------------------
     async def _accept(
@@ -309,7 +334,7 @@ class CollectorDaemon:
         bye_seen: asyncio.Event,
     ) -> None:
         """Drain one session's queue to its socket until the run ends."""
-        link = zlib.crc32(session.client_id.encode()) & 0x7FFFFFFF
+        link = _link(session.client_id)
         while not (bye_seen.is_set() or session.closed):
             await event.wait()
             event.clear()
@@ -339,3 +364,8 @@ class CollectorDaemon:
     def _anonymous_id(self) -> str:
         self._anon += 1
         return f"anon-{self._anon}"
+
+
+def _link(client_id: str) -> int:
+    """A client's net-chaos link id (stable across its reconnects)."""
+    return zlib.crc32(client_id.encode()) & 0x7FFFFFFF

@@ -239,6 +239,11 @@ class ClientSession:
         """Frames sitting in the queue right now."""
         return len(self._queue)
 
+    @property
+    def head(self) -> int | None:
+        """Sequence of the oldest pending frame (None when idle)."""
+        return self._queue[0][0] if self._queue else None
+
     def offer(self, seq: int, payload: bytes) -> bool:
         """Enqueue one encoded frame; returns True if a drop happened.
 

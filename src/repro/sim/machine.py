@@ -98,6 +98,9 @@ class SimMachine:
         self.seed = seed
         self.now = 0.0
         self.processes: dict[int, SimProcess] = {}
+        # The live processes by pid. Pids only grow, so insertion order
+        # is pid order; spawn adds, and kill and the reaper remove.
+        self._live: dict[int, SimProcess] = {}
         self._threads: dict[int, SimThread] = {}
         self._next_pid = itertools.count(1000)
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
@@ -166,6 +169,7 @@ class SimMachine:
         for _ in range(nthreads - 1):
             next(self._next_pid)
         self.processes[pid] = proc
+        self._live[pid] = proc
         for t in proc.threads:
             self._threads[t.tid] = t
             if duty_cycle < 1.0:
@@ -184,6 +188,7 @@ class SimMachine:
             t.mark_dead()
             self.scheduler.forget(t)
             self._kernel.drop(t)
+        self._live.pop(pid, None)
         # Kills land at timer boundaries (or between runs), where ``now``
         # already is a tick boundary — that is when a reaper first sees it.
         self.death_observed.setdefault(pid, self.now)
@@ -212,9 +217,7 @@ class SimMachine:
 
     def live_processes(self) -> list[SimProcess]:
         """Processes with at least one live thread, by pid."""
-        return sorted(
-            (p for p in self.processes.values() if p.alive), key=lambda p: p.pid
-        )
+        return list(self._live.values())
 
     def at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire at virtual time ``when``.
@@ -487,6 +490,7 @@ class SimMachine:
         self._last_rates.pop(thread.tid, None)
         proc = thread.process
         if not proc.alive:
+            del self._live[proc.pid]
             # ``now`` is still pre-increment inside a slice: the death is
             # first observable at the end of this tick.
             self.death_observed.setdefault(proc.pid, self.now + dt)

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and helpers shared by the tests."""
 
 from __future__ import annotations
 
@@ -8,6 +8,16 @@ from hypothesis import strategies as st
 from repro.core.frame import SnapshotFrame
 
 EVENTS = ("cache-misses", "cycles", "instructions")
+
+
+class NoScan(dict):
+    """A process table that fails the test if anything walks it."""
+
+    def values(self):
+        raise AssertionError("scanned every process")
+
+    def __iter__(self):
+        raise AssertionError("scanned every process")
 
 
 @st.composite

@@ -25,6 +25,14 @@ def _sampler(machine, options=None, screen="default"):
     )
 
 
+class GroupCountingBackend(SimBackend):
+    """A sim backend that remembers how many groups its last batch read."""
+
+    def read_groups(self, groups):
+        self.groups_read = len(groups)
+        return super().read_groups(groups)
+
+
 class TestSampling:
     def test_first_sample_attaches_baselines(self, coarse_machine, endless_workload):
         coarse_machine.spawn("j", endless_workload)
@@ -84,6 +92,35 @@ class TestSampling:
         assert coarse_machine.counters.open_count() == 0
         coarse_machine.run_for(5.0)
         assert len(s.sample().frame) == 0
+
+    @pytest.mark.parametrize("per_thread", [False, True])
+    def test_attached_then_exited_before_its_first_sample_has_no_row(
+        self, coarse_machine, basic_workload, endless_workload, per_thread
+    ):
+        """A task attached at the end of one pass that exits before the
+        next was never sampled: it has no identity to report, so it gets
+        no row (its counters are not read) and is detached."""
+        coarse_machine.spawn("steady", endless_workload)
+        backend = GroupCountingBackend(coarse_machine)
+        s = Sampler(
+            backend,
+            SimProcReader(coarse_machine),
+            get_screen("default"),
+            Options(per_thread=per_thread),
+        )
+        s.sample()
+        brief = coarse_machine.spawn("brief", basic_workload, nthreads=2)
+        coarse_machine.run_for(1.0)
+        s.sample()  # lists brief and attaches it at the end
+        tids = {t.tid for t in brief.threads} if per_thread else {brief.pid}
+        assert tids <= set(s.proclist.tracked)
+        coarse_machine.run_for(30.0)  # brief's ~10 s of work end
+        assert not brief.alive
+        frame = s.sample().frame
+        assert frame.comms == ("steady",)
+        assert backend.groups_read == 1
+        assert not tids & set(s.proclist.tracked)
+        s.close()
 
     def test_uid_filter(self, coarse_machine, endless_workload):
         coarse_machine.spawn("mine", endless_workload, uid=1000)

@@ -22,8 +22,9 @@ from repro.perf.counter import CounterGroup
 from repro.perf.events import resolve_event
 from repro.perf.faults import FaultPlan, FaultSpec
 from repro.perf.simbackend import SimBackend
-from repro.procfs.model import ProcessInfo
+from repro.procfs.model import ProcessInfo, ProcessTable
 from repro.procfs.simproc import SimProcReader
+from repro.sim import NEHALEM, SimMachine
 from repro.sim.workloads import datacenter
 
 
@@ -51,7 +52,7 @@ class VanishingTasks:
         return self.inner.uptime()
 
     def list_processes(self):
-        procs = self.inner.list_processes()
+        procs = self.inner.list_processes().rows()
         ghost = ProcessInfo(
             pid=self.ghost_pid,
             tids=(self.ghost_pid,),
@@ -63,7 +64,7 @@ class VanishingTasks:
             start_time=0.0,
             processor=0,
         )
-        return [*procs, ghost]
+        return ProcessTable.from_rows([*procs, ghost])
 
 
 class TestAttachFailures:
@@ -273,6 +274,27 @@ class TestReadFailures:
         assert all(col[0] == 0.0 for col in snap.frame.deltas.values())
         sampler.close()
 
+    def test_cpu_after_a_skipped_read_spans_both_intervals(
+        self, endless_workload
+    ):
+        """A skipped row leaves the task's last sample two intervals old:
+        the next row divides two intervals of CPU time by both of them,
+        not by one (a full-time burner reads 100 %, never 200 %)."""
+        machine = SimMachine(NEHALEM, sockets=1, cores_per_socket=2, tick=0.25, seed=3)
+        machine.spawn("burn", endless_workload)
+        faults = FaultPlan(
+            0, [FaultSpec("read", "eintr", at_calls=frozenset({4, 5, 6}))]
+        )
+        _backend, sampler = make_sampler(machine, faults=faults)
+        rows = []
+        for _ in range(4):
+            frame = sampler.sample_frame()
+            rows.append(frame.cpu_pct.tolist())
+            machine.run_for(2.0)
+        assert rows == [[0.0], [], [100.0], [100.0]]
+        assert sampler.read_skips == 1
+        sampler.close()
+
 
 class TestQuarantine:
     def test_quarantine_then_reattach_lifecycle(
@@ -458,7 +480,7 @@ class TestPermanentDenial:
             machine.spawn("theirs", short, uid=1002)
             machine.run_for(1.0)
             sampler.sample()
-        listed = {p.pid for p in SimProcReader(machine).list_processes()}
+        listed = set(SimProcReader(machine).list_processes().pid.tolist())
         assert 0 < len(sampler.proclist.denied) <= 2
         assert sampler.proclist.denied <= listed
         sampler.close()

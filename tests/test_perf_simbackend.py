@@ -11,6 +11,7 @@ from repro.errors import (
 from repro.perf.events import resolve_event
 from repro.perf.simbackend import SimBackend
 from repro.sim import PPC970, SimMachine
+from tests.strategies import NoScan
 
 
 @pytest.fixture
@@ -119,16 +120,6 @@ class TestInherit:
         assert b.read(h).value > 0
 
 
-class _NoScan(dict):
-    """A process table that fails the test if anything walks it."""
-
-    def values(self):
-        raise AssertionError("open scanned every process")
-
-    def __iter__(self):
-        raise AssertionError("open scanned every process")
-
-
 class TestTargetLookup:
     """``open`` finds its target by tid, checking permission before
     liveness on both the leader and the thread path."""
@@ -141,7 +132,7 @@ class TestTargetLookup:
         self, nehalem_machine, endless_workload
     ):
         p = nehalem_machine.spawn("mt", endless_workload, nthreads=3)
-        nehalem_machine.processes = _NoScan(nehalem_machine.processes)
+        nehalem_machine.processes = NoScan(nehalem_machine.processes)
         b = SimBackend(nehalem_machine)
         whole = b.open(resolve_event("cycles"), p.pid, inherit=True)
         lead = b.open(resolve_event("cycles"), p.pid)
@@ -152,7 +143,7 @@ class TestTargetLookup:
         self, nehalem_machine, endless_workload
     ):
         p = nehalem_machine.spawn("mt", endless_workload, nthreads=3)
-        nehalem_machine.processes = _NoScan(nehalem_machine.processes)
+        nehalem_machine.processes = NoScan(nehalem_machine.processes)
         b = SimBackend(nehalem_machine)
         tid = p.threads[2].tid
         h = b.open(resolve_event("cycles"), tid, inherit=True)

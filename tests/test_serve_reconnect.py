@@ -280,3 +280,72 @@ def test_steady_client_is_never_disturbed_by_anothers_cuts():
     assert chaotic[1].reconnects >= 2
     assert steady[1].reconnects == 0
 
+
+
+def test_attempt_counts_stay_within_the_retention_span():
+    """Net chaos records one send attempt per (link, seq). With a ring
+    shorter than the run, counts for seqs no link can send again are
+    dropped after each publish: the map stays within retention x links,
+    and every client receives exactly what it receives when nothing is
+    dropped."""
+    retention, frames, names = 4, 12, ("a", "b", "steady")
+    plan = NetChaosPlan(
+        seed=0,
+        specs=(
+            NetFaultSpec("partition", at_epochs=frozenset({2, 7}),
+                         link=_link("a"), duration=2),
+            NetFaultSpec("drop", at_epochs=frozenset({5}), link=_link("b")),
+        ),
+    )
+
+    def run(prune: bool):
+        sizes = []
+
+        async def go():
+            daemon = _make_daemon(
+                frames, min_clients=len(names), retention=retention,
+                netchaos=plan, pace=0.02,
+            )
+            if not prune:
+                daemon._forget_unsendable = lambda: None
+            advance = daemon.advance
+
+            def probe():
+                sizes.append(len(daemon._net_attempts))
+                advance()
+
+            daemon.advance = probe
+            port = await daemon.start()
+            results, _ = await asyncio.gather(
+                asyncio.gather(*(
+                    collect("127.0.0.1", port, client_id=name, reconnect=True,
+                            backoff=BackoffPolicy(base=0.0))
+                    for name in names
+                )),
+                daemon.run(),
+            )
+            await daemon.close()
+            sizes.append(len(daemon._net_attempts))
+            return results, daemon.net_cuts
+
+        results, cuts = asyncio.run(go())
+        streams = {
+            name: (
+                [seq for seq, _ in received],
+                [frame_digest(f) for _, f in received],
+                client.gaps,
+                client.reconnects,
+            )
+            for name, (received, client) in zip(names, results)
+        }
+        return streams, cuts, sizes
+
+    pruned, cuts, sizes = run(prune=True)
+    kept, kept_cuts, kept_sizes = run(prune=False)
+    assert cuts == kept_cuts == 5
+    assert pruned == kept
+    solo = _solo_digests(frames)
+    for seqs, digests, gaps, _ in pruned.values():
+        assert (seqs, digests, gaps) == (list(range(frames)), solo, 0)
+    assert max(sizes) <= retention * len(names)
+    assert max(kept_sizes) == frames * len(names)
