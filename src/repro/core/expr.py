@@ -15,6 +15,7 @@ ratio over an empty interval should read.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,26 @@ from repro.errors import ExprError
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
+#: The identifiers every expression may use besides event names.
+BUILTIN_VARIABLES = frozenset({"delta_t", "cpu_pct"})
+
+
 def canonical_name(event_name: str) -> str:
     """Identifier form of an event name (dashes become underscores)."""
     return event_name.replace("-", "_").lower()
+
+
+def environment(
+    deltas: Mapping[str, np.ndarray], interval: float, cpu_pct: np.ndarray
+) -> dict[str, np.ndarray | float]:
+    """The variables a derived column sees: each event's deltas under its
+    :func:`canonical_name`, ``delta_t`` (the interval, NaN when it is not
+    positive) and ``cpu_pct``."""
+    return {
+        **{canonical_name(name): column for name, column in deltas.items()},
+        "delta_t": interval if interval > 0 else math.nan,
+        "cpu_pct": cpu_pct,
+    }
 
 
 @dataclass(frozen=True)

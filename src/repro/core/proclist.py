@@ -19,10 +19,9 @@ attach/read error paths follow an explicit lifecycle policy:
   count survives reattach (a flapping task keeps escalating) until the
   task completes a clean interval.
 
-Each tracked task owns one row of :attr:`ProcessList.baselines`, its
-counters' delta baselines, from attach until its group is closed. The same
-row indexes :attr:`ProcessList.last`, what the task's last sample listed
-in /proc.
+Each tracked task owns one row of :attr:`ProcessList.tasks`, a
+:class:`TaskTable` holding its counter group, health, delta baselines and
+last sample, from attach until its group is closed.
 
 The per-task ``health`` value ("ok", "retry", "reattached") feeds the
 HEALTH screen column under ``--chaos``; :meth:`ProcessList.health_report`
@@ -37,12 +36,7 @@ import numpy as np
 
 from repro.core.options import Options
 from repro.errors import PerfError, PerfPermissionError
-from repro.perf.counter import (
-    Backend,
-    BaselineTable,
-    CounterGroup,
-    retry_transient,
-)
+from repro.perf.counter import Backend, CounterGroup, retry_transient
 from repro.perf.events import EventSpec
 from repro.procfs.model import ProcessTable
 
@@ -60,38 +54,79 @@ def watched(options: Options, table: ProcessTable) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-class LastSamples:
-    """What each tracked task's last clean sample listed, one entry per
-    baseline row.
+class TaskTable:
+    """Every tracked task's state, one row per task.
 
-    ``time`` is the pass time of that sample, NaN until the task is first
-    sampled; ``cpu_seconds`` is the task's %CPU baseline; ``uid``,
-    ``user``, ``comm`` and ``processor`` are the identity a row reports
-    once the task is no longer listed.
+    A row holds the task's ``tid``, ``pid`` and counter ``group``; its
+    ``health``, and whether a ``"reattached"`` health was ``reported``;
+    its delta baselines ``value``, ``time_enabled`` and ``time_running``
+    (one column per event, zero at alloc, as a fresh counter starts); and
+    its last sample: the pass ``time`` (NaN until first sampled),
+    ``cpu_seconds`` (the %CPU baseline) and the ``uid``, ``processor``,
+    ``user`` and ``comm`` it reports once no longer listed. Freed rows are
+    recycled, so :attr:`size` never exceeds the most tasks held at once.
+
+    Args:
+        width: events per group.
     """
 
-    _COLUMNS = ("time", "cpu_seconds", "uid", "processor", "user", "comm")
+    _COLUMNS = (
+        "tid", "pid", "group", "health", "reported", "value", "time_enabled",
+        "time_running", "time", "cpu_seconds", "uid", "processor", "user",
+        "comm",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
+        #: Rows handed out so far (free ones included).
+        self.size = 0
+        self.tid = np.zeros(1, dtype=np.int64)
+        self.pid = np.zeros(1, dtype=np.int64)
+        self.group = np.full(1, None, dtype=object)
+        self.health = np.full(1, "", dtype=object)
+        self.reported = np.zeros(1, dtype=bool)
+        self.value = np.zeros((1, width), dtype=np.int64)
+        self.time_enabled = np.zeros((1, width))
+        self.time_running = np.zeros((1, width))
         self.time = np.full(1, np.nan)
         self.cpu_seconds = np.zeros(1)
         self.uid = np.zeros(1, dtype=np.int64)
         self.processor = np.zeros(1, dtype=np.int64)
         self.user = np.full(1, "", dtype=object)
         self.comm = np.full(1, "", dtype=object)
+        self._free: list[int] = []
 
-    def reset(self, row: int) -> None:
-        """Mark a newly allocated baseline row as never sampled."""
-        if row >= len(self.time):
-            for name in self._COLUMNS:
-                old = getattr(self, name)
-                setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+    def alloc(self, tid: int, pid: int, group: CounterGroup, health: str) -> int:
+        """A row for a newly attached task, never sampled yet."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self.size
+            self.size += 1
+            if row == len(self.tid):
+                for name in self._COLUMNS:
+                    old = getattr(self, name)
+                    setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
+        self.tid[row] = tid
+        self.pid[row] = pid
+        self.group[row] = group
+        self.health[row] = health
+        self.reported[row] = False
+        self.value[row] = 0
+        self.time_enabled[row] = 0.0
+        self.time_running[row] = 0.0
         self.time[row] = np.nan
+        return row
+
+    def free(self, row: int) -> None:
+        """Close the row's counter group and return the row for reuse."""
+        group, self.group[row] = self.group[row], None
+        group.close()
+        self._free.append(row)
 
     def record(
         self, rows: np.ndarray, table: ProcessTable, at: np.ndarray, now: float
     ) -> None:
-        """Take table rows ``at`` as the last samples of ``rows``."""
+        """Take listing rows ``at`` as the last samples of ``rows``."""
         self.time[rows] = now
         self.cpu_seconds[rows] = table.cpu_seconds[at]
         self.uid[rows] = table.uid[at]
@@ -99,23 +134,34 @@ class LastSamples:
         self.user[rows] = np.array(table.user, dtype=object)[at]
         self.comm[rows] = np.array(table.comm, dtype=object)[at]
 
+    def fold(
+        self,
+        rows: np.ndarray,
+        value: np.ndarray,
+        time_enabled: np.ndarray,
+        time_running: np.ndarray,
+    ) -> np.ndarray:
+        """Scaled deltas of ``rows`` since their baselines; the baselines
+        move to the new readings.
 
-@dataclass
-class TrackedTask:
-    """One monitored task and its counters.
+        The array form of :meth:`~repro.perf.counter.Counter._delta_from`,
+        bit for bit, over readings shaped ``(len(rows), width)``.
 
-    ``tid`` is the process pid in per-process mode, or an individual thread
-    id in per-thread mode (§2.2). ``row`` is the task's row in the process
-    list's baseline table and last samples. ``health`` is the task's
-    lifecycle state as of its last sampled interval.
-    """
-
-    pid: int
-    tid: int
-    group: CounterGroup
-    row: int
-    health: str = "ok"
-    reattach_reported: bool = False
+        Returns:
+            Event-major ``(width, len(rows))`` deltas: Δvalue·(Δte/Δtr),
+            and 0.0 where the counter never ran (Δtr <= 0).
+        """
+        d_value = value - self.value[rows]
+        d_enabled = time_enabled - self.time_enabled[rows]
+        d_running = time_running - self.time_running[rows]
+        self.value[rows] = value
+        self.time_enabled[rows] = time_enabled
+        self.time_running[rows] = time_running
+        with np.errstate(all="ignore"):
+            scaled = np.where(
+                d_running > 0, d_value * (d_enabled / d_running), 0.0
+            )
+        return np.ascontiguousarray(scaled.T)
 
 
 @dataclass
@@ -146,28 +192,24 @@ class ProcessList:
     backend: Backend
     events: list[EventSpec]
     options: Options
-    tracked: dict[int, TrackedTask] = field(default_factory=dict)
+    #: Row of :attr:`tasks` per tracked tid, in attach order.
+    tracked: dict[int, int] = field(default_factory=dict)
     denied: set[int] = field(default_factory=set)
     quarantined: dict[int, QuarantineEntry] = field(default_factory=dict)
     #: Quarantine episodes per tid, surviving reattach so a flapping task
     #: (fail, reattach, fail again) keeps escalating its backoff; cleared
-    #: by :meth:`note_healthy` once the task completes a clean interval.
+    #: by the sampler once the task completes a clean interval.
     quarantine_history: dict[int, int] = field(default_factory=dict)
     attach_errors: int = 0
     attach_retries: int = 0
     refresh_count: int = 0
-    #: Delta baselines, one row per tracked task and one column per event.
-    baselines: BaselineTable = field(init=False)
-    #: What each tracked task's last sample listed, on the same rows.
-    last: LastSamples = field(init=False)
+    #: Every tracked task's state, one row per task.
+    tasks: TaskTable = field(init=False)
 
     def __post_init__(self) -> None:
-        self.baselines = BaselineTable(len(self.events))
-        self.last = LastSamples()
+        self.tasks = TaskTable(len(self.events))
 
-    def refresh(
-        self, table: ProcessTable
-    ) -> tuple[list[TrackedTask], list[int]]:
+    def refresh(self, table: ProcessTable) -> tuple[list[int], list[int]]:
         """Apply this refresh's /proc listing: attach new tasks, drop dead
         ones.
 
@@ -175,7 +217,7 @@ class ProcessList:
             table: every live process, as the sampling pass listed it.
 
         Returns:
-            (attached, detached_tids) for this refresh.
+            (attached_tids, detached_tids) for this refresh.
         """
         self.refresh_count += 1
         rows = watched(self.options, table)
@@ -187,7 +229,7 @@ class ProcessList:
         else:
             visible = dict(zip(pids, pids))
 
-        attached: list[TrackedTask] = []
+        attached: list[int] = []
         for tid, pid in visible.items():
             if tid in self.tracked or tid in self.denied:
                 continue
@@ -199,19 +241,15 @@ class ProcessList:
             group = self._attach(tid)
             if group is None:
                 continue
-            row = self.baselines.alloc()
-            self.last.reset(row)
-            task = TrackedTask(pid=pid, tid=tid, group=group, row=row)
-            if entry is not None:
-                del self.quarantined[tid]
-                task.health = "reattached"
-            self.tracked[tid] = task
-            attached.append(task)
+            self.quarantined.pop(tid, None)
+            health = "ok" if entry is None else "reattached"
+            self.tracked[tid] = self.tasks.alloc(tid, pid, group, health)
+            attached.append(tid)
 
         detached: list[int] = []
         for tid in list(self.tracked):
             if tid not in visible:
-                self._release(self.tracked.pop(tid))
+                self.tasks.free(self.tracked.pop(tid))
                 detached.append(tid)
         # A quarantined task that is no longer even listed has exited for
         # good; tids are not recycled, so its entry is dead weight.
@@ -250,11 +288,6 @@ class ProcessList:
     def _count_attach_retry(self) -> None:
         self.attach_retries += 1
 
-    def _release(self, task: TrackedTask) -> None:
-        """Close a task's counters and free its baseline row."""
-        task.group.close()
-        self.baselines.free(task.row)
-
     def quarantine(self, tid: int, reason: str) -> None:
         """Bench a failing task: close its counters now, reattach later.
 
@@ -263,9 +296,9 @@ class ProcessList:
         exponentially longer: ``2**(failures-1)`` refreshes, capped at
         :data:`MAX_QUARANTINE_REFRESHES`.
         """
-        task = self.tracked.pop(tid, None)
-        if task is not None:
-            self._release(task)
+        row = self.tracked.pop(tid, None)
+        if row is not None:
+            self.tasks.free(row)
         failures = self.quarantine_history.get(tid, 0) + 1
         self.quarantine_history[tid] = failures
         backoff = min(2 ** (failures - 1), MAX_QUARANTINE_REFRESHES)
@@ -275,24 +308,15 @@ class ProcessList:
             reason=reason,
         )
 
-    def note_healthy(self, tid: int) -> None:
-        """Forget a task's quarantine history after a clean interval.
-
-        Without this, one bad episode would permanently inflate the
-        backoff of every later (unrelated) failure; with it, only tasks
-        that keep failing *before proving themselves* escalate.
-        """
-        self.quarantine_history.pop(tid, None)
-
     def health_report(self) -> dict[int, str]:
         """Lifecycle state of every known task (tracked and benched)."""
-        report = {tid: task.health for tid, task in self.tracked.items()}
+        report = {tid: self.tasks.health[row] for tid, row in self.tracked.items()}
         for tid in self.quarantined:
             report[tid] = "quarantined"
         return report
 
     def close(self) -> None:
         """Detach everything (shutdown)."""
-        for task in self.tracked.values():
-            self._release(task)
+        for row in self.tracked.values():
+            self.tasks.free(row)
         self.tracked.clear()

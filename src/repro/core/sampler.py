@@ -11,11 +11,12 @@ delta arrays (one numpy pass per column) rather than per task.
 :meth:`Sampler.sample` hands the same frame to consumers wrapped in a
 :class:`Snapshot`.
 
-A pass finds every tracked task in the columnar /proc listing with one
-``searchsorted``, reads their counters in one
-:func:`~repro.perf.counter.read_groups` call, and computes %CPU and the
-scaled deltas of all of them in one numpy step each; the frame's columns
-are rows of those arrays. Reads follow the resilience policy of
+A pass works on the tracked rows of the process list's
+:class:`~repro.core.proclist.TaskTable`: it finds every tracked task in
+the columnar /proc listing with one ``searchsorted``, reads their
+counters in one :func:`~repro.perf.counter.read_groups` call, and
+computes %CPU and the scaled deltas of all of them in one numpy step
+each; the frame's columns are rows of those arrays and of the table. Reads follow the resilience policy of
 :mod:`repro.core.proclist`: transient perf errors are retried under the
 same rule as attaches (:func:`~repro.perf.counter.retry_transient`), hard
 per-task failures quarantine the task (counters closed immediately,
@@ -26,18 +27,16 @@ automatically).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import compress
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.columns import ColumnKind
-from repro.core.expr import canonical_name
+from repro.core.expr import environment
 from repro.core.frame import SnapshotFrame
 from repro.core.options import Options
-from repro.core.proclist import ProcessList, TrackedTask
+from repro.core.proclist import ProcessList
 from repro.core.screen import Screen
 from repro.errors import PerfError, TransientPerfError
 from repro.perf.counter import Backend, read_groups
@@ -145,53 +144,50 @@ class Sampler:
         refresh_seconds = perf_counter() - t0
 
         t0 = perf_counter()
-        last = self.proclist.last
-        tracked = list(self.proclist.tracked.values())
-        pids = np.array([task.pid for task in tracked], dtype=np.int64)
-        rows = np.array([task.row for task in tracked], dtype=np.intp)
-        at, listed = table.locate(pids)
+        tasks = self.proclist.tasks
+        rows = np.fromiter(self.proclist.tracked.values(), np.intp)
+        at, listed = table.locate(tasks.pid[rows])
         # A task missing from the listing exited during the interval: it
         # still reports its final deltas, unless it was never sampled.
-        keep = listed | ~np.isnan(last.time[rows])
-        tasks = list(compress(tracked, keep.tolist()))
+        keep = listed | ~np.isnan(tasks.time[rows])
+        rows, at, listed = rows[keep], at[keep], listed[keep]
         reads = read_groups(
-            self.proclist.backend, [task.group.handles for task in tasks]
+            self.proclist.backend, [group.handles for group in tasks.group[rows]]
         )
+        history = self.proclist.quarantine_history
         clean: list[int] = []
-        sampled: list[TrackedTask] = []
-        outcomes = zip(tasks, reads.errors, reads.retries)
-        for k, (task, error, retries) in enumerate(outcomes):
+        outcomes = zip(rows.tolist(), reads.errors, reads.retries)
+        for k, (row, error, retries) in enumerate(outcomes):
             self.read_retries += retries
             if error is not None:
-                self._read_failed(task, error)
+                self._read_failed(row, error)
                 continue
             if retries:
-                task.health = "retry"
-            elif task.health == "reattached" and not task.reattach_reported:
-                task.reattach_reported = True
+                tasks.health[row] = "retry"
+            elif tasks.health[row] == "reattached" and not tasks.reported[row]:
+                tasks.reported[row] = True
             else:
-                task.health = "ok"
+                tasks.health[row] = "ok"
                 # A full clean interval resets the quarantine backoff.
-                self.proclist.note_healthy(task.tid)
+                if history:
+                    history.pop(int(tasks.tid[row]), None)
             clean.append(k)
-            sampled.append(task)
         settled = np.array(clean, dtype=np.intp)
-        picked = np.flatnonzero(keep)[settled]
-        rows, at, listed = rows[picked], at[picked], listed[picked]
+        rows, at, listed = rows[settled], at[settled], listed[settled]
         # %CPU since each listed task's last sample; an exit row reads
         # 0.0 and keeps its last sample as its identity.
-        pcts = np.zeros(len(picked))
+        pcts = np.zeros(len(rows))
         now_rows, now_at = rows[listed], at[listed]
         pcts[listed] = cpu_percent(
             table.cpu_seconds[now_at],
-            last.cpu_seconds[now_rows],
-            last.time[now_rows],
+            tasks.cpu_seconds[now_rows],
+            tasks.time[now_rows],
             table.start_time[now_at],
             now,
         )
-        last.record(now_rows, table, now_at, now)
-        shape = (len(tasks), len(self.events))
-        deltas = self.proclist.baselines.fold(
+        tasks.record(now_rows, table, now_at, now)
+        shape = (len(reads.errors), len(self.events))
+        deltas = tasks.fold(
             rows,
             reads.value.reshape(shape)[settled],
             reads.time_enabled.reshape(shape)[settled],
@@ -200,9 +196,7 @@ class Sampler:
         read_seconds = perf_counter() - t0
 
         t0 = perf_counter()
-        frame = self._build_frame(
-            now, interval, sampled, pids[picked], rows, pcts, deltas
-        )
+        frame = self._build_frame(now, interval, rows, pcts, deltas)
         frame = frame.take(self._sort_order(frame))
         eval_seconds = perf_counter() - t0
 
@@ -214,11 +208,11 @@ class Sampler:
             read_seconds=read_seconds,
             eval_seconds=eval_seconds,
             refresh_seconds=refresh_seconds,
-            tasks=len(sampled),
+            tasks=len(rows),
         )
         return frame
 
-    def _read_failed(self, task: TrackedTask, error: PerfError) -> None:
+    def _read_failed(self, row: int, error: PerfError) -> None:
         """Settle a task whose counter read failed once retries were spent.
 
         Transient errors (EINTR/EAGAIN/corrupt reads) skip the task's row
@@ -228,23 +222,22 @@ class Sampler:
         immediately and reattach happens after a backoff, so a failing
         task can never wedge the sampling loop or leak fds.
         """
+        tasks = self.proclist.tasks
         if isinstance(error, TransientPerfError):
-            task.health = "retrying"
+            tasks.health[row] = "retrying"
             self.read_skips += 1
         else:
-            self.proclist.quarantine(task.tid, type(error).__name__)
+            self.proclist.quarantine(int(tasks.tid[row]), type(error).__name__)
 
     def _build_frame(
         self,
         now: float,
         interval: float,
-        sampled: list[TrackedTask],
-        pids: np.ndarray,
         rows: np.ndarray,
         cpu_pct: np.ndarray,
         deltas: np.ndarray,
     ) -> SnapshotFrame:
-        n = len(sampled)
+        n = len(rows)
         # Every tracked group opens ``self.events``; a frame with no rows
         # carries no delta columns.
         delta_cols = (
@@ -253,11 +246,7 @@ class Sampler:
             else {}
         )
 
-        env: dict[str, np.ndarray | float] = {
-            canonical_name(k): v for k, v in delta_cols.items()
-        }
-        env["delta_t"] = interval if interval > 0 else math.nan
-        env["cpu_pct"] = cpu_pct
+        env = environment(delta_cols, interval, cpu_pct)
         metrics: dict[str, np.ndarray] = {}
         for column in self.screen.columns:
             if column.expression is not None:
@@ -269,24 +258,24 @@ class Sampler:
                     else np.empty(0)
                 )
 
+        tasks = self.proclist.tasks
         labels: dict[str, tuple[str, ...]] = {}
         if self._health_header is not None:
-            labels[self._health_header] = tuple(task.health for task in sampled)
+            labels[self._health_header] = tuple(tasks.health[rows])
 
         # Every sampled row's identity is its task's last sample: this
         # pass's table row if listed, else what it last listed.
-        last = self.proclist.last
         return SnapshotFrame(
             time=now,
             interval=interval,
-            pids=pids,
-            tids=np.array([task.tid for task in sampled], dtype=np.int64),
-            uids=last.uid[rows],
-            users=tuple(last.user[rows]),
-            comms=tuple(last.comm[rows]),
+            pids=tasks.pid[rows],
+            tids=tasks.tid[rows],
+            uids=tasks.uid[rows],
+            users=tuple(tasks.user[rows]),
+            comms=tuple(tasks.comm[rows]),
             cpu_pct=cpu_pct,
-            cpu_time=last.cpu_seconds[rows],
-            processors=last.processor[rows],
+            cpu_time=tasks.cpu_seconds[rows],
+            processors=tasks.processor[rows],
             deltas=delta_cols,
             metrics=metrics,
             labels=labels,

@@ -25,7 +25,7 @@ from repro.core.columns import (
     USER_COLUMN,
     expr_column,
 )
-from repro.core.expr import canonical_name
+from repro.core.expr import BUILTIN_VARIABLES, canonical_name
 from repro.core.metrics import METRICS
 from repro.errors import ConfigError
 from repro.perf.events import EventSpec, event_names, resolve_event
@@ -76,11 +76,10 @@ class Screen:
                 variable nor a known event.
         """
         known = {canonical_name(n): n for n in event_names()}
-        builtins = {"delta_t", "cpu_pct"}
         needed: dict[str, EventSpec] = {}
         for column in self.columns:
             for var in sorted(column.variables()):
-                if var in builtins:
+                if var in BUILTIN_VARIABLES:
                     continue
                 if var not in known:
                     raise ConfigError(

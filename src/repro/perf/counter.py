@@ -10,9 +10,9 @@ task (one per event of interest) behind a single ``read_deltas`` call.
 A sampling pass reads every tracked task at once: :func:`read_groups`
 takes one handle list per task and makes one batched backend call when the
 backend offers one (the analogue of PERF_FORMAT_GROUP, where one
-``read(2)`` returns a whole group), and :class:`BaselineTable` keeps the
-delta baselines of all tasks in arrays, so the pass scales every delta in
-one numpy step.
+``read(2)`` returns a whole group). The process list's task table keeps
+the delta baselines of all tasks in arrays and scales every delta in one
+numpy step (:meth:`repro.core.proclist.TaskTable.fold`).
 """
 
 from __future__ import annotations
@@ -171,7 +171,8 @@ class Counter:
 
     def _delta_from(self, now: Reading) -> float:
         """Fold one raw reading into the delta baseline
-        (:meth:`BaselineTable.fold` is the same rule over arrays)."""
+        (:meth:`repro.core.proclist.TaskTable.fold` is the same rule over
+        arrays)."""
         d_value = now.value - self._last.value
         d_enabled = now.time_enabled - self._last.time_enabled
         d_running = now.time_running - self._last.time_running
@@ -363,79 +364,3 @@ def read_each_group(
         retries.append(len(spent))
         start += len(handles)
     return GroupReads(value, enabled, running, errors, retries)
-
-
-class BaselineTable:
-    """Delta baselines of many counter groups: one row per group, one
-    column per event.
-
-    The array form of :meth:`Counter._delta_from`. :meth:`fold` scales a
-    whole pass's readings against their rows in one numpy step, bit for
-    bit what the per-counter rule computes, and moves those rows to the
-    new readings. A fresh row starts from the zero reading, as a fresh
-    :class:`Counter` does, and freed rows are recycled, so :attr:`size`
-    never exceeds the most rows held at once.
-
-    Args:
-        width: events per group.
-    """
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        #: Rows handed out so far (free ones included).
-        self.size = 0
-        self.value = np.zeros((1, width), dtype=np.int64)
-        self.time_enabled = np.zeros((1, width))
-        self.time_running = np.zeros((1, width))
-        self._free: list[int] = []
-
-    def alloc(self) -> int:
-        """A zeroed row for a newly opened group."""
-        if self._free:
-            row = self._free.pop()
-        else:
-            row = self.size
-            self.size += 1
-            if row == len(self.value):
-                for name in ("value", "time_enabled", "time_running"):
-                    old = getattr(self, name)
-                    setattr(self, name, np.concatenate([old, np.zeros_like(old)]))
-        self.value[row] = 0
-        self.time_enabled[row] = 0.0
-        self.time_running[row] = 0.0
-        return row
-
-    def free(self, row: int) -> None:
-        """Return a closed group's row for reuse."""
-        self._free.append(row)
-
-    def fold(
-        self,
-        rows: np.ndarray,
-        value: np.ndarray,
-        time_enabled: np.ndarray,
-        time_running: np.ndarray,
-    ) -> np.ndarray:
-        """Scaled deltas of ``rows`` since their baselines; the baselines
-        move to the new readings.
-
-        Args:
-            rows: one table row per group read.
-            value, time_enabled, time_running: the new readings, shaped
-                ``(len(rows), width)``.
-
-        Returns:
-            Event-major ``(width, len(rows))`` deltas: Δvalue·(Δte/Δtr),
-            and 0.0 where the counter never ran (Δtr <= 0).
-        """
-        d_value = value - self.value[rows]
-        d_enabled = time_enabled - self.time_enabled[rows]
-        d_running = time_running - self.time_running[rows]
-        self.value[rows] = value
-        self.time_enabled[rows] = time_enabled
-        self.time_running[rows] = time_running
-        with np.errstate(all="ignore"):
-            scaled = np.where(
-                d_running > 0, d_value * (d_enabled / d_running), 0.0
-            )
-        return np.ascontiguousarray(scaled.T)

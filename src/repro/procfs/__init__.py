@@ -1,4 +1,4 @@
-"""The /proc substrate: process identity, state and CPU accounting.
+"""The /proc substrate: process identity and CPU accounting.
 
 Tiptop pulls "%CPU, processor on which a task is running, etc." from the
 /proc filesystem (§2.3). :mod:`repro.procfs.reader` parses the real /proc;

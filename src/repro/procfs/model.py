@@ -21,7 +21,6 @@ class ProcessInfo(NamedTuple):
         user: owner login name.
         comm: command name (truncated to 15 chars by the kernel, as in
             /proc/<pid>/comm).
-        state: one-letter state code (R/S/D/Z/X...).
         cpu_seconds: cumulative utime+stime in seconds.
         start_time: process start, in seconds since (machine) boot.
         processor: CPU the task last ran on.
@@ -32,7 +31,6 @@ class ProcessInfo(NamedTuple):
     uid: int
     user: str
     comm: str
-    state: str
     cpu_seconds: float
     start_time: float
     processor: int
@@ -54,14 +52,13 @@ class ProcessTable:
     processor: np.ndarray
     user: tuple[str, ...]
     comm: tuple[str, ...]
-    state: tuple[str, ...]
     tids: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[ProcessInfo]) -> ProcessTable:
         """The table of some listing rows: sorted by pid, transposed once."""
         ordered = sorted(rows, key=itemgetter(0))
-        pid, tids, uid, user, comm, state, cpu, start, cpu_id = (
+        pid, tids, uid, user, comm, cpu, start, cpu_id = (
             zip(*ordered) if ordered else ((),) * len(ProcessInfo._fields)
         )
         return cls(
@@ -72,7 +69,6 @@ class ProcessTable:
             processor=np.array(cpu_id, dtype=np.int64),
             user=user,
             comm=comm,
-            state=state,
             tids=tids,
         )
 
@@ -92,7 +88,7 @@ class ProcessTable:
             ProcessInfo._make(row)
             for row in zip(
                 self.pid.tolist(), self.tids, self.uid.tolist(), self.user,
-                self.comm, self.state, self.cpu_seconds.tolist(),
+                self.comm, self.cpu_seconds.tolist(),
                 self.start_time.tolist(), self.processor.tolist(),
             )
         ]

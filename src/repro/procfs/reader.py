@@ -1,6 +1,6 @@
 """Real /proc parser.
 
-Parses ``/proc/<pid>/stat`` (state, utime/stime, starttime, processor),
+Parses ``/proc/<pid>/stat`` (comm, utime/stime, starttime, processor),
 ``/proc/<pid>/status`` (uid, name), ``/proc/<pid>/task`` (thread ids) and
 ``/proc/uptime``. Exercised in tests against the test process's own
 ``/proc/self`` — the container has a real procfs even though it has no PMU.
@@ -85,10 +85,9 @@ class ProcReader:
             ProcfsError: when the pid has no /proc entry (exited).
         """
         fields = self._read_stat(pid)
-        # stat(5) field numbers (1-based): 2 comm, 3 state, 14 utime,
-        # 15 stime, 22 starttime, 39 processor.
+        # stat(5) field numbers (1-based): 2 comm, 14 utime, 15 stime,
+        # 22 starttime, 39 processor.
         comm = fields[1]
-        state = fields[2]
         utime = int(fields[13])
         stime = int(fields[14])
         starttime = int(fields[21])
@@ -100,7 +99,6 @@ class ProcReader:
             uid=uid,
             user=self._user_name(uid),
             comm=comm,
-            state=state,
             cpu_seconds=(utime + stime) / self.clock_ticks,
             start_time=starttime / self.clock_ticks,
             processor=processor,

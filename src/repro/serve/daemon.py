@@ -171,6 +171,9 @@ class CollectorDaemon:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The server holds ``self._accept``: dropping it breaks the
+            # cycle, so the daemon and its machine die with their run.
+            self._server = None
         self.sampler.close()
 
     def _forget_unsendable(self) -> None:

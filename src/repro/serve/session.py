@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.expr import Expression, canonical_name
+from repro.core.expr import Expression, environment
 from repro.core.frame import INTRINSIC_KINDS, SnapshotFrame
 from repro.errors import ExprError, SessionError
 from repro.serve.protocol import encode_frame
@@ -163,11 +163,7 @@ def subscription_view(
     if sub.exprs:
         if compiled is None:
             compiled = sub.compile_exprs()
-        env: dict[str, np.ndarray | float] = {
-            canonical_name(name): col for name, col in view.deltas.items()
-        }
-        env["delta_t"] = view.interval if view.interval > 0 else math.nan
-        env["cpu_pct"] = view.cpu_pct
+        env = environment(view.deltas, view.interval, view.cpu_pct)
         metrics = dict(view.metrics)
         layout = list(view.columns)
         for header, expression in compiled:

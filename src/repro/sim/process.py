@@ -3,8 +3,8 @@
 A :class:`SimProcess` owns one or more :class:`SimThread` objects; each
 thread executes the process's :class:`~repro.sim.workload.Workload`
 independently (its own retired-instruction cursor). The fields mirror what
-tiptop reads from ``/proc``: pid/tid, owner, command name, state, CPU times,
-the processor a task last ran on.
+tiptop reads from ``/proc``: pid/tid, owner, command name, CPU times, the
+processor a task last ran on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class TaskState(enum.Enum):
     """Scheduler-visible task states (a subset of Linux's)."""
 
     RUNNABLE = "R"
-    SLEEPING = "S"
     DEAD = "X"
 
 
@@ -39,7 +38,7 @@ class SimThread:
         process: owning process.
         retired: instructions retired since thread start.
         cycles: core cycles consumed while scheduled.
-        state: RUNNABLE/SLEEPING/DEAD.
+        state: RUNNABLE/DEAD.
         cpu_time: seconds of CPU consumed (utime+stime equivalent).
         last_pu: PU the thread last ran on (-1 before first dispatch).
         vruntime: scheduler fairness clock (CFS-like).
@@ -135,18 +134,6 @@ class SimProcess:
     def alive(self) -> bool:
         """True while any thread is alive."""
         return any(t.alive for t in self.threads)
-
-    @property
-    def state(self) -> TaskState:
-        """Aggregate state: runnable if any thread is, else sleeping if any
-        thread is, else dead."""
-        state = TaskState.DEAD
-        for t in self.threads:
-            if t.state is TaskState.RUNNABLE:
-                return TaskState.RUNNABLE
-            if t.state is TaskState.SLEEPING:
-                state = TaskState.SLEEPING
-        return state
 
     @property
     def retired(self) -> float:

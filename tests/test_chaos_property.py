@@ -7,6 +7,8 @@ one task cannot shift another task's schedule or readings. We check it by
 driving two identical machines — one behind a faulted backend, one behind
 a clean backend — through the same spawn/kill churn and comparing every
 untouched pid's rows exactly (``repr`` equality, so NaN compares equal).
+After every pass, the process list's task table must also hold together
+(:func:`check_task_table`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,32 @@ churn_strategy = st.lists(
 )
 
 
+def check_task_table(sampler: Sampler, backend: SimBackend) -> None:
+    """One row per tracked task, holding that task's open counters.
+
+    Tracked rows are distinct and carry their key's tid (and pid: this is
+    per-process mode); each holds an open group with one handle per screen
+    event, and those groups are every handle the backend has open; a row
+    no tid maps to holds no group; and the health report reads each
+    tracked task's health from its row.
+    """
+    proclist = sampler.proclist
+    tasks = proclist.tasks
+    tracked = proclist.tracked
+    assert len(set(tracked.values())) == len(tracked)
+    for tid, row in tracked.items():
+        assert (tasks.tid[row], tasks.pid[row]) == (tid, tid)
+        group = tasks.group[row]
+        assert len(group.handles) == len(sampler.events)
+        assert not any(counter.closed for counter in group.counters)
+    assert backend.open_handle_count() == len(tracked) * len(sampler.events)
+    for row in set(range(tasks.size)) - set(tracked.values()):
+        assert tasks.group[row] is None
+    report = proclist.health_report()
+    for tid, row in tracked.items():
+        assert report[tid] == tasks.health[row]
+
+
 def run_monitored(plan: FaultPlan | None, churn) -> tuple:
     """Drive one machine through the churn script under ``plan``.
 
@@ -70,6 +98,7 @@ def run_monitored(plan: FaultPlan | None, churn) -> tuple:
     sampler = Sampler(backend, SimProcReader(machine), get_screen("default"))
     snapshots = []
     sampler.sample()  # baseline: attach everyone
+    check_task_table(sampler, backend)
     for step in range(1, STEPS + 1):
         for when, action in churn:
             if when != step:
@@ -83,6 +112,7 @@ def run_monitored(plan: FaultPlan | None, churn) -> tuple:
                     machine.kill(victim)
         machine.run_for(1.0)
         snapshots.append(sampler.sample())
+        check_task_table(sampler, backend)
     sampler.close()
     return machine, backend, snapshots
 

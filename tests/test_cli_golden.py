@@ -1,4 +1,5 @@
-"""Frozen tiptop stdout, and quiet exits into closed pipes.
+"""Frozen tiptop stdout, untouched by ``--profile``, and quiet exits into
+closed pipes.
 
 ``tests/data/cli`` holds the stdout of ten tiptop runs: plain batch,
 per-thread batch, chaos batch, one live frame, a batch run of each of the
@@ -46,6 +47,25 @@ def test_stdout_is_byte_identical_to_golden(name):
     result = tiptop(GOLDENS[name], capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["batch_n3.txt", "batch_chaos7_n2.txt"])
+def test_profile_changes_no_stdout_byte(name):
+    """``--profile`` writes only to stderr: stdout stays the golden, and
+    each block gets one ``profile:`` line whose ``tasks=`` is that
+    block's row count."""
+    result = tiptop([*GOLDENS[name], "--profile"], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (DATA / name).read_bytes()
+    blocks = result.stdout.decode().split("--- t=")[1:]
+    # Each block is its "--- t=" line, the column header, then its rows.
+    rows = [len(block.strip("\n").splitlines()) - 2 for block in blocks]
+    profiles = [
+        line
+        for line in result.stderr.decode().splitlines()
+        if line.startswith("profile:")
+    ]
+    assert [int(line.rsplit("tasks=", 1)[1]) for line in profiles] == rows
 
 
 @pytest.mark.parametrize(

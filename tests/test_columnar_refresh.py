@@ -1,11 +1,11 @@
-"""The columnar refresh: one batched counter read per sampling pass into a
-baseline table, frames built from its arrays, tables rendered per column.
+"""The columnar refresh: one batched counter read per sampling pass into
+the task table, frames built from its arrays, tables rendered per column.
 
 Each test pins one contract of that path: the pass makes one
 ``read_groups`` call and no per-handle read; retries happen in place, so
 fault schedules keep their meaning; a starved handle reads as its last
 clean reading even from an aborted attempt; the array scaling is
-bit for bit :meth:`Counter._delta_from`; baseline rows are recycled; and
+bit for bit :meth:`Counter._delta_from`; task rows are recycled; and
 the column renderer prints what a per-cell renderer prints.
 """
 
@@ -33,9 +33,10 @@ from repro.core.columns import (
 )
 from repro.core.formatter import render_frame_table
 from repro.core.frame import SnapshotFrame
+from repro.core.proclist import TaskTable
 from repro.core.sampler import Sampler
 from repro.core.screen import Screen, get_screen
-from repro.perf.counter import BaselineTable, Counter as PerfCounter, Reading
+from repro.perf.counter import Counter as PerfCounter, Reading
 from repro.perf.events import resolve_event
 from repro.perf.faults import FaultPlan, FaultSpec
 from repro.perf.simbackend import SimBackend
@@ -107,14 +108,15 @@ class TestStaleHandle:
         backend = SimBackend(coarse_machine, faults=plan)
         sampler = _sampler(coarse_machine, backend)
         sampler.sample_frame()
-        backend.close(sampler.proclist.tracked[a.pid].group.handles[1])
+        proclist = sampler.proclist
+        backend.close(proclist.tasks.group[proclist.tracked[a.pid]].handles[1])
         coarse_machine.run_for(2.0)
         frame = sampler.sample_frame()
         assert frame.pids.tolist() == [b.pid]
         assert frame.deltas["cycles"][0] > 0
         # Quarantined with a one-refresh backoff: reattached at once.
-        assert sampler.proclist.quarantine_history == {a.pid: 1}
-        assert sampler.proclist.tracked[a.pid].health == "reattached"
+        assert proclist.quarantine_history == {a.pid: 1}
+        assert proclist.tasks.health[proclist.tracked[a.pid]] == "reattached"
         sampler.close()
         assert backend.open_handle_count() == 0
 
@@ -219,8 +221,8 @@ class TestArrayScaling:
         return counter._delta_from(now)
 
     def test_fold_equals_delta_from_bitwise(self):
-        table = BaselineTable(len(self.READINGS))
-        row = table.alloc()
+        table = TaskTable(len(self.READINGS))
+        row = table.alloc(1, 1, None, "ok")
         rows = np.array([row])
         for k, pick in enumerate((0, 1)):
             readings = [pair[pick] for pair in self.READINGS]
@@ -251,8 +253,8 @@ class TestArrayScaling:
         )
     )
     def test_fold_matches_scalar_rule(self, cells):
-        table = BaselineTable(len(cells))
-        rows = np.array([table.alloc()])
+        table = TaskTable(len(cells))
+        rows = np.array([table.alloc(1, 1, None, "ok")])
         base = [Reading(v0, te0, tr0) for v0, _, te0, _, tr0, _ in cells]
         now = [Reading(v1, te1, tr1) for _, v1, _, te1, _, tr1 in cells]
         for readings in (base, now):
@@ -299,7 +301,7 @@ class TestBaselineRows:
             coarse_machine.run_for(1.0)
             sampler.sample_frame()
         assert attaches > 150
-        assert proclist.baselines.size <= peak
+        assert proclist.tasks.size <= peak
         sampler.close()
         assert coarse_machine.counters.open_count() == 0
 

@@ -13,7 +13,7 @@ from repro.procfs.model import ProcessInfo, ProcessTable
 def _table(*procs):
     """A listing of (pid, uid) processes."""
     return ProcessTable.from_rows(
-        ProcessInfo(pid, (pid,), uid, "u", "c", "R", 0.0, 0.0, 0)
+        ProcessInfo(pid, (pid,), uid, "u", "c", 0.0, 0.0, 0)
         for pid, uid in procs
     )
 

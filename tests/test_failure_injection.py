@@ -59,7 +59,6 @@ class VanishingTasks:
             uid=0,
             user="ghost",
             comm="ghost",
-            state="R",
             cpu_seconds=0.0,
             start_time=0.0,
             processor=0,
@@ -211,7 +210,9 @@ class TestReadFailures:
         snap = sampler.sample()
         assert len(snap.frame) == 1
         assert sampler.read_retries == 1
-        assert sampler.proclist.tracked[int(snap.frame.tids[0])].health == "retry"
+        proclist = sampler.proclist
+        row = proclist.tracked[int(snap.frame.tids[0])]
+        assert proclist.tasks.health[row] == "retry"
         sampler.close()
 
     def test_transient_then_esrch_counts_the_retry(

@@ -9,10 +9,12 @@ the streams deterministic regardless of real scheduling.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import re
 import subprocess
 import sys
+import weakref
 
 from repro.core.app import SimHost
 from repro.core.cli import main as cli_main
@@ -251,6 +253,27 @@ def test_duplicate_client_id_second_connection_rejected():
 
     error = asyncio.run(go())
     assert error is not None and "already subscribed" in error
+
+
+def test_closed_daemon_dies_without_the_cycle_collector():
+    """Once ``close`` returns, nothing keeps the daemon alive: reference
+    counting alone frees it, its sampler and its machine."""
+
+    async def go(daemon):
+        await daemon.start()
+        await daemon.run()
+        await daemon.close()
+
+    gc.collect()
+    gc.disable()
+    try:
+        daemon = _make_daemon(iterations=2, min_clients=0)
+        machine = weakref.ref(daemon.sampler.tasks.machine)
+        asyncio.run(go(daemon))
+        del daemon
+        assert machine() is None
+    finally:
+        gc.enable()
 
 
 # -- CLI wiring ---------------------------------------------------------------
