@@ -1,11 +1,12 @@
 """Frozen tiptop stdout, untouched by ``--profile``, and quiet exits into
 closed pipes.
 
-``tests/data/cli`` holds the stdout of ten tiptop runs: plain batch,
+``tests/data/cli`` holds the stdout of fifteen tiptop runs: plain batch,
 per-thread batch, chaos batch, one live frame, a batch run of each of the
-other five built-in screens, and ``--list-screens``. The sampling,
-rendering, screen and simulation paths must reproduce them byte for byte.
-A deliberate
+other five built-in screens, ``--list-screens``, and five ``--grid-workers``
+runs (three workers and four workers on two hosts, each clean and under
+``--grid-chaos``). The sampling, rendering, screen, simulation and grid
+paths must reproduce them byte for byte. A deliberate
 output change regenerates a file with
 ``PYTHONPATH=src python -m repro.core.cli <args> > tests/data/cli/<file>``
 and says why in its commit.
@@ -33,6 +34,27 @@ GOLDENS = {
     "batch_mix_n2.txt": ["--sim", "-b", "-n", "2", "-S", "mix"],
     "batch_latency_n2.txt": ["--sim", "-b", "-n", "2", "-S", "latency"],
     "list_screens.txt": ["--list-screens"],
+    "grid_w3_n8.txt": ["--sim", "--grid-workers", "3", "-d", "2", "-n", "8"],
+    "grid_w3_chaos1_n8.txt": [
+        "--sim", "--grid-workers", "3", "--grid-chaos", "1", "-d", "2", "-n", "8",
+    ],
+    "grid_w3_chaos4_n8.txt": [
+        "--sim", "--grid-workers", "3", "--grid-chaos", "4", "-d", "2", "-n", "8",
+    ],
+    "grid_w4_h2_n8.txt": [
+        "--sim", "--grid-workers", "4", "--grid-hosts", "2", "-d", "2", "-n", "8",
+    ],
+    "grid_w4_h2_chaos1_n8.txt": [
+        "--sim", "--grid-workers", "4", "--grid-hosts", "2", "--grid-chaos", "1",
+        "-d", "2", "-n", "8",
+    ],
+}
+
+#: Each ``--grid-chaos`` golden and the clean golden of the same layout.
+GRID_CHAOS = {
+    "grid_w3_chaos1_n8.txt": "grid_w3_n8.txt",  # a garbled reply
+    "grid_w3_chaos4_n8.txt": "grid_w3_n8.txt",  # a crash
+    "grid_w4_h2_chaos1_n8.txt": "grid_w4_h2_n8.txt",
 }
 
 
@@ -47,6 +69,16 @@ def test_stdout_is_byte_identical_to_golden(name):
     result = tiptop(GOLDENS[name], capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("chaos, clean", sorted(GRID_CHAOS.items()))
+def test_grid_chaos_recovers_to_the_clean_run(chaos, clean):
+    """A worker fault is recovered by restart and journal replay, so a
+    chaos run prints the clean run's bytes, then its supervisor log."""
+    text = (DATA / chaos).read_text()
+    cut = text.index("supervisor:")
+    assert cut > 0
+    assert text[:cut] == (DATA / clean).read_text()
 
 
 @pytest.mark.parametrize("name", ["batch_n3.txt", "batch_chaos7_n2.txt"])
