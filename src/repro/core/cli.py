@@ -65,15 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "supervised engine; the same seed replays the "
                              "same failures and recoveries byte-for-byte "
                              "(requires --sim and --grid-workers)")
-    parser.add_argument("--net-chaos", type=int, default=None, metavar="SEED",
-                        help="inject a seeded schedule of network faults "
-                             "(partitions, dropped/duplicated messages, "
-                             "half-open links, delay) at the grid's shard "
-                             "transport boundary; epoch fencing keeps the "
-                             "output byte-identical to an unpartitioned "
-                             "run, and the same seed replays the same "
-                             "cuts and heals byte-for-byte (requires "
-                             "--sim and --grid-workers)")
     parser.add_argument("--grid-hosts", type=int, default=None, metavar="N",
                         help="split the grid's workers into N supervised "
                              "host groups under fleet-level supervision; a "
@@ -131,7 +122,7 @@ def _run_grid(args: argparse.Namespace) -> int:
 
     span = args.delay * args.iterations
     supervision = None
-    if args.grid_chaos is not None or args.net_chaos is not None:
+    if args.grid_chaos is not None:
         from repro.sim.supervisor import Supervision
 
         # Chaos runs recover many times; a tight deadline and no backoff
@@ -143,7 +134,6 @@ def _run_grid(args: argparse.Namespace) -> int:
         workers=args.grid_workers,
         profile=args.profile,
         grid_chaos=args.grid_chaos,
-        net_chaos=args.net_chaos,
         supervision=supervision,
         hosts=args.grid_hosts,
     ) as grid:
@@ -181,21 +171,6 @@ def _run_grid(args: argparse.Namespace) -> int:
                     f"{k}={event[k]}" for k in sorted(event) if k != "event"
                 )
                 print(f"  {event['event']:8s} {fields}")
-        if args.net_chaos is not None:
-            # The whole point of --net-chaos is that stdout stays
-            # byte-identical to an unpartitioned run (CI diffs it), so
-            # the recovery summary goes to stderr.
-            engine_obj = grid.engine
-            stats = grid.stats
-            print(
-                f"netchaos: faults={engine_obj.net_faults()} "
-                f"failures={stats['worker_failures']} "
-                f"fenced={engine_obj.fenced_replies()} "
-                f"restarts={stats['restarts']} "
-                f"adopted={stats['adopted_shards']} "
-                f"degraded={'yes' if stats['degraded'] else 'no'}",
-                file=sys.stderr,
-            )
         if args.profile:
             stats = grid.stats
             print(
@@ -347,15 +322,6 @@ def _main(argv: list[str] | None) -> int:
     ):
         print(
             "tiptop: --grid-chaos injects worker faults into the "
-            "simulated grid and requires --sim and --grid-workers",
-            file=sys.stderr,
-        )
-        return 2
-    if args.net_chaos is not None and (
-        not args.sim or args.grid_workers is None
-    ):
-        print(
-            "tiptop: --net-chaos injects network faults into the "
             "simulated grid and requires --sim and --grid-workers",
             file=sys.stderr,
         )

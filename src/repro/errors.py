@@ -207,22 +207,16 @@ class WorkerFailure(SimulationError):
 
     Raised by the shard transports when a worker crashes (pipe closed,
     process exited), misses its epoch deadline (hang), replies with a
-    message that does not parse as an epoch report (garbled), is cut off
-    by a network partition while possibly still alive (unreachable —
-    the supervisor must fence, not double-apply), or is spoken to after
-    the transport was deliberately shut down (closed — e.g. a send
-    racing :meth:`close` during interpreter teardown), instead of
-    leaking a raw ``EOFError``/``BrokenPipeError``. The supervised
-    engine catches it and walks its recovery ladder.
-
-    ``"unreachable"`` is deliberately distinct from ``"crash"``: a
-    partitioned worker may be slow-but-alive, so its late replies carry
-    a stale incarnation fence and are rejected rather than merged.
+    message that does not parse as an epoch report (garbled), or is
+    spoken to after the transport was deliberately shut down (closed —
+    e.g. a send racing :meth:`close` during interpreter teardown),
+    instead of leaking a raw ``EOFError``/``BrokenPipeError``. The
+    supervised engine catches it and walks its recovery ladder.
 
     Attributes:
         worker: index of the failing worker.
         kind: one of ``"crash"``, ``"hang"``, ``"garbled"``,
-            ``"unreachable"``, ``"closed"``.
+            ``"closed"``.
         exitcode: the worker's exit code, when known.
     """
 

@@ -41,7 +41,6 @@ from repro.sim.supervisor import SupervisedShardedEngine, Supervision
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.grid import NodeSpec
-    from repro.sim.netchaos import NetChaosPlan
     from repro.sim.supervisor import GridFaultPlan
 
 __all__ = ["FleetEngine", "FleetSupervision"]
@@ -101,7 +100,6 @@ class FleetEngine:
         config: Supervision | None = None,
         seeds: list[int] | None = None,
         fleet: FleetSupervision | None = None,
-        netchaos: "NetChaosPlan | None" = None,
     ) -> None:
         if hosts < 1:
             raise SimulationError(f"fleet needs >= 1 host, got {hosts}")
@@ -115,7 +113,6 @@ class FleetEngine:
         self.tick = tick
         self.transport_name = transport
         self.chaos = chaos
-        self.netchaos = netchaos
         self.config = config if config is not None else Supervision()
         self.fleet_config = fleet if fleet is not None else FleetSupervision()
         self.hosts = min(hosts, len(specs)) if specs else hosts
@@ -149,7 +146,6 @@ class FleetEngine:
             config=self.config,
             worker_base=host.index * self.host_workers,
             journals=journals,
-            netchaos=self.netchaos,
         )
 
     # -- engine protocol ----------------------------------------------------
@@ -270,15 +266,6 @@ class FleetEngine:
 
     def live_workers(self) -> int:
         return sum(h.engine.live_workers() for h in self._hosts)
-
-    def fenced_replies(self) -> int:
-        """Stale replies rejected across every host, including hosts
-        since retired — the fleet-wide split-brain rejection count."""
-        return sum(e.fenced_replies() for e in self._engines())
-
-    def net_faults(self) -> int:
-        """Net-chaos faults injected across every host's links."""
-        return sum(e.net_faults() for e in self._engines())
 
     def close(self) -> None:
         for host in self._hosts:

@@ -51,7 +51,6 @@ from repro.sim.process import SimProcess
 from repro.sim.workload import Workload
 
 if TYPE_CHECKING:
-    from repro.sim.netchaos import NetChaosPlan
     from repro.sim.supervisor import GridFaultPlan, Supervision
 
 
@@ -221,12 +220,6 @@ class Grid:
             each a full supervised engine under fleet-level supervision
             (host death resurrects the whole group by journal replay).
             Implies the "fleet" engine.
-        net_chaos: seeded network-fault injection on the shard links —
-            an int seed (stock partition/drop/half-open/duplicate/delay
-            mix) or a prebuilt :class:`~repro.sim.netchaos.NetChaosPlan`.
-            Requires (and defaults the engine to) "supervised": the
-            recovery ladder plus epoch fencing is what keeps digests
-            bitwise-equal under message loss.
     """
 
     def __init__(
@@ -243,7 +236,6 @@ class Grid:
         supervision: "Supervision | None" = None,
         transport: str | None = None,
         hosts: int | None = None,
-        net_chaos: "int | NetChaosPlan | None" = None,
     ) -> None:
         self.queues = {
             q.name: q for q in (sge_queues() if queues is None else queues)
@@ -264,11 +256,6 @@ class Grid:
             from repro.sim.supervisor import GridFaultPlan
 
             chaos = GridFaultPlan.from_seed(chaos)
-        netchaos = net_chaos
-        if isinstance(netchaos, int):
-            from repro.sim.netchaos import NetChaosPlan
-
-            netchaos = NetChaosPlan.from_seed(netchaos)
         if transport is not None and transport not in TRANSPORT_NAMES:
             raise SimulationError(
                 f"unknown shard transport {transport!r} "
@@ -282,7 +269,6 @@ class Grid:
             elif (
                 workers > 1
                 or chaos is not None
-                or netchaos is not None
                 or supervision is not None
                 or transport is not None
             ):
@@ -293,7 +279,6 @@ class Grid:
             engine, specs, tick, seed, workers,
             chaos=chaos, supervision=supervision,
             transport=transport, hosts=hosts,
-            net_chaos=netchaos,
         )
         self._legacy = self.engine.name == "legacy"
         self._pending: dict[str, list[Job]] = {

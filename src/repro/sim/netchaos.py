@@ -1,46 +1,29 @@
-"""Seeded network-fault kernel for the shard transports and the daemon.
+"""Seeded link-cut schedule for the serve daemon's client connections.
 
 :class:`~repro.sim.supervisor.GridFaultPlan` breaks *processes* (crash,
-hang, garble inside the agent); this module breaks the *links between*
-them. A :class:`NetChaosPlan` is the same shape of object — a frozen,
-stateless, picklable schedule seeded once and queried as a pure function
-— but its decisions model the message layer: partition/heal windows,
-lost requests, replies that arrive late with a stale incarnation,
-duplicated replies, and per-link delay.
+hang, garble inside a grid worker); this module breaks the *links*
+between the collector daemon and its subscribers. A
+:class:`NetChaosPlan` is the same shape of object — a frozen,
+stateless, picklable schedule seeded once and queried as a pure
+function — and it answers one question: :meth:`NetChaosPlan.cut`, is
+this connection severed before this frame is written? The
+auto-reconnecting client then exercises resume-by-seq against the
+retention ring. A healthy TCP stream cannot duplicate, reorder or delay
+a frame, but it can be cut.
 
 Determinism contract (mirroring :mod:`repro.perf.faults`): every
-decision hashes ``(seed, link, epoch)`` through crc32 into one uniform
+decision hashes ``(seed, link, seq)`` through crc32 into one uniform
 variate, so the schedule is platform-stable and **independent per
-link** — faults on one link never shift another link's schedule, and
-``--net-chaos SEED`` replays byte-identically. The third ``attempt``
-axis is how a partition *heals*: a fault with ``duration`` ``d`` keeps
-firing while the round-trip for that (link, epoch) has been attempted
-fewer than ``d`` times, then clears. Retries are driven by the
-supervisor's restart ladder, so "heal after d failed attempts" is itself
-a pure function of the schedule and the supervision policy — no
-wall-clock enters the replay.
+link** — cuts on one link never shift another link's schedule. The
+third ``attempt`` axis is how a cut *heals*: a fault with ``duration``
+``d`` keeps firing while the frame for that (link, seq) has been
+attempted fewer than ``d`` times, then clears. No wall-clock enters
+the schedule.
 
-Fault kinds and how the transport layer realises them::
-
-    partition   the request never crosses the cut; the reply deadline
-                expires -> WorkerFailure(kind="unreachable"). Lasts
-                ``duration`` attempts (the heal schedule).
-    drop        a single lost request message (a 1-attempt partition).
-    half_open   the request is delivered and *applied*, but the reply is
-                lost to the cut; after heal the stale reply surfaces and
-                is rejected by its incarnation fence (the split-brain
-                case: without fencing this epoch would be double-counted).
-    reorder     the reply is held back past its round-trip and delivered
-                ahead of a later reply; the epoch fence rejects it.
-    duplicate   the reply is delivered twice; the second copy's epoch
-                fence fails and it is discarded, not merged.
-    delay       ``latency`` seconds of injected link latency; a delay at
-                or beyond the round-trip deadline becomes "unreachable".
-
-At the serve daemon's stream layer the same plan decides per
-``(link, frame seq)`` whether the connection is severed mid-stream
-(:meth:`NetChaosPlan.cut`); the auto-reconnecting client then exercises
-resume-by-seq against the retention ring.
+Every fault kind is a cut: the daemon severs the socket the same way
+for each. In the stock mix a ``partition`` lasts two attempts (the heal
+path) and a ``drop``, ``half_open`` or ``reorder`` one; any spec may set
+its own ``duration``.
 """
 
 from __future__ import annotations
@@ -51,27 +34,14 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 
 __all__ = [
-    "CUT_KINDS",
     "NET_FAULT_KINDS",
     "NetChaosPlan",
     "NetFaultSpec",
     "default_net_specs",
 ]
 
-#: Fault kinds a link can be ordered to exhibit.
-NET_FAULT_KINDS = (
-    "partition",
-    "drop",
-    "half_open",
-    "reorder",
-    "duplicate",
-    "delay",
-)
-
-#: Kinds that sever a byte stream outright (the serve layer's view: a
-#: duplicated or delayed frame cannot happen on one healthy TCP stream,
-#: but a cut connection can).
-CUT_KINDS = frozenset({"partition", "drop", "half_open", "reorder"})
+#: Fault kinds a link can be ordered to exhibit; every one is a cut.
+NET_FAULT_KINDS = ("partition", "drop", "half_open", "reorder")
 
 
 @dataclass(frozen=True)
@@ -80,15 +50,12 @@ class NetFaultSpec:
 
     Attributes:
         kind: one of :data:`NET_FAULT_KINDS`.
-        rate: probability per (link, epoch) draw.
-        at_epochs: exact epoch indices to fire at (overrides ``rate``).
+        rate: probability per (link, seq) draw.
+        at_epochs: exact frame seqs to fire at (overrides ``rate``).
         link: restrict to one link id (None = all links).
-        duration: how many *attempts* of the same (link, epoch)
-            round-trip the fault keeps firing for before the link heals.
-            1 means a transient blip the first retry survives; a value
-            at or beyond the supervisor's poison limit models a
-            partition that outlives the ladder (the adopt path).
-        latency: injected one-way delay in seconds (``delay`` kind only).
+        duration: how many *attempts* of the same (link, seq) frame the
+            cut keeps firing for before the link heals. 1 means a
+            transient blip the first reconnect survives.
     """
 
     kind: str
@@ -96,7 +63,6 @@ class NetFaultSpec:
     at_epochs: frozenset[int] | None = None
     link: int | None = None
     duration: int = 1
-    latency: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in NET_FAULT_KINDS:
@@ -114,25 +80,17 @@ class NetFaultSpec:
             raise ConfigError("link id must be >= 0")
         if self.duration < 1:
             raise ConfigError(f"duration must be >= 1, got {self.duration}")
-        if self.latency < 0:
-            raise ConfigError(f"latency must be >= 0, got {self.latency}")
-        if self.kind != "delay" and self.latency:
-            raise ConfigError(
-                f"latency only applies to 'delay' faults, not {self.kind!r}"
-            )
 
 
 def default_net_specs(intensity: float = 1.0) -> tuple[NetFaultSpec, ...]:
-    """The stock network-chaos mix.
-
-    Mostly transient single-message losses (cheap: one restart each),
-    some two-attempt partitions (the heal path), a sprinkle of the
-    split-brain shapes (half-open and duplicate) because those are the
-    ones fencing exists for.
-    """
+    """The stock link-cut mix: mostly transient single-frame losses
+    (one reconnect each), and some two-attempt partitions (the heal
+    path)."""
     if intensity < 0:
         raise ConfigError(f"chaos intensity must be >= 0, got {intensity}")
-    cap = 1.0 / len(NET_FAULT_KINDS)
+    # Each rate is capped at 1/6. The cap binds at high intensities, so
+    # it is part of the schedule: changing it moves those seeds' cuts.
+    cap = 1.0 / 6
 
     def r(rate: float) -> float:
         return min(rate * intensity, cap)
@@ -142,20 +100,18 @@ def default_net_specs(intensity: float = 1.0) -> tuple[NetFaultSpec, ...]:
         NetFaultSpec("drop", rate=r(0.03)),
         NetFaultSpec("half_open", rate=r(0.02)),
         NetFaultSpec("reorder", rate=r(0.015)),
-        NetFaultSpec("duplicate", rate=r(0.02)),
-        NetFaultSpec("delay", rate=r(0.02), latency=0.002),
     )
 
 
 @dataclass(frozen=True)
 class NetChaosPlan:
-    """A seeded, stateless schedule of link faults.
+    """A seeded, stateless schedule of link cuts.
 
-    Decisions hash ``(seed, link, epoch)`` through crc32 into one
-    uniform variate walked across the rate specs (exactly the
+    Decisions hash ``(seed, link, seq)`` through crc32 into one uniform
+    variate walked across the rate specs (exactly the
     :class:`repro.perf.faults.FaultPlan` shape), so at most one fault
-    fires per (link, epoch) and the schedule for one link is
-    independent of every other link's.
+    fires per (link, seq) and the schedule for one link is independent
+    of every other link's.
     """
 
     seed: int
@@ -203,30 +159,14 @@ class NetChaosPlan:
                 return spec
         return None
 
-    def decide(self, link: int, epoch: int, attempt: int) -> str | None:
-        """The fault (if any) this link exhibits on this round-trip.
+    def cut(self, link: int, seq: int, attempt: int) -> bool:
+        """Is this link severed before frame ``seq`` is written?
 
-        ``attempt`` counts retries of the same (link, epoch) round-trip
-        (0 on the first try); a fault stops firing once ``attempt``
-        reaches its ``duration`` — that is the heal schedule. The
-        *choice* of fault depends only on ``(seed, link, epoch)``, so
-        recovery activity on other links can never shift it.
+        ``attempt`` counts earlier tries at the same (link, seq) frame
+        (0 on the first); a fault stops firing once ``attempt`` reaches
+        its ``duration`` — that is the heal schedule. Whether a fault is
+        scheduled depends only on ``(seed, link, seq)``, so reconnects
+        on other links can never shift it.
         """
-        spec = self._pick(link, epoch)
-        if spec is None or attempt >= spec.duration:
-            return None
-        return spec.kind
-
-    def latency_of(self, link: int, epoch: int) -> float:
-        """The injected latency when :meth:`decide` said ``"delay"``."""
-        spec = self._pick(link, epoch)
-        return spec.latency if spec is not None else 0.0
-
-    def cut(self, link: int, epoch: int, attempt: int) -> bool:
-        """Does this (link, epoch) round-trip lose its connection?
-
-        The serve daemon's stream layer asks this per (client link,
-        frame seq): a True severs the socket before the frame is
-        written, and the client must reconnect and resume.
-        """
-        return self.decide(link, epoch, attempt) in CUT_KINDS
+        spec = self._pick(link, seq)
+        return spec is not None and attempt < spec.duration

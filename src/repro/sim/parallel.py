@@ -69,7 +69,6 @@ from repro.sim.machine import SimMachine
 if TYPE_CHECKING:
     from repro.sim.grid import NodeSpec
     from repro.sim.process import SimProcess
-    from repro.sim.netchaos import NetChaosPlan
     from repro.sim.supervisor import GridFaultPlan, Supervision
     from repro.sim.workload import Workload
 
@@ -489,17 +488,11 @@ def create_engine(
     transport: str | None = None,
     hosts: int | None = None,
     seeds: list[int] | None = None,
-    net_chaos: "NetChaosPlan | None" = None,
 ):
     """Engine factory used by :class:`~repro.sim.grid.Grid`."""
     if chaos is not None and engine not in ("supervised", "fleet"):
         raise SimulationError(
             f"grid chaos requires the supervised engine, not {engine!r}"
-        )
-    if net_chaos is not None and engine not in ("supervised", "fleet"):
-        raise SimulationError(
-            f"net chaos requires a supervised engine, not {engine!r} "
-            "(an unsupervised engine has no recovery ladder to heal with)"
         )
     if supervision is not None and engine not in ("supervised", "fleet"):
         raise SimulationError(
@@ -524,7 +517,6 @@ def create_engine(
             specs, tick, seed, workers,
             chaos=chaos, config=supervision,
             transport=transport or "fork", seeds=seeds,
-            netchaos=net_chaos,
         )
     if engine == "fleet":
         from repro.sim.fleet import FleetEngine
@@ -534,7 +526,6 @@ def create_engine(
             hosts=hosts if hosts is not None else 2,
             transport=transport or "fork",
             chaos=chaos, config=supervision, seeds=seeds,
-            netchaos=net_chaos,
         )
     raise SimulationError(
         f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"

@@ -34,18 +34,6 @@ variate per incarnation, so a restarted worker normally survives the
 retry (transient faults); ``at_epochs`` faults marked ``persistent``
 refire on every incarnation, which is exactly the poison-epoch path.
 
-Network chaos. :class:`~repro.sim.netchaos.NetChaosPlan` breaks the
-*links* instead of the workers: requests lost to a partition surface as
-``WorkerFailure(kind="unreachable")`` and walk the same
-restart/replay/adopt/degrade ladder — a partition that outlives
-``poison_limit`` attempts is adopted exactly like a poison epoch. The
-split-brain hazard (a half-open link where the old agent *applied* the
-epoch before the supervisor retried it through a new incarnation) is
-closed by epoch fencing in the transport layer: the stale reply is
-rejected by its ``(incarnation, epoch)`` token, counted in
-:meth:`SupervisedShardedEngine.fenced_replies`, and the conformance
-digest stays bitwise-equal to the serial engine's.
-
 Determinism of the event log. Supervisor events carry only values that
 are pure functions of (scenario, seed, chaos plan): worker index, epoch
 number, failure kind, incarnation, replayed-epoch counts, configured
@@ -66,7 +54,6 @@ from repro.util.backoff import BackoffPolicy
 
 if TYPE_CHECKING:
     from repro.sim.grid import NodeSpec
-    from repro.sim.netchaos import NetChaosPlan
 
 __all__ = [
     "CRASH_EXIT",
@@ -288,7 +275,6 @@ class SupervisedShardedEngine:
         seeds: list[int] | None = None,
         journals: list[list[tuple[list, int, float]]] | None = None,
         worker_base: int = 0,
-        netchaos: "NetChaosPlan | None" = None,
     ) -> None:
         if workers < 1:
             raise SimulationError(
@@ -297,7 +283,6 @@ class SupervisedShardedEngine:
         self.workers = min(workers, len(specs))
         self.config = config if config is not None else Supervision()
         self.chaos = chaos
-        self.netchaos = netchaos
         self.tick = tick
         self._policy = self.config.policy()
         #: Offset added to each slot index to form the *global* worker id
@@ -318,9 +303,7 @@ class SupervisedShardedEngine:
             "replayed_epochs": 0,
             "adopted_shards": 0,
             "degraded": False,
-            "failures": {
-                "crash": 0, "hang": 0, "garbled": 0, "unreachable": 0,
-            },
+            "failures": {"crash": 0, "hang": 0, "garbled": 0},
         }
         self.degraded = False
         self._send_failures: dict[int, WorkerFailure] = {}
@@ -341,7 +324,7 @@ class SupervisedShardedEngine:
                 # fired can never refire during a host-level replay.
                 state.journal = list(journals[w])
             state.transport = make_transport(
-                transport, worker_base + w, entries, tick, chaos, netchaos
+                transport, worker_base + w, entries, tick, chaos
             )
             self._states.append(state)
         for state in self._states:
@@ -636,19 +619,6 @@ class SupervisedShardedEngine:
             for s in self._states
             if s.shard is None and s.transport.is_alive()
         )
-
-    def fenced_replies(self) -> int:
-        """Stale replies rejected by their incarnation/epoch fence.
-
-        Each one is a split-brain straggler — an answer computed behind a
-        healed partition by a superseded incarnation — that without
-        fencing would have been merged as a second application of its
-        epoch."""
-        return sum(s.transport.fenced_rejected for s in self._states)
-
-    def net_faults(self) -> int:
-        """Round-trips the net-chaos plan faulted across all links."""
-        return sum(s.transport.net_faults for s in self._states)
 
     def close(self) -> None:
         for state in self._states:

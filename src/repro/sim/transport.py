@@ -18,35 +18,19 @@ process/SSH/cluster ``Pool`` ladder of vusec's instrumentation-infra:
 
 Every transport enforces the same failure taxonomy: a round-trip against
 a dead peer raises :class:`~repro.errors.WorkerFailure` ``kind="crash"``,
-a missed deadline ``"hang"``, an unparseable reply ``"garbled"``, a
-message lost to a network fault ``"unreachable"``, and any operation
-after :meth:`ShardTransport.close` ``"closed"`` (so a send racing engine
-teardown is a typed event, not a stray ``BrokenPipeError``). One agent
-class answers the protocol at the far end of both fabrics, chaos
-(:class:`~repro.sim.supervisor.GridFaultPlan`) included, so fault
-schedules and supervisor event logs are transport-invariant: only how a
-chaos crash or hang is carried out differs (the agent process exits or
-wedges; the in-process one marks its slot dead or raises).
+a missed deadline ``"hang"``, an unparseable reply ``"garbled"``, and
+any operation after :meth:`ShardTransport.close` ``"closed"`` (so a send
+racing engine teardown is a typed event, not a stray
+``BrokenPipeError``). One agent class answers the protocol at the far
+end of both fabrics, chaos (:class:`~repro.sim.supervisor.GridFaultPlan`)
+included, so fault schedules and supervisor event logs are
+transport-invariant: only how a chaos crash or hang is carried out
+differs (the agent process exits or wedges; the in-process one marks its
+slot dead or raises).
 
-Two concerns ride on the round-trip uniformly across fabrics, both
-implemented once in :class:`ShardTransport` around the subclasses' raw
-``_spawn_raw``/``_send_raw``/``_recv_raw`` primitives:
-
-* **Network chaos** (:class:`~repro.sim.netchaos.NetChaosPlan`): the
-  parent-side message layer is where partitions bite, so the base class
-  consults the plan per (worker link, epoch, attempt) before a request
-  touches the wire. A partitioned or dropped request is simply never
-  sent; the reply deadline collapses into
-  ``WorkerFailure(kind="unreachable")``. A half-open or reordered link
-  delivers the request — the agent *applies* the epoch — but the genuine
-  reply is stranded parent-side in a stash, surfacing only after the
-  link heals (the split-brain shape).
-
-* **Epoch fencing**: every agent reply carries ``(incarnation, epoch)``
-  and the parent tracks the one fence the in-flight round-trip may
-  match. Stashed or duplicated replies from a stale incarnation are
-  rejected and counted (``fenced_rejected``) instead of being merged, so
-  a healed partition can never double-apply an epoch.
+A respawn never hears the replaced agent: the fork transport opens a new
+pipe per spawn and the in-process one drops its queues at reap, so each
+incarnation's first reply is its own ready handshake.
 """
 
 from __future__ import annotations
@@ -64,18 +48,14 @@ from repro.sim.parallel import TRANSPORT_NAMES, Shard
 
 if TYPE_CHECKING:
     from repro.sim.grid import NodeSpec
-    from repro.sim.netchaos import NetChaosPlan
     from repro.sim.supervisor import GridFaultPlan
 
 
 #: Exit code of a chaos-crashed worker (deterministic, unlike a signal).
 CRASH_EXIT = 17
 
-#: Net-fault kinds where the request is lost before it touches the wire.
-_LOST_REQUEST = frozenset({"partition", "drop"})
-
-#: Net-fault kinds where the request lands but the reply is stranded.
-_LOST_REPLY = frozenset({"half_open", "reorder"})
+#: The post-build handshake every agent sends first.
+READY = ("ok", "ready")
 
 
 # -- the agent (the far end of both transports) -------------------------------
@@ -88,11 +68,6 @@ class _Agent:
     counter starts past the replayed entries: chaos fault schedules line
     up with the supervisor's global epoch numbering and replay itself is
     never faulted.
-
-    Every reply is fenced with ``(incarnation, reply epoch)`` — captured
-    *before* dispatch, so an advance that raises still fences with the
-    epoch it was answering, and the parent can tell a genuine error reply
-    from a stale straggler.
     """
 
     def __init__(
@@ -110,12 +85,8 @@ class _Agent:
         self.worker_id = worker_id
         self.incarnation = incarnation
 
-    def ready(self) -> tuple:
-        return ("ok", "ready", self.incarnation, self.epoch)
-
     def handle(self, msg: tuple, die: Callable[[str], NoReturn]) -> tuple:
-        """The fenced reply ``(tag, payload, incarnation, epoch)`` to one
-        request.
+        """The reply ``(tag, payload)`` to one request.
 
         Chaos fires at the top of a live advance, before the shard moves,
         so a faulted epoch is never half-applied. A ``"garble"`` answers
@@ -124,30 +95,30 @@ class _Agent:
         fabric does its own way.
         """
         tag = msg[0]
-        inc, reply_epoch = self.incarnation, self.epoch
         try:
             if tag == "advance":
                 _, commands, n_ticks, frac = msg
+                epoch = self.epoch
                 fault = (
-                    self.chaos.decide(self.worker_id, reply_epoch, inc)
+                    self.chaos.decide(self.worker_id, epoch, self.incarnation)
                     if self.chaos is not None
                     else None
                 )
                 if fault in ("crash", "hang"):
                     die(fault)
-                self.epoch = reply_epoch + 1
+                self.epoch = epoch + 1
                 if fault == "garble":
-                    return ("ok", {"garbled": reply_epoch}, inc, reply_epoch)
+                    return ("ok", {"garbled": epoch})
                 payload = self.shard.advance(commands, n_ticks, frac)
             elif tag == "snapshot":
                 payload = self.shard.snapshot_many(msg[1])
             else:
-                return ("error", f"unknown message {tag!r}", inc, reply_epoch)
+                return ("error", f"unknown message {tag!r}")
         except WorkerFailure:
             raise  # the in-process die()
         except Exception as exc:
-            return ("error", f"{type(exc).__name__}: {exc}", inc, reply_epoch)
-        return ("ok", payload, inc, reply_epoch)
+            return ("error", f"{type(exc).__name__}: {exc}")
+        return ("ok", payload)
 
 
 def _die(kind: str) -> NoReturn:  # pragma: no cover - runs in a worker process
@@ -164,15 +135,15 @@ def _fork_agent_main(conn, *agent_args) -> None:  # pragma: no cover
     """Agent-process main loop: resurrect, hand-shake, then answer every
     pickled request until a close message or EOF."""
     agent = _Agent(*agent_args)
-    reply = agent.ready()
+    reply = READY
     while True:
         try:
             conn.send_bytes(pickle.dumps(reply))
         except OSError:
-            # Half-closed parent (teardown race, partition heal): the
-            # reply is undeliverable; dropping it lets the loop reach
-            # the EOF on its next recv and exit cleanly instead of
-            # dying with a BrokenPipeError traceback.
+            # Half-closed parent (teardown race): the reply is
+            # undeliverable; dropping it lets the loop reach the EOF on
+            # its next recv and exit cleanly instead of dying with a
+            # BrokenPipeError traceback.
             pass
         try:
             msg = pickle.loads(conn.recv_bytes())
@@ -189,15 +160,14 @@ def _fork_agent_main(conn, *agent_args) -> None:  # pragma: no cover
 class ShardTransport:
     """One worker slot's link: spawn/replay, guarded round-trips, teardown.
 
-    Subclasses implement the fabric through ``_spawn_raw``, ``_send_raw``,
-    ``_recv_raw`` (raw replies are fenced 4-tuples ``(tag, payload,
-    incarnation, epoch)``) and ``_close_link``; the failure taxonomy,
-    byte accounting, the closed-state contract, network-chaos
-    injection, epoch fencing and the agent-process teardown ladder are
-    shared and live in the public :meth:`spawn` / :meth:`send` /
-    :meth:`recv` / :meth:`reap` / :meth:`close` wrappers. ``worker_id``
-    is the *global* worker index (fleet supervisors offset it per host)
-    used in failure messages and as the chaos *link* id.
+    Subclasses implement the fabric through :meth:`spawn`, ``_send_raw``,
+    ``_recv_raw`` (a raw reply is ``(tag, payload)``) and
+    ``_close_link``; the failure taxonomy, byte accounting, the
+    closed-state contract and the agent-process teardown ladder are
+    shared and live in the public :meth:`send` / :meth:`recv` /
+    :meth:`reap` / :meth:`close` wrappers. ``worker_id`` is the *global*
+    worker index (fleet supervisors offset it per host) used in failure
+    messages and as the chaos worker id.
     """
 
     def __init__(
@@ -206,41 +176,15 @@ class ShardTransport:
         entries: list[tuple["NodeSpec", int]],
         tick: float,
         chaos: "GridFaultPlan | None" = None,
-        netchaos: "NetChaosPlan | None" = None,
     ) -> None:
         self.worker_id = worker_id
         self.entries = entries
         self.tick = tick
         self.chaos = chaos
-        self.netchaos = netchaos
         self.closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
         self.proc: Any = None
-        # -- fencing state ----------------------------------------------------
-        #: Incarnation of the agent currently holding this slot.
-        self.incarnation = 0
-        #: Replies rejected because their fence was stale (split-brain
-        #: stragglers that would otherwise double-apply an epoch).
-        self.fenced_rejected = 0
-        #: Round-trips the net-chaos plan faulted on this link.
-        self.net_faults = 0
-        #: The one ``(incarnation, epoch)`` the in-flight reply may carry.
-        self._expect: tuple[int, int] = (0, 0)
-        #: Next advance's global epoch number (journal length + live sends).
-        self._net_epoch = 0
-        # Attempt axis of the heal schedule: how many times the same
-        # epoch's round-trip has been tried on this link. Survives
-        # respawns — a partition heals after `duration` *attempts*, and
-        # every attempt rides a fresh incarnation.
-        self._attempt_epoch = -1
-        self._attempt_count = 0
-        #: Fault armed by :meth:`send`, resolved by the matching recv.
-        self._pending_fault: tuple[str, int] | None = None
-        #: Replies stranded by a cut link, delivered (and fence-rejected)
-        #: after it heals. Parent-side, so it survives agent respawns —
-        #: exactly like bytes buffered in a real healed TCP stream.
-        self._stash: list[tuple] = []
 
     # -- failure constructors -----------------------------------------------
     def _closed_failure(self) -> WorkerFailure:
@@ -277,112 +221,26 @@ class ShardTransport:
             kind="garbled",
         )
 
-    def _unreachable_failure(
-        self, net_kind: str, epoch: int, timeout: float
-    ) -> WorkerFailure:
-        return WorkerFailure(
-            f"grid worker {self.worker_id} is unreachable "
-            f"(net {net_kind} on epoch {epoch}, {timeout:g}s deadline)",
-            worker=self.worker_id,
-            kind="unreachable",
-        )
-
     # -- the contract ---------------------------------------------------------
     def spawn(self, replay: list, incarnation: int) -> None:
         """(Re)start the agent, resurrecting the shard from ``replay``.
 
-        Sets the fence the ready handshake must carry; the stranded-reply
-        stash deliberately survives into the new incarnation (that is the
-        split-brain scenario fencing exists for).
+        Every spawn opens a fresh link whose first reply is the agent's
+        ready handshake, so nothing the replaced agent sent can reach
+        the new incarnation's round-trips.
         """
-        self.incarnation = incarnation
-        self._net_epoch = len(replay)
-        self._expect = (incarnation, len(replay))
-        self._pending_fault = None
-        self._spawn_raw(replay, incarnation)
+        raise NotImplementedError
 
     def send(self, msg: tuple) -> None:
-        """Send one request, consulting the net-chaos plan first.
-
-        A faulted advance may never touch the wire at all (partition /
-        drop): the request is lost exactly as a cut link loses it, and
-        the paired :meth:`recv` raises ``kind="unreachable"`` instead of
-        waiting out the deadline.
-        """
+        """Send one request to the agent."""
         if self.closed:
             raise self._closed_failure()
-        tag = msg[0]
-        if tag == "advance":
-            epoch = self._net_epoch
-            self._expect = (self.incarnation, epoch)
-            self._net_epoch = epoch + 1
-            fault = self._net_decide(epoch)
-            if fault is not None:
-                self.net_faults += 1
-                self._pending_fault = (fault, epoch)
-                if fault in _LOST_REQUEST:
-                    return
-        elif tag == "snapshot":
-            self._expect = (self.incarnation, self._net_epoch)
         self._send_raw(msg)
 
     def recv(self, timeout: float) -> tuple[str, Any]:
-        """One reply ``(tag, payload)`` under a deadline, fence-checked.
-
-        Replies whose ``(incarnation, epoch)`` fence does not match the
-        in-flight round-trip — stragglers from a healed cut, duplicates,
-        answers computed by a superseded incarnation — are discarded and
-        counted in ``fenced_rejected``, never surfaced to the engine.
-        """
+        """One reply ``(tag, payload)`` under a deadline."""
         if self.closed:
             raise self._closed_failure()
-        reply = self._next_reply(timeout)
-        while (reply[2], reply[3]) != self._expect:
-            self.fenced_rejected += 1
-            reply = self._next_reply(timeout)
-        return reply[0], reply[1]
-
-    def _net_decide(self, epoch: int) -> str | None:
-        """One heal-schedule step: the fault (if any) for this attempt."""
-        if self.netchaos is None:
-            return None
-        if self._attempt_epoch != epoch:
-            self._attempt_epoch = epoch
-            self._attempt_count = 0
-        attempt = self._attempt_count
-        self._attempt_count += 1
-        return self.netchaos.decide(self.worker_id, epoch, attempt)
-
-    def _next_reply(self, timeout: float) -> tuple:
-        """Next raw reply: resolve the armed fault, then stash, then wire."""
-        fault = self._pending_fault
-        if fault is not None:
-            self._pending_fault = None
-            net_kind, epoch = fault
-            if net_kind in _LOST_REQUEST:
-                raise self._unreachable_failure(net_kind, epoch, timeout)
-            if net_kind in _LOST_REPLY:
-                # The agent got the request and applied the epoch, but
-                # the reply is stranded behind the cut: capture it for
-                # post-heal delivery, then fail the round-trip.
-                try:
-                    self._stash.append(self._recv_raw(timeout))
-                except WorkerFailure:
-                    pass  # the agent also died; the cut adds nothing
-                raise self._unreachable_failure(net_kind, epoch, timeout)
-            if net_kind == "duplicate":
-                reply = self._recv_raw(timeout)
-                self._stash.append(reply)
-                return reply
-            # "delay": injected link latency; at or past the deadline it
-            # is indistinguishable from a partition.
-            latency = self.netchaos.latency_of(self.worker_id, epoch)
-            if latency >= timeout:
-                raise self._unreachable_failure(net_kind, epoch, timeout)
-            if latency > 0.0:
-                time.sleep(latency)
-        if self._stash:
-            return self._stash.pop(0)
         return self._recv_raw(timeout)
 
     # -- fabric primitives ----------------------------------------------------
@@ -393,14 +251,11 @@ class ShardTransport:
             incarnation,
         )
 
-    def _spawn_raw(self, replay: list, incarnation: int) -> None:
-        raise NotImplementedError
-
     def _send_raw(self, msg: tuple) -> None:
         raise NotImplementedError
 
     def _recv_raw(self, timeout: float) -> tuple:
-        """One fenced reply ``(tag, payload, incarnation, epoch)``."""
+        """One reply ``(tag, payload)``."""
         raise NotImplementedError
 
     def is_alive(self) -> bool:
@@ -462,24 +317,21 @@ class InprocTransport(ShardTransport):
     ``decide(worker, epoch, incarnation)`` chaos schedule yields the
     same failure kinds at the same epochs, minus the OS: a "crash" marks
     the slot dead and raises, a "hang" raises without sleeping out a
-    deadline. Net chaos lives entirely in the base class, so the
-    in-process transport exhibits byte-for-byte the same
-    unreachable/stale-reply schedule as the fork transport.
+    deadline.
     """
 
-    def __init__(self, worker_id, entries, tick, chaos=None,
-                 netchaos=None) -> None:
-        super().__init__(worker_id, entries, tick, chaos, netchaos)
+    def __init__(self, worker_id, entries, tick, chaos=None) -> None:
+        super().__init__(worker_id, entries, tick, chaos)
         self.agent: _Agent | None = None
         self._dead = False
         self._inbox: list[tuple] = []
         self._pending: list[tuple] = []
 
-    def _spawn_raw(self, replay: list, incarnation: int) -> None:
+    def spawn(self, replay: list, incarnation: int) -> None:
         self.agent = _Agent(*self._agent_args(replay, incarnation))
         self._dead = False
         self._inbox = []
-        self._pending = [self.agent.ready()]
+        self._pending = [READY]
 
     def _send_raw(self, msg: tuple) -> None:
         if self._dead:
@@ -521,16 +373,15 @@ class ForkTransport(ShardTransport):
     Messages are pickled tuples moved with ``send_bytes``/``recv_bytes``
     so the exact per-message wire size is accounted (``bytes_sent`` /
     ``bytes_received``). A reply that does not unpickle, or is not a
-    fenced 4-tuple, fails the round-trip as ``kind="garbled"``.
+    2-tuple, fails the round-trip as ``kind="garbled"``.
     """
 
-    def __init__(self, worker_id, entries, tick, chaos=None,
-                 netchaos=None) -> None:
-        super().__init__(worker_id, entries, tick, chaos, netchaos)
+    def __init__(self, worker_id, entries, tick, chaos=None) -> None:
+        super().__init__(worker_id, entries, tick, chaos)
         self._ctx = multiprocessing.get_context()
         self.conn = None
 
-    def _spawn_raw(self, replay: list, incarnation: int) -> None:
+    def spawn(self, replay: list, incarnation: int) -> None:
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_fork_agent_main,
@@ -582,12 +433,7 @@ class ForkTransport(ShardTransport):
             raise self._garbled_failure(
                 f"sent an unpicklable reply: {exc}"
             ) from exc
-        if not (
-            isinstance(msg, tuple)
-            and len(msg) == 4
-            and isinstance(msg[2], int)
-            and isinstance(msg[3], int)
-        ):
+        if not (isinstance(msg, tuple) and len(msg) == 2):
             raise self._garbled_failure(f"sent a malformed reply: {msg!r}")
         return msg
 
@@ -614,13 +460,12 @@ def make_transport(
     entries: list[tuple["NodeSpec", int]],
     tick: float,
     chaos: "GridFaultPlan | None" = None,
-    netchaos: "NetChaosPlan | None" = None,
 ) -> ShardTransport:
     """Transport factory used by the supervised engine's worker slots."""
     if name == "inproc":
-        return InprocTransport(worker_id, entries, tick, chaos, netchaos)
+        return InprocTransport(worker_id, entries, tick, chaos)
     if name == "fork":
-        return ForkTransport(worker_id, entries, tick, chaos, netchaos)
+        return ForkTransport(worker_id, entries, tick, chaos)
     raise SimulationError(
         f"unknown shard transport {name!r} "
         f"(have: {', '.join(TRANSPORT_NAMES)})"

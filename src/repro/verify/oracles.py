@@ -174,7 +174,8 @@ def _served_stream(ex: Execution) -> list[Violation]:
     subscription views them* — encode, fanout, decode and server-side
     filtering/derivation all proven lossless in one comparison. Exact
     backpressure accounting and per-client sequence monotonicity ride
-    along.
+    along, and when the daemon cut connections at least one client must
+    have reconnected: the streams cannot be complete otherwise.
     """
     if ex.served is None or ex.base is None:
         return []
@@ -239,6 +240,17 @@ def _served_stream(ex: Execution) -> list[Violation]:
                     "without any recorded drops",
                 )
             )
+    cuts = ex.served.get("net_cuts", 0)
+    if cuts and not any(
+        c.get("reconnects", 0) for c in ex.served["clients"].values()
+    ):
+        out.append(
+            Violation(
+                "served-stream",
+                f"daemon cut {cuts} connections but no client reconnected "
+                "(streams cannot be complete)",
+            )
+        )
     return out
 
 
@@ -690,78 +702,6 @@ def _crash_recovery(ex: Execution) -> list[Violation]:
                     "crash-recovery",
                     f"{failures} worker failures observed but the event "
                     "log records no restart/adopt/degrade",
-                )
-            )
-    return out
-
-
-@oracle("net-partition-recovery")
-def _net_partition_recovery(ex: Execution) -> list[Violation]:
-    """Link faults never change what the system computes.
-
-    The split-brain contract, both places it applies:
-
-    * Grid: the supervised engine under partitions/drops/half-opens
-      must match a clean engine's digest bitwise — no epoch applied
-      twice (a stale reply that slipped the fence would double-count),
-      none lost (a swallowed unreachable would drop one). Every
-      unreachable failure must leave a recovery trace, and a fenced
-      reply can only exist where a link fault fired.
-    * Serve: when the daemon cut client connections, at least one
-      subscriber must actually have exercised the reconnect path (the
-      digest bar itself rides on the served-stream oracle).
-    """
-    if not ex.scenario.net_chaotic:
-        return []
-    out: list[Violation] = []
-    if "supervised" in ex.grid:
-        clean = [e for e in ex.grid if e != "supervised"]
-        if clean:
-            reference = clean[0]
-            for diff in deep_diff(ex.grid[reference], ex.grid["supervised"]):
-                out.append(
-                    Violation(
-                        "net-partition-recovery",
-                        f"supervised run under link faults diverges from "
-                        f"clean {reference!r}: {diff}",
-                    )
-                )
-        meta = ex.grid_meta.get("supervised")
-        if meta is not None:
-            stats = meta["stats"]
-            unreachable = stats.get("failures", {}).get("unreachable", 0)
-            recoveries = {"restart", "adopt", "degrade"}
-            recovered = sum(
-                1 for e in meta["events"] if e.get("event") in recoveries
-            )
-            if unreachable and not recovered:
-                out.append(
-                    Violation(
-                        "net-partition-recovery",
-                        f"{unreachable} unreachable failures observed but "
-                        "the event log records no restart/adopt/degrade",
-                    )
-                )
-            if stats.get("fenced_replies", 0) and not stats.get(
-                "net_faults", 0
-            ):
-                out.append(
-                    Violation(
-                        "net-partition-recovery",
-                        f"{stats['fenced_replies']} stale replies fenced "
-                        "on a run with no injected link faults",
-                    )
-                )
-    if ex.served is not None and ex.served.get("net_cuts", 0):
-        reconnects = sum(
-            c.get("reconnects", 0) for c in ex.served["clients"].values()
-        )
-        if not reconnects:
-            out.append(
-                Violation(
-                    "net-partition-recovery",
-                    f"daemon cut {ex.served['net_cuts']} connections but "
-                    "no client reconnected (streams cannot be complete)",
                 )
             )
     return out

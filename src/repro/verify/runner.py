@@ -290,6 +290,33 @@ def run_tool(
     )
 
 
+def _net_chaos_plan(scenario: Scenario) -> NetChaosPlan | None:
+    """The serve daemon's link-cut plan (mirrors :func:`_fault_plan`)."""
+    specs: tuple[NetFaultSpec, ...] = ()
+    if scenario.net_chaos_seed is not None:
+        specs = default_net_specs(scenario.net_chaos_intensity)
+    specs += tuple(
+        NetFaultSpec(
+            kind=f.kind,
+            rate=f.rate,
+            at_epochs=(
+                frozenset(f.at_epochs) if f.at_epochs is not None else None
+            ),
+            link=f.link,
+            duration=f.duration,
+        )
+        for f in scenario.net_faults
+    )
+    if not specs:
+        return None
+    seed = (
+        scenario.net_chaos_seed
+        if scenario.net_chaos_seed is not None
+        else scenario.seed
+    )
+    return NetChaosPlan(seed, specs)
+
+
 def run_served(scenario: Scenario) -> dict[str, Any]:
     """Serve one tool scenario over localhost TCP to three subscribers.
 
@@ -460,34 +487,6 @@ def _grid_chaos_plan(scenario: Scenario) -> GridFaultPlan | None:
     return GridFaultPlan(seed, specs)
 
 
-def _net_chaos_plan(scenario: Scenario) -> NetChaosPlan | None:
-    """The scenario's link-fault plan (mirrors :func:`_grid_chaos_plan`)."""
-    specs: tuple[NetFaultSpec, ...] = ()
-    if scenario.net_chaos_seed is not None:
-        specs = default_net_specs(scenario.net_chaos_intensity)
-    specs += tuple(
-        NetFaultSpec(
-            kind=f.kind,
-            rate=f.rate,
-            at_epochs=(
-                frozenset(f.at_epochs) if f.at_epochs is not None else None
-            ),
-            link=f.link,
-            duration=f.duration,
-            latency=f.latency,
-        )
-        for f in scenario.net_faults
-    )
-    if not specs:
-        return None
-    seed = (
-        scenario.net_chaos_seed
-        if scenario.net_chaos_seed is not None
-        else scenario.seed
-    )
-    return NetChaosPlan(seed, specs)
-
-
 def run_grid(
     scenario: Scenario, engine: str, transport: str | None = None
 ) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -527,10 +526,9 @@ def run_grid(
     ordered = sorted(
         scenario.jobs, key=lambda j: (j.submit_at, scenario.jobs.index(j))
     )
-    chaos = netchaos = supervision = None
+    chaos = supervision = None
     if engine == "supervised" and transport is None:
         chaos = _grid_chaos_plan(scenario)
-        netchaos = _net_chaos_plan(scenario)
         # No backoff sleep: recovery wall time stays bounded in fuzz
         # runs, and determinism never depends on sleeping anyway.
         supervision = Supervision(
@@ -546,7 +544,6 @@ def run_grid(
         workers=scenario.workers,
         engine=engine,
         grid_chaos=chaos,
-        net_chaos=netchaos,
         supervision=supervision,
         transport=transport,
         hosts=2 if engine == "fleet" else None,
@@ -570,7 +567,6 @@ def run_grid(
         procs = list(getattr(grid.engine, "_procs", []))
         grid.close()
     sup_stats = getattr(grid.engine, "stats", {})
-    engine_obj = grid.engine
     meta = {
         "engine": engine,
         "events": grid.supervisor_events,
@@ -581,19 +577,6 @@ def run_grid(
             },
             "degraded": bool(sup_stats.get("degraded", False)),
             "failures": dict(sup_stats.get("failures", {})),
-            # Split-brain observables: injected link faults and the
-            # stale replies the epoch fence rejected (0 on clean runs
-            # and on engines without a supervision tree).
-            "net_faults": (
-                engine_obj.net_faults()
-                if hasattr(engine_obj, "net_faults")
-                else 0
-            ),
-            "fenced_replies": (
-                engine_obj.fenced_replies()
-                if hasattr(engine_obj, "fenced_replies")
-                else 0
-            ),
         },
         "leaked_workers": sum(1 for p in procs if p.is_alive()),
     }
@@ -625,12 +608,9 @@ def execute(scenario: Scenario) -> Execution:
                 scenario, "supervised", transport=t
             )
         # Replay the chaotic supervised run when there is one: recovery
-        # (not just clean execution) must be byte-deterministic. Link
-        # chaos counts — partition healing and fencing must replay too.
+        # (not just clean execution) must be byte-deterministic.
         replay_engine = scenario.engines[0]
-        if (
-            scenario.grid_chaotic or scenario.net_chaotic
-        ) and "supervised" in scenario.engines:
+        if scenario.grid_chaotic and "supervised" in scenario.engines:
             replay_engine = "supervised"
         ex.grid_replay_engine = replay_engine
         ex.grid_replay, ex.grid_replay_meta = run_grid(scenario, replay_engine)

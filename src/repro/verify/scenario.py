@@ -133,7 +133,6 @@ class NetFaultClause:
     at_epochs: tuple[int, ...] | None = None
     link: int | None = None
     duration: int = 1
-    latency: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in NET_FAULT_KINDS:
@@ -223,11 +222,9 @@ class Scenario:
     #: joins the engines-agree comparison (the transport-invariance
     #: oracle).
     transports: tuple[str, ...] = ()
-    #: Network chaos. Grid scenarios: the supervised engine's shard
-    #: links run under a seeded NetChaosPlan (partitions, lost/duplicate
-    #: messages, half-open links); the clean engines are the recovery
-    #: reference. Tool scenarios with ``serve``: the daemon's client
-    #: links are cut mid-stream and every subscriber auto-reconnects.
+    #: Link chaos (tool scenarios with ``serve`` only): the daemon's
+    #: client links are cut mid-stream on a seeded NetChaosPlan and
+    #: every subscriber auto-reconnects.
     net_chaos_seed: int | None = None
     net_chaos_intensity: float = 1.0
     net_faults: tuple[NetFaultClause, ...] = ()
@@ -253,6 +250,13 @@ class Scenario:
                         f"unknown {what} {name!r} "
                         f"(have: {', '.join(known)})"
                     )
+        if self.net_chaotic and not (self.kind == "tool" and self.serve):
+            # Only the serve daemon's sockets can be cut; elsewhere the
+            # schedule would run nothing and its oracles pass vacuously.
+            raise ConfigError(
+                "net chaos cuts the serve daemon's client links and needs "
+                "a served tool scenario (serve=True)"
+            )
 
     @property
     def chaotic(self) -> bool:
@@ -267,8 +271,8 @@ class Scenario:
 
     @property
     def net_chaotic(self) -> bool:
-        """Whether network-fault injection is configured (shard links
-        of the supervised engine, or the serve daemon's client links)."""
+        """Whether link cuts are configured on the serve daemon's client
+        links."""
         return self.net_chaos_seed is not None or bool(self.net_faults)
 
     # -- serialisation ------------------------------------------------------
@@ -339,7 +343,6 @@ class Scenario:
                 ),
                 link=f.get("link"),
                 duration=f.get("duration", 1),
-                latency=f.get("latency", 0.0),
             )
             for f in d.get("net_faults", ())
         )
@@ -541,9 +544,10 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
             )
         if (grid_chaos_seed is not None or grid_faults) and rng.random() < 0.2:
             restart_budget = int(rng.integers(0, 2))  # force the degrade path
-    # Everything below draws *after* every pre-existing field, so old
-    # seeds keep their old scenarios (corpus stability — same trick as
-    # the tool generator's serve flag).
+    # Everything below draws after the fields above, so adding these
+    # draws kept the earlier fields of old seeds (corpus stability, as
+    # with the tool generator's serve flag). ``n_nodes`` alone is drawn
+    # after them, inside the ``Scenario(...)`` call.
     transports: tuple[str, ...] = ()
     if rng.random() < 0.25:
         transports = ("inproc", "fork")
@@ -556,19 +560,12 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
         jobs = [
             replace(job, priority=int(rng.integers(0, 3))) for job in jobs
         ]
-    # Network chaos (append-only draws, like the transports sweep above):
-    # partitions/drops/half-opens on the supervised engine's shard links.
-    # A scenario may carry both worker chaos and link chaos — crashes on
-    # a partitioned grid are exactly the split-brain shape fencing is
-    # for. The supervised engine is added when absent so the schedule
-    # has a recovery ladder to run against.
-    net_chaos_seed = None
-    net_chaos_intensity = 1.0
+    # Spent draws: their values are unused (a grid has no link to cut),
+    # but ``n_nodes`` below is drawn after them, so dropping them would
+    # change the node count of most grid seeds, fuzz and corpus alike.
     if rng.random() < 0.3:
-        net_chaos_seed = int(rng.integers(0, 2**31))
-        net_chaos_intensity = float(rng.choice([1.0, 2.0, 4.0]))
-        if "supervised" not in engines:
-            engines.append("supervised")
+        rng.integers(0, 2**31)
+        rng.choice([1.0, 2.0, 4.0])
     return Scenario(
         kind="grid",
         seed=seed,
@@ -588,8 +585,6 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
         epoch_deadline=1.0,
         restart_budget=restart_budget,
         transports=transports,
-        net_chaos_seed=net_chaos_seed,
-        net_chaos_intensity=net_chaos_intensity,
     )
 
 

@@ -76,8 +76,8 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
             )
     if s.restart_budget < 8 and s.grid_chaotic:
         yield replace(s, restart_budget=8)
-    # Network chaos shrinks the same way: whole schedule first, then
-    # explicit fault clauses one at a time.
+    # Link cuts (served scenarios) shrink the same way: whole schedule
+    # first, then explicit fault clauses one at a time.
     if s.net_chaos_seed is not None:
         yield replace(s, net_chaos_seed=None)
     if s.net_faults:
@@ -95,7 +95,6 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
         "supervised" in s.engines
         and len(s.engines) > 1
         and not s.grid_chaotic
-        and not s.net_chaotic
     ):
         yield replace(
             s, engines=tuple(e for e in s.engines if e != "supervised")

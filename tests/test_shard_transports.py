@@ -7,9 +7,10 @@ fabrics must be pure performance knobs too. Plus the per-fabric
 contracts the engine relies on — snapshot batching (one message per
 worker, not per node), typed ``kind="closed"`` on a send racing
 teardown, typed crash/hang failures from a killed or stopped agent
-process and a teardown ladder that reaps it, typed ``kind="garbled"``
-on a corrupt fork reply, and byte accounting (zero for inproc, exact
-for fork).
+process and a teardown ladder that reaps it (and a quiet close after
+one died), typed ``kind="garbled"`` on a corrupt fork reply, a respawn
+that never hears the reaped agent, and byte accounting (zero for
+inproc, exact for fork).
 """
 
 import multiprocessing
@@ -176,6 +177,30 @@ class TestClosedRace:
         transport.finish_close(grace=2.0)
 
 
+@_params()
+class TestRespawn:
+    def test_respawn_never_delivers_the_replaced_agents_reply(
+        self, transport
+    ):
+        """A reaped agent's unread reply dies with it: the respawned
+        agent replays the epoch, and the next reply answers the resent
+        request on the replayed shard, not the one sent before the
+        reap. This is why replies need no incarnation fence."""
+        epoch = ([], 1, 0.0)
+        transport.send(("advance", *epoch))
+        conn = getattr(transport, "conn", None)
+        if conn is not None:
+            assert conn.poll(30.0)  # the stale reply sits in the pipe
+        transport.reap()
+        transport.spawn([epoch], 1)
+        assert transport.recv(30.0) == ("ok", "ready")
+        transport.send(("advance", *epoch))
+        tag, report = transport.recv(30.0)
+        assert tag == "ok"
+        assert set(report["start_now"].values()) == {0.5}
+        assert set(report["end_now"].values()) == {1.0}
+
+
 @pytest.mark.parametrize("name", ["fork"])
 class TestAgentFailures:
     """A dead or wedged agent process fails its round-trip with a typed
@@ -243,9 +268,26 @@ def _assert_no_children():
     assert multiprocessing.active_children() == []
 
 
+def test_fork_close_tolerates_dead_peer():
+    """Kill the agent, observe the typed WorkerFailure, then close():
+    teardown over the half-closed pipe must not raise — a secondary
+    BrokenPipeError here would mask the failure the engine is already
+    handling."""
+    t = make_transport("fork", 0, _entries(), 0.5)
+    t.spawn([], 0)
+    assert t.recv(30.0) == ("ok", "ready")
+    assert t.proc is not None
+    t.proc.kill()
+    t.proc.join()
+    with pytest.raises(WorkerFailure):
+        t.send(("advance", [], 1, 0.0))
+        t.recv(5.0)
+    t.close(grace=1.0)
+
+
 class TestGarbledReply:
-    """A fork reply that does not unpickle, or is not a fenced 4-tuple,
-    fails its round-trip as ``kind="garbled"``. Chaos "garble" sends a
+    """A fork reply that does not unpickle, or is not a 2-tuple, fails
+    its round-trip as ``kind="garbled"``. Chaos "garble" sends a
     well-formed tuple that the supervisor's report check catches, so
     these bytes come straight down a pipe the test holds the far end of.
     """
@@ -254,10 +296,10 @@ class TestGarbledReply:
         "blob",
         [
             b"\x00 not a pickle",
-            pickle.dumps(("ok", "ready")),
-            pickle.dumps(("ok", "ready", "0", 0)),
+            pickle.dumps(("ok",)),
+            pickle.dumps(("ok", "ready", 0, 0)),
         ],
-        ids=["unpicklable", "two-tuple", "non-int-fence"],
+        ids=["unpicklable", "one-tuple", "four-tuple"],
     )
     def test_corrupt_reply_is_typed_garbled(self, blob):
         t = make_transport("fork", 2, _entries(), 0.5)

@@ -64,8 +64,8 @@ def test_corpus_covers_chaos_and_quiet():
 
 
 def test_net_chaos_serve_schedule_fires():
-    """The served-stream and net-partition-recovery oracles pass
-    vacuously on a schedule that cuts nothing. The corpus's net-chaos
+    """The served-stream oracle's reconnect check passes vacuously on
+    a schedule that cuts nothing. The corpus's net-chaos
     serve scenario must cut at least one link and leave at least one
     subscriber uncut, so both a resumed and a straight stream are
     checked."""

@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.verify.scenario import (
     FaultClause,
     JobPlan,
+    NetFaultClause,
     QueuePlan,
     Scenario,
     TaskPlan,
@@ -127,6 +128,23 @@ class TestValidation:
     def test_unknown_transport_fails_at_load(self):
         with pytest.raises(ConfigError, match="unknown shard transport"):
             Scenario(kind="grid", seed=0, transports=("fork", "pigeon"))
+
+    @pytest.mark.parametrize(
+        "kind, serve", [("grid", False), ("tool", False), ("grid", True)]
+    )
+    def test_link_chaos_needs_a_served_tool_scenario(self, kind, serve):
+        # Only the serve daemon's sockets can be cut. Link chaos anywhere
+        # else (an old grid artifact, a hand-written file) would run
+        # clean and its checks would pass vacuously, so it fails at load.
+        cut = (NetFaultClause(kind="drop", at_epochs=(1,)),)
+        with pytest.raises(ConfigError, match="serve"):
+            Scenario(kind=kind, seed=0, serve=serve, net_faults=cut)
+        data = Scenario(kind=kind, seed=0, serve=serve).to_dict()
+        data["net_chaos_seed"] = 3  # as a replay artifact would carry it
+        with pytest.raises(ConfigError, match="serve"):
+            Scenario.from_dict(data)
+        served = Scenario(kind="tool", seed=0, serve=True, net_faults=cut)
+        assert served.net_chaotic
 
     def test_delay_must_be_tick_multiple(self):
         with pytest.raises(ConfigError, match="multiple"):
