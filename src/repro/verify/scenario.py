@@ -562,7 +562,7 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
         ]
     # Spent draws: their values are unused (a grid has no link to cut),
     # but ``n_nodes`` below is drawn after them, so dropping them would
-    # change the node count of most grid seeds, fuzz and corpus alike.
+    # change the node count of most grid seeds, the suite's fuzz seeds too.
     if rng.random() < 0.3:
         rng.integers(0, 2**31)
         rng.choice([1.0, 2.0, 4.0])

@@ -8,12 +8,15 @@ reproduced deterministically from its replay artifact.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve.session import Subscription
 from repro.sim.columns import ColumnKernel
 from repro.verify import check, check_scenario, execute, generate, shrink
-from repro.verify.oracles import Violation, deep_diff
+from repro.verify.oracles import ORACLES, Violation, deep_diff
+from repro.verify.runner import Execution
 from repro.verify.shrink import replay_artifact, write_artifact
 from repro.verify.scenario import Scenario, TaskPlan
 
@@ -162,3 +165,26 @@ class TestOracleInternals:
         ex.replay.snapshot["now"] = ex.replay.snapshot["now"] + 1.0
         violations = check(ex)
         assert any(v.oracle == "replay-determinism" for v in violations)
+
+    @pytest.mark.parametrize("reconnects, flagged", [(0, True), (1, False)])
+    def test_served_stream_needs_a_reconnect_after_a_cut(
+        self, reconnects, flagged
+    ):
+        """A daemon that cut a connection must have been reconnected
+        to, or the streams cannot be complete."""
+        scenario = Scenario(kind="tool", seed=0, serve=True, net_chaos_seed=1)
+        client = {
+            "subscription": Subscription().to_dict(),
+            "digests": [],
+            "seqs": [],
+            "gaps": 0,
+            "reconnects": reconnects,
+            "stats": {"published": 0},
+        }
+        ex = Execution(
+            scenario=scenario,
+            base=SimpleNamespace(frames=[]),  # no frames, so none diverge
+            served={"clients": {"total": client}, "net_cuts": 2},
+        )
+        messages = [v.message for v in ORACLES["served-stream"](ex)]
+        assert any("no client reconnected" in m for m in messages) == flagged
