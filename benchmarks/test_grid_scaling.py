@@ -18,8 +18,8 @@ supervised == serial). Timing targets only apply to the full run:
 epoch batching alone >= 1.5x, and supervised-4 >= 3x on the 16-node
 fleet.
 
-A second sweep scales the *fleet* engine (two-level supervision tree)
-across the shard-transport axis — inproc / fork — at 64 and 256
+A second sweep runs the supervised engine with 8 workers across the
+shard-transport axis — inproc / fork — on fleets of 64 and 256
 simulated nodes, recording per-epoch latency percentiles and bytes per
 epoch in the same ``BENCH_grid.json`` under ``"fleet"``. Both transports
 must agree bitwise (vs a serial reference at 64 nodes, with each other
@@ -208,7 +208,6 @@ FLEET_NODE_COUNTS = (16,) if SMOKE else (64, 256)
 FLEET_SPAN = 45.0 if SMOKE else 120.0
 FLEET_REPEATS = 1 if SMOKE else 2
 FLEET_WORKERS = 8
-FLEET_HOSTS = 4
 TRANSPORTS = ("inproc", "fork")
 
 
@@ -222,7 +221,7 @@ def run_fleet(transport: str, n_nodes: int):
     """One fleet run per repeat; pools per-epoch advance latencies.
 
     The engine's ``advance`` is wrapped with a perf_counter so the
-    sample is the epoch round-trip (fan out to hosts, collect reports),
+    sample is the epoch round-trip (fan out to workers, collect reports),
     not dispatch bookkeeping or snapshot traffic.
     """
     latencies: list[float] = []
@@ -231,7 +230,7 @@ def run_fleet(transport: str, n_nodes: int):
     bytes_per_epoch = 0.0
     for _ in range(FLEET_REPEATS):
         with Grid(fleet(n_nodes), tick=1.0, seed=42, workers=FLEET_WORKERS,
-                  hosts=FLEET_HOSTS, transport=transport) as grid:
+                  transport=transport) as grid:
             populate(grid, n_nodes)
             engine_advance = grid.engine.advance
 
@@ -265,7 +264,7 @@ def test_fleet_transport_sweep():
         results = {t: run_fleet(t, n_nodes) for t in TRANSPORTS}
         # Bitwise agreement: against a serial reference on the smaller
         # fleets, pairwise at 256 (a serial 256-node run adds nothing —
-        # inproc *is* the serial compute on the fleet engine's path).
+        # inproc *is* the serial compute on the supervised engine's path).
         if n_nodes <= 64:
             with Grid(fleet(n_nodes), tick=1.0, seed=42) as grid:
                 populate(grid, n_nodes)
@@ -306,7 +305,6 @@ def test_fleet_transport_sweep():
         "scenario": {
             "span_seconds": FLEET_SPAN,
             "workers": FLEET_WORKERS,
-            "hosts": FLEET_HOSTS,
             "node_counts": list(FLEET_NODE_COUNTS),
             "repeats": FLEET_REPEATS,
             "smoke": SMOKE,

@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "supervised engine; the same seed replays the "
                              "same failures and recoveries byte-for-byte "
                              "(requires --sim and --grid-workers)")
-    parser.add_argument("--grid-hosts", type=int, default=None, metavar="N",
-                        help="split the grid's workers into N supervised "
-                             "host groups under fleet-level supervision; a "
-                             "dead host is resurrected wholesale by journal "
-                             "replay (requires --sim and --grid-workers)")
     parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
                         help="inject a seeded schedule of kernel faults "
                              "(ESRCH/EMFILE/EINTR/EAGAIN, corrupt reads, "
@@ -97,13 +92,11 @@ def _check_ranges(args: argparse.Namespace) -> None:
     """Reject out-of-range grid, serve and connect values.
 
     Raises:
-        ConfigError: a worker or host count below 1, a port outside
+        ConfigError: a worker count below 1, a port outside
             0..65535, or a connect address that is not ``host:port``.
     """
     if args.grid_workers is not None and args.grid_workers < 1:
         raise ConfigError(f"grid_workers must be >= 1, got {args.grid_workers}")
-    if args.grid_hosts is not None and args.grid_hosts < 1:
-        raise ConfigError(f"grid_hosts must be >= 1, got {args.grid_hosts}")
     if args.serve is not None and not 0 <= args.serve <= 65535:
         raise ConfigError(f"serve_port must be 0..65535, got {args.serve}")
     if args.connect is not None:
@@ -135,14 +128,12 @@ def _run_grid(args: argparse.Namespace) -> int:
         profile=args.profile,
         grid_chaos=args.grid_chaos,
         supervision=supervision,
-        hosts=args.grid_hosts,
     ) as grid:
         jobs = datacenter.populate_grid(grid)
         grid.run_for(span)
-        engine = grid.engine.name
         print(
-            f"grid: {len(grid.specs)} nodes, engine={engine} "
-            f"workers={args.grid_workers}, ran {span:g}s "
+            f"grid: {len(grid.specs)} nodes, engine={grid.engine.name} "
+            f"workers={grid.engine.workers}, ran {span:g}s "
             f"in {grid.stats['epochs']} epochs"
         )
         for job in jobs:
@@ -323,15 +314,6 @@ def _main(argv: list[str] | None) -> int:
         print(
             "tiptop: --grid-chaos injects worker faults into the "
             "simulated grid and requires --sim and --grid-workers",
-            file=sys.stderr,
-        )
-        return 2
-    if args.grid_hosts is not None and (
-        not args.sim or args.grid_workers is None
-    ):
-        print(
-            "tiptop: --grid-hosts groups the simulated grid's workers "
-            "into hosts and requires --sim and --grid-workers",
             file=sys.stderr,
         )
         return 2

@@ -145,7 +145,7 @@ class Job:
         memory_bytes: declared memory need (admission only).
         submitted_at: submission time.
         process: the spawned process, when it lives in this process
-            (legacy/serial engines; None under the supervised engines,
+            (legacy/serial engines; None under the supervised engine,
             whose processes live in workers — use ``pid``).
         pid: pid on the target node once dispatched.
         node: the node name it landed on.
@@ -197,29 +197,24 @@ class Grid:
             epoch-batched serial engine; N > 1 shards the fleet over N
             persistent worker processes under supervision.
         engine: explicit engine override ("legacy", "serial",
-            "supervised", "fleet"); None derives it — "fleet" when
-            ``hosts`` is given, "supervised" when workers/chaos/
-            supervision/transport ask for worker processes, "serial"
-            otherwise (worker processes only run behind the supervision
-            tree). "legacy" is the pre-epoch per-tick loop, kept as the
-            reference and benchmark baseline.
+            "supervised"); None derives it — "supervised" when workers/
+            chaos/supervision/transport ask for worker processes,
+            "serial" otherwise (worker processes only run behind the
+            supervision tree). "legacy" is the pre-epoch per-tick loop,
+            kept as the reference and benchmark baseline.
         profile: print per-epoch engine timings, message counts, wire
             bytes and RateCache statistics to stderr (plus restart/
-            replay/degrade counters under the supervised engines).
+            replay/degrade counters under the supervised engine).
         grid_chaos: seeded worker-fault injection — an int seed (stock
             fault mix) or a prebuilt
             :class:`~repro.sim.supervisor.GridFaultPlan`. Requires (and
             defaults the engine to) "supervised".
         supervision: :class:`~repro.sim.supervisor.Supervision` policy
-            override for the supervised engines.
+            override for the supervised engine.
         transport: how shards talk to workers — "inproc" (serial,
             zero-copy, no worker process) or "fork" (pickled tuples over
             a multiprocessing pipe, the default). A pure performance
             knob: digests are transport-invariant.
-        hosts: partition the worker pool into this many host groups,
-            each a full supervised engine under fleet-level supervision
-            (host death resurrects the whole group by journal replay).
-            Implies the "fleet" engine.
     """
 
     def __init__(
@@ -235,7 +230,6 @@ class Grid:
         grid_chaos: "int | GridFaultPlan | None" = None,
         supervision: "Supervision | None" = None,
         transport: str | None = None,
-        hosts: int | None = None,
     ) -> None:
         self.queues = {
             q.name: q for q in (sge_queues() if queues is None else queues)
@@ -261,12 +255,8 @@ class Grid:
                 f"unknown shard transport {transport!r} "
                 f"(have: {', '.join(TRANSPORT_NAMES)})"
             )
-        if hosts is not None and hosts < 1:
-            raise SimulationError(f"hosts must be >= 1, got {hosts}")
         if engine is None:
-            if hosts is not None:
-                engine = "fleet"
-            elif (
+            if (
                 workers > 1
                 or chaos is not None
                 or supervision is not None
@@ -277,8 +267,7 @@ class Grid:
                 engine = "serial"
         self.engine = create_engine(
             engine, specs, tick, seed, workers,
-            chaos=chaos, supervision=supervision,
-            transport=transport, hosts=hosts,
+            chaos=chaos, supervision=supervision, transport=transport,
         )
         self._legacy = self.engine.name == "legacy"
         self._pending: dict[str, list[Job]] = {
@@ -310,7 +299,7 @@ class Grid:
             "bytes_sent": 0,
             "bytes_received": 0,
         }
-        if self.engine.name in ("supervised", "fleet"):
+        if self.engine.name == "supervised":
             self.stats.update(
                 restarts=0,
                 replayed_epochs=0,
@@ -318,8 +307,6 @@ class Grid:
                 worker_failures=0,
                 degraded=False,
             )
-        if self.engine.name == "fleet":
-            self.stats["host_restarts"] = 0
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -679,7 +666,7 @@ class Grid:
         self.stats["rate_cache_misses"] = misses
         self.stats["bytes_sent"] = sent
         self.stats["bytes_received"] = recv
-        supervised = self.engine.name in ("supervised", "fleet")
+        supervised = self.engine.name == "supervised"
         if supervised:
             sup = self.engine.stats
             self.stats["restarts"] = sup["restarts"]
@@ -687,8 +674,6 @@ class Grid:
             self.stats["adopted_shards"] = sup["adopted_shards"]
             self.stats["worker_failures"] = sum(sup["failures"].values())
             self.stats["degraded"] = sup["degraded"]
-            if self.engine.name == "fleet":
-                self.stats["host_restarts"] = sup["host_restarts"]
         if self.profile:
             walls = ",".join(f"{w * 1000:.2f}" for w in shard_walls)
             extra = ""
@@ -745,7 +730,7 @@ class Grid:
 
     def snapshot(self, name: str) -> dict[str, Any]:
         """Exact observable state of one node (works on every engine —
-        the supervised engines fetch it from the owning worker)."""
+        the supervised engine fetches it from the owning worker)."""
         if name not in self._spec_by_name:
             raise SimulationError(f"no node {name!r}")
         return self.engine.snapshot(name)

@@ -9,7 +9,7 @@ or a slot frees. That property is what batch schedulers exploit to fan
 work out across hosts, and what this module exploits to advance nodes
 concurrently between **dispatch epochs**.
 
-Four engines implement the same contract:
+Three engines implement the same contract:
 
 * ``legacy`` — the original per-tick loop (dispatch, advance every node by
   one memo-free tick, reap). Kept as the reference semantics and the
@@ -28,9 +28,6 @@ Four engines implement the same contract:
   one compact message round-trip happens per worker (spawn/preempt
   commands in, job-exit/bound/cache snapshots out). The only engine that
   runs worker processes.
-* ``fleet`` (:mod:`repro.sim.fleet`) — a two-level tree: a fleet
-  supervisor over per-host supervised engines, scaling the same epoch
-  protocol to hundreds of simulated nodes.
 
 Determinism. A machine's evolution is a pure function of its spec, seed,
 tick, and the timed sequence of spawns/kills applied to it. All the
@@ -72,7 +69,7 @@ if TYPE_CHECKING:
     from repro.sim.supervisor import GridFaultPlan, Supervision
     from repro.sim.workload import Workload
 
-ENGINE_NAMES = ("legacy", "serial", "supervised", "fleet")
+ENGINE_NAMES = ("legacy", "serial", "supervised")
 
 #: Shard transport implementations (see :mod:`repro.sim.transport`).
 #: Defined here, next to the engine names, so the grid validates both
@@ -81,20 +78,12 @@ TRANSPORT_NAMES = ("inproc", "fork")
 
 
 def _entry_list(
-    specs: list["NodeSpec"], seed: int, seeds: list[int] | None
+    specs: list["NodeSpec"], seed: int
 ) -> list[tuple["NodeSpec", int]]:
-    """Per-node (spec, seed) pairs. Explicit ``seeds`` let a fleet
-    supervisor keep node ``i``'s global seed ``base + i`` regardless of
-    which host group it landed in — the seed assignment, like the
-    node-to-worker assignment, must be a pure function of the node's
-    global index for engines to stay bitwise-equivalent."""
-    if seeds is None:
-        return [(spec, seed + index) for index, spec in enumerate(specs)]
-    if len(seeds) != len(specs):
-        raise SimulationError(
-            f"{len(seeds)} seeds for {len(specs)} node specs"
-        )
-    return list(zip(specs, seeds))
+    """Per-node (spec, seed) pairs: node ``i`` gets ``seed + i``. Like the
+    node-to-worker assignment, the seed is a pure function of the node's
+    index, so every engine stays bitwise-equivalent."""
+    return [(spec, seed + index) for index, spec in enumerate(specs)]
 
 
 @dataclass(frozen=True)
@@ -396,7 +385,7 @@ class Shard:
 
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         """Snapshots for several nodes in one call (one message per worker
-        on the supervised engines, instead of a round-trip per node)."""
+        on the supervised engine, instead of a round-trip per node)."""
         return {name: node_snapshot(self.machines[name]) for name in names}
 
 
@@ -412,17 +401,13 @@ class LegacyTickEngine:
     """
 
     name = "legacy"
+    workers = 1
 
     def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        *,
-        seeds: list[int] | None = None,
+        self, specs: list["NodeSpec"], tick: float, seed: int
     ) -> None:
         self.nodes: dict[str, SimMachine] = {}
-        for spec, node_seed in _entry_list(specs, seed, seeds):
+        for spec, node_seed in _entry_list(specs, seed):
             self.nodes[spec.name] = SimMachine(
                 spec.arch,
                 sockets=spec.sockets,
@@ -446,16 +431,12 @@ class SerialEpochEngine:
     """All nodes in one in-process shard, advanced epoch-at-a-time."""
 
     name = "serial"
+    workers = 1
 
     def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        *,
-        seeds: list[int] | None = None,
+        self, specs: list["NodeSpec"], tick: float, seed: int
     ) -> None:
-        self.shard = Shard(_entry_list(specs, seed, seeds), tick)
+        self.shard = Shard(_entry_list(specs, seed), tick)
         self.nodes = self.shard.machines
 
     def advance(
@@ -486,46 +467,31 @@ def create_engine(
     chaos: "GridFaultPlan | None" = None,
     supervision: "Supervision | None" = None,
     transport: str | None = None,
-    hosts: int | None = None,
-    seeds: list[int] | None = None,
 ):
     """Engine factory used by :class:`~repro.sim.grid.Grid`."""
-    if chaos is not None and engine not in ("supervised", "fleet"):
+    if chaos is not None and engine != "supervised":
         raise SimulationError(
             f"grid chaos requires the supervised engine, not {engine!r}"
         )
-    if supervision is not None and engine not in ("supervised", "fleet"):
+    if supervision is not None and engine != "supervised":
         raise SimulationError(
             f"supervision config requires the supervised engine, not {engine!r}"
         )
-    if transport is not None and engine not in ("supervised", "fleet"):
+    if transport is not None and engine != "supervised":
         raise SimulationError(
-            f"a shard transport requires a supervised engine, not {engine!r}"
-        )
-    if hosts is not None and engine != "fleet":
-        raise SimulationError(
-            f"host groups require the fleet engine, not {engine!r}"
+            f"a shard transport requires the supervised engine, not {engine!r}"
         )
     if engine == "legacy":
-        return LegacyTickEngine(specs, tick, seed, seeds=seeds)
+        return LegacyTickEngine(specs, tick, seed)
     if engine == "serial":
-        return SerialEpochEngine(specs, tick, seed, seeds=seeds)
+        return SerialEpochEngine(specs, tick, seed)
     if engine == "supervised":
         from repro.sim.supervisor import SupervisedShardedEngine
 
         return SupervisedShardedEngine(
             specs, tick, seed, workers,
             chaos=chaos, config=supervision,
-            transport=transport or "fork", seeds=seeds,
-        )
-    if engine == "fleet":
-        from repro.sim.fleet import FleetEngine
-
-        return FleetEngine(
-            specs, tick, seed, workers,
-            hosts=hosts if hosts is not None else 2,
             transport=transport or "fork",
-            chaos=chaos, config=supervision, seeds=seeds,
         )
     raise SimulationError(
         f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"

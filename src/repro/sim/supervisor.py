@@ -205,7 +205,7 @@ class Supervision:
     def policy(self) -> BackoffPolicy:
         """The restart ladder as the shared retry shape.
 
-        The supervisor, the fleet and the serve client all sleep through
+        The supervisor and the serve client both sleep through
         :class:`~repro.util.backoff.BackoffPolicy`, so the ladders cannot
         drift apart; the values recorded in the event log are exactly
         ``policy().delay(attempt)``.
@@ -243,7 +243,6 @@ class _WorkerState:
     journal: list[tuple[list, int, float]] = field(default_factory=list)
     #: In-process shard once adopted (poison epoch or degrade).
     shard: Shard | None = None
-    sent: bool = False
 
 
 class SupervisedShardedEngine:
@@ -272,9 +271,6 @@ class SupervisedShardedEngine:
         chaos: GridFaultPlan | None = None,
         config: Supervision | None = None,
         transport: str = "fork",
-        seeds: list[int] | None = None,
-        journals: list[list[tuple[list, int, float]]] | None = None,
-        worker_base: int = 0,
     ) -> None:
         if workers < 1:
             raise SimulationError(
@@ -285,11 +281,6 @@ class SupervisedShardedEngine:
         self.chaos = chaos
         self.tick = tick
         self._policy = self.config.policy()
-        #: Offset added to each slot index to form the *global* worker id
-        #: (a fleet supervisor numbers workers across hosts): chaos
-        #: schedules, failure messages and event logs all use global ids,
-        #: so per-host logs stay distinct and transport-invariant.
-        self.worker_base = worker_base
         #: Shared-nothing: no in-process machines are exposed, even for
         #: adopted shards (the public surface must not depend on the
         #: failure history).
@@ -306,8 +297,7 @@ class SupervisedShardedEngine:
             "failures": {"crash": 0, "hang": 0, "garbled": 0},
         }
         self.degraded = False
-        self._send_failures: dict[int, WorkerFailure] = {}
-        entry_list = _entry_list(specs, seed, seeds)
+        entry_list = _entry_list(specs, seed)
         self._states: list[_WorkerState] = []
         for w in range(self.workers):
             entries = []
@@ -316,32 +306,21 @@ class SupervisedShardedEngine:
                     entries.append(entry)
                     self._node_worker[entry[0].name] = w
             state = _WorkerState(index=w, entries=entries)
-            if journals is not None:
-                # A fleet supervisor resurrecting a whole host hands over
-                # the retiring engine's journals (same nodes, same
-                # slots): this worker replays its past silently and its
-                # epoch counter starts beyond it — chaos that already
-                # fired can never refire during a host-level replay.
-                state.journal = list(journals[w])
             state.transport = make_transport(
-                transport, worker_base + w, entries, tick, chaos
+                transport, w, entries, tick, chaos
             )
             self._states.append(state)
         for state in self._states:
-            state.transport.spawn(list(state.journal), state.incarnation)
+            state.transport.spawn([], state.incarnation)
         for state in self._states:
             try:
-                self._await_ready(state, replayed=len(state.journal))
+                self._await_ready(state, replayed=0)
             except WorkerFailure as fail:
                 # Startup failure (not chaos-injected — chaos only fires
                 # on advance): recover immediately, no report pending.
                 self._recover(state, fail, need_report=False)
 
     # -- worker lifecycle ---------------------------------------------------
-    def _gid(self, state: _WorkerState) -> int:
-        """Global worker id of one slot (fleet-wide numbering)."""
-        return self.worker_base + state.index
-
     def _await_ready(self, state: _WorkerState, replayed: int) -> None:
         # Replay costs real simulation work; scale the handshake deadline
         # with the journal length so resurrection is never misread as a
@@ -350,9 +329,9 @@ class SupervisedShardedEngine:
         payload = self._recv(state, timeout)
         if payload != "ready":
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent a bad ready handshake: "
+                f"grid worker {state.index} sent a bad ready handshake: "
                 f"{payload!r}",
-                worker=self._gid(state),
+                worker=state.index,
                 kind="garbled",
             )
 
@@ -371,8 +350,8 @@ class SupervisedShardedEngine:
             raise SimulationError(f"grid worker failed: {payload}")
         if tag != "ok":
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent unknown tag {tag!r}",
-                worker=self._gid(state),
+                f"grid worker {state.index} sent unknown tag {tag!r}",
+                worker=state.index,
                 kind="garbled",
             )
         return payload
@@ -381,8 +360,8 @@ class SupervisedShardedEngine:
         payload = self._recv(state, self.config.deadline)
         if not (isinstance(payload, dict) and _REPORT_KEYS <= payload.keys()):
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent a garbled epoch report",
-                worker=self._gid(state),
+                f"grid worker {state.index} sent a garbled epoch report",
+                worker=state.index,
                 kind="garbled",
             )
         return payload
@@ -421,7 +400,7 @@ class SupervisedShardedEngine:
         self.events.append(
             {
                 "event": "adopt",
-                "worker": self._gid(state),
+                "worker": state.index,
                 "epoch": len(replay),
                 "reason": reason,
                 "replayed": len(replay),
@@ -453,14 +432,14 @@ class SupervisedShardedEngine:
                 self.events.append(
                     {
                         "event": "poison",
-                        "worker": self._gid(state),
+                        "worker": state.index,
                         "epoch": epoch,
                         "attempts": attempts,
                     }
                 )
                 return self._adopt(state, need_report, reason="poison")
             if self.stats["restarts"] >= self.config.restart_budget:
-                self._degrade(self._gid(state), epoch)
+                self._degrade(state.index, epoch)
                 return self._adopt(state, need_report, reason="degrade")
             backoff = self._policy.sleep(attempts)
             self.stats["restarts"] += 1
@@ -470,7 +449,7 @@ class SupervisedShardedEngine:
             self.events.append(
                 {
                     "event": "restart",
-                    "worker": self._gid(state),
+                    "worker": state.index,
                     "epoch": epoch,
                     "incarnation": state.incarnation,
                     "replayed": len(replay),
@@ -489,13 +468,16 @@ class SupervisedShardedEngine:
                 fail = next_fail
 
     # -- engine protocol ----------------------------------------------------
-    def begin_advance(self, commands: list, n_ticks: int, frac: float) -> None:
-        """Journal the epoch and ship it to every live worker.
+    def advance(
+        self, commands: list, n_ticks: int, frac: float
+    ) -> list[dict[str, Any]]:
+        """Journal the epoch, send it to every live worker, then collect
+        every report, recovering as needed.
 
-        Split from :meth:`finish_advance` so a fleet supervisor can start
-        *all* hosts' workers on an epoch before collecting any of them —
-        without the split, hosts would advance serially and the two-level
-        tree would forfeit the fan-out.
+        Every send goes out before any report is collected, so shards
+        advance concurrently; adopted shards advance between the two
+        phases, so their work overlaps the workers'. Reports have
+        disjoint job/node keys; order is immaterial to the grid's merge.
         """
         if self.degraded:
             # Serial semantics: every shard in-process from here on.
@@ -507,52 +489,29 @@ class SupervisedShardedEngine:
             by_worker.setdefault(self._node_worker[cmd.node], []).append(cmd)
         for state in self._states:
             state.journal.append((by_worker.get(state.index, []), n_ticks, frac))
-        # Send to every live worker first so shards advance concurrently.
-        self._send_failures = {}
+        send_failures: dict[int, WorkerFailure] = {}
         for state in self._states:
             if state.shard is not None:
-                state.sent = False
                 continue
             try:
                 self._send(state, ("advance",) + state.journal[-1])
-                state.sent = True
             except WorkerFailure as fail:
-                state.sent = False
-                self._send_failures[state.index] = fail
-
-    def finish_advance(self) -> list[dict[str, Any]]:
-        """Collect every worker's epoch report, recovering as needed.
-
-        Adopted shards advance here, between the send and the recv
-        phases, so their work overlaps the workers' like a shard's would.
-        Reports have disjoint job/node keys; order is immaterial to the
-        grid's merge.
-        """
+                send_failures[state.index] = fail
         reports: list[dict[str, Any]] = []
         for state in self._states:
             if state.shard is not None:
                 cmds, nt, fr = state.journal[-1]
                 reports.append(state.shard.advance(cmds, nt, fr))
                 continue
-            if not state.sent:
-                reports.append(
-                    self._recover(
-                        state, self._send_failures[state.index],
-                        need_report=True,
-                    )
-                )
-                continue
-            try:
-                reports.append(self._recv_report(state))
-            except WorkerFailure as fail:
-                reports.append(self._recover(state, fail, need_report=True))
+            fail = send_failures.get(state.index)
+            if fail is None:
+                try:
+                    reports.append(self._recv_report(state))
+                    continue
+                except WorkerFailure as recv_fail:
+                    fail = recv_fail
+            reports.append(self._recover(state, fail, need_report=True))
         return reports
-
-    def advance(
-        self, commands: list, n_ticks: int, frac: float
-    ) -> list[dict[str, Any]]:
-        self.begin_advance(commands, n_ticks, frac)
-        return self.finish_advance()
 
     def process_of(self, job_id: int) -> None:
         return None
@@ -589,12 +548,6 @@ class SupervisedShardedEngine:
         return out
 
     # -- introspection / lifecycle ------------------------------------------
-    @property
-    def journals(self) -> list[list[tuple[list, int, float]]]:
-        """Every worker slot's epoch journal, in slot order: what an
-        engine replacing this one over the same nodes replays."""
-        return [state.journal for state in self._states]
-
     @property
     def bytes_sent(self) -> int:
         return sum(s.transport.bytes_sent for s in self._states)

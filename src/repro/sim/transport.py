@@ -165,9 +165,8 @@ class ShardTransport:
     ``_close_link``; the failure taxonomy, byte accounting, the
     closed-state contract and the agent-process teardown ladder are
     shared and live in the public :meth:`send` / :meth:`recv` /
-    :meth:`reap` / :meth:`close` wrappers. ``worker_id`` is the *global*
-    worker index (fleet supervisors offset it per host) used in failure
-    messages and as the chaos worker id.
+    :meth:`reap` / :meth:`close` wrappers. ``worker_id`` is the worker
+    slot index, used in failure messages and as the chaos worker id.
     """
 
     def __init__(

@@ -1,8 +1,7 @@
 """One retry ladder for every recovery path.
 
-Before this module, three subsystems each grew their own copy of the
-same bounded exponential backoff: the shard supervisor's restart ladder,
-the fleet's host resurrection, and (new) the serve client's reconnect
+Two recovery paths sleep through the same bounded exponential backoff:
+the shard supervisor's restart ladder and the serve client's reconnect
 loop. Divergent copies drift — a cap forgotten here, a doubling base
 there — and drift in retry policy is exactly the kind of silent skew a
 measurement layer must not have. :class:`BackoffPolicy` is the single

@@ -499,8 +499,7 @@ def run_grid(
     scenario configures it, is applied to the supervised engine only;
     every other engine runs clean and serves as the recovery reference.
     ``transport`` pins the shard transport for the transport-invariance
-    sweep, whose supervised runs are clean too; the "fleet" engine
-    always runs clean over two hosts.
+    sweep, whose supervised runs are clean too.
     """
     arch = get_arch(scenario.arch)
     specs = [
@@ -546,7 +545,6 @@ def run_grid(
         grid_chaos=chaos,
         supervision=supervision,
         transport=transport,
-        hosts=2 if engine == "fleet" else None,
     )
     try:
         for job in ordered:

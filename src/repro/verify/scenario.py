@@ -551,8 +551,10 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
     transports: tuple[str, ...] = ()
     if rng.random() < 0.25:
         transports = ("inproc", "fork")
-    if rng.random() < 0.15:
-        engines.append("fleet")
+    # Sometimes a worker-process run where the draws above chose none.
+    # The draw comes first, so every later field keeps its value.
+    if rng.random() < 0.15 and "supervised" not in engines:
+        engines.append("supervised")
     if rng.random() < 0.2:
         # Preemption churn: the fast queue may evict batch jobs, and jobs
         # carry mixed priorities so within-queue ordering is exercised.

@@ -85,12 +85,10 @@ def _candidates(s: Scenario) -> Iterator[Scenario]:
             yield replace(
                 s, net_faults=s.net_faults[:i] + s.net_faults[i + 1 :]
             )
-    # Drop the transport sweep and the fleet engine before the cheaper
-    # engine drops: each multiplies the runs per candidate evaluation.
+    # Drop the transport sweep before the cheaper engine drops: it
+    # multiplies the runs per candidate evaluation.
     if s.transports:
         yield replace(s, transports=())
-    if "fleet" in s.engines and len(s.engines) > 1:
-        yield replace(s, engines=tuple(e for e in s.engines if e != "fleet"))
     if (
         "supervised" in s.engines
         and len(s.engines) > 1

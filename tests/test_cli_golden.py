@@ -1,13 +1,13 @@
 """Frozen tiptop stdout, untouched by ``--profile``, and quiet exits into
 closed pipes.
 
-``tests/data/cli`` holds the stdout of fifteen tiptop runs: plain batch,
+``tests/data/cli`` holds the stdout of thirteen tiptop runs: plain batch,
 per-thread batch, chaos batch, one live frame, a batch run of each of the
-other five built-in screens, ``--list-screens``, and five ``--grid-workers``
-runs (three workers and four workers on two hosts, each clean and under
-``--grid-chaos``). The sampling, rendering, screen, simulation and grid
-paths must reproduce them byte for byte. A deliberate
-output change regenerates a file with
+other five built-in screens, ``--list-screens``, and three
+``--grid-workers 3`` runs (clean and under two ``--grid-chaos`` seeds).
+The sampling, rendering, screen, simulation and grid paths must
+reproduce them byte for byte. A deliberate output change regenerates a
+file with
 ``PYTHONPATH=src python -m repro.core.cli <args> > tests/data/cli/<file>``
 and says why in its commit.
 """
@@ -41,20 +41,12 @@ GOLDENS = {
     "grid_w3_chaos4_n8.txt": [
         "--sim", "--grid-workers", "3", "--grid-chaos", "4", "-d", "2", "-n", "8",
     ],
-    "grid_w4_h2_n8.txt": [
-        "--sim", "--grid-workers", "4", "--grid-hosts", "2", "-d", "2", "-n", "8",
-    ],
-    "grid_w4_h2_chaos1_n8.txt": [
-        "--sim", "--grid-workers", "4", "--grid-hosts", "2", "--grid-chaos", "1",
-        "-d", "2", "-n", "8",
-    ],
 }
 
 #: Each ``--grid-chaos`` golden and the clean golden of the same layout.
 GRID_CHAOS = {
     "grid_w3_chaos1_n8.txt": "grid_w3_n8.txt",  # a garbled reply
     "grid_w3_chaos4_n8.txt": "grid_w3_n8.txt",  # a crash
-    "grid_w4_h2_chaos1_n8.txt": "grid_w4_h2_n8.txt",
 }
 
 

@@ -25,6 +25,11 @@ class TestParser:
             build_parser().parse_args(["--grid-transport", "fork"])
         assert info.value.code == 2
 
+    def test_grid_hosts_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["--grid-hosts", "2"])
+        assert info.value.code == 2
+
 
 class TestRuns:
     def test_uid_filter_empties_view(self, capsys):
@@ -63,3 +68,9 @@ class TestRuns:
         captured = capsys.readouterr()
         assert "grid_workers must be >= 1" in captured.err
         assert "engine=" not in captured.out
+
+    def test_grid_banner_prints_the_workers_that_run(self, capsys):
+        # The default grid has 5 nodes: 8 workers clamp to 5 processes.
+        assert main(["--sim", "--grid-workers", "8", "-d", "2", "-n", "2"]) == 0
+        banner = capsys.readouterr().out.splitlines()[0]
+        assert "engine=supervised workers=5," in banner

@@ -1,11 +1,10 @@
 """Engine equivalence and epoch semantics for the parallel grid.
 
 The contract under test: the legacy per-tick loop, the in-process serial
-epoch engine, the supervised multi-process engine and the fleet of
-supervised hosts produce *bitwise identical* grids — job states,
-dispatch/finish times, per-node counter tables — for any fleet, seed and
-churn script. Determinism is what makes ``workers=N`` a pure performance
-knob.
+epoch engine and the supervised multi-process engine produce *bitwise
+identical* grids — job states, dispatch/finish times, per-node counter
+tables — for any fleet, seed and churn script. Determinism is what
+makes ``workers=N`` a pure performance knob.
 """
 
 import math
@@ -25,7 +24,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.workloads import datacenter
 
-ENGINES = [("legacy", 1), ("serial", 1), ("supervised", 2), ("fleet", 2)]
+ENGINES = [("legacy", 1), ("serial", 1), ("supervised", 2)]
 
 
 def _job(seconds=60.0, ipc=1.2, name="job"):
@@ -117,7 +116,6 @@ class TestEngineEquivalence:
                 results[engine] = _observables(grid)
         assert results["legacy"] == results["serial"]
         assert results["serial"] == results["supervised"]
-        assert results["supervised"] == results["fleet"]
 
     def test_worker_count_does_not_change_results(self):
         results = []
@@ -140,10 +138,7 @@ class TestEngineEquivalence:
                 grid.run_for(0.5)
                 grid.run_for(7.25)
                 results[engine] = _observables(grid)
-        assert (
-            results["legacy"] == results["serial"]
-            == results["supervised"] == results["fleet"]
-        )
+        assert results["legacy"] == results["serial"] == results["supervised"]
 
 
 class TestEpochSemantics:
@@ -349,12 +344,12 @@ class TestShardedEngineSurface:
                 grid.engine.snapshot("nope")
 
     def test_invalid_engine_and_workers_rejected(self):
-        for engine in ("warp", "sharded"):
+        for engine in ("warp", "sharded", "fleet"):
             with pytest.raises(SimulationError, match="unknown grid engine"):
                 Grid(_small_fleet(), _small_queues(), engine=engine)
         with pytest.raises(SimulationError):
             Grid(_small_fleet(), _small_queues(), workers=0)
-        assert set(ENGINE_NAMES) == {"legacy", "serial", "supervised", "fleet"}
+        assert ENGINE_NAMES == ("legacy", "serial", "supervised")
 
     def test_more_workers_than_nodes_is_clamped(self):
         with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],

@@ -1,7 +1,7 @@
 """Transport-axis equivalence and the per-fabric contracts.
 
 ``tests/test_grid_parallel.py`` pins the engine axis (legacy / serial /
-supervised / fleet bitwise-identical under churn); this file pins the
+supervised bitwise-identical under churn); this file pins the
 *transport* axis underneath the supervised engine: the inproc and fork
 fabrics must be pure performance knobs too. Plus the per-fabric
 contracts the engine relies on — snapshot batching (one message per
@@ -371,7 +371,7 @@ class TestLayering:
         the whole grid stack leaves every ``repro.serve`` module unloaded."""
         code = (
             "import sys\n"
-            "import repro.sim.grid, repro.sim.supervisor, repro.sim.fleet\n"
+            "import repro.sim.grid, repro.sim.supervisor\n"
             "import repro.sim.transport\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] == ['repro', 'serve']))\n"

@@ -116,7 +116,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="kind"):
             Scenario(kind="fleet", seed=0)
 
-    @pytest.mark.parametrize("engine", ["bogus", "sharded"])
+    @pytest.mark.parametrize("engine", ["bogus", "sharded", "fleet"])
     def test_unknown_engine_fails_at_load(self, engine):
         # Rejected when the scenario is built, not after the engines
         # before it have already run.
