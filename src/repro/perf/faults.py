@@ -20,7 +20,8 @@ layers:
   never looks at *global* call ordering, the schedule a given task
   experiences is independent of how other tasks' calls interleave — which
   is exactly what lets property tests assert that tasks the plan never
-  touched produce bitwise-identical samples to a fault-free run.
+  touched produce bitwise-identical samples to a fault-free run. The
+  draw is :mod:`repro.util.chaos`, which all three fault schedules share.
 * **Indexed specs** (``at_calls``) fire on exact per-op global call
   indices (1-based), for targeted regression tests that need "the third
   open fails".
@@ -32,7 +33,6 @@ Replaying a failure schedule is just constructing the same plan again:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -44,6 +44,7 @@ from repro.errors import (
     PerfError,
     PerfInterruptedError,
 )
+from repro.util import chaos
 
 #: Backend operations a spec may target ("*" matches all of them).
 OPS = ("open", "enable", "disable", "reset", "read", "close")
@@ -83,13 +84,13 @@ class FaultSpec:
         rate: per-call probability in [0, 1] (ignored when ``at_calls``
             is given).
         at_calls: exact 1-based per-op global call indices to fire on
-            (deterministic triggering for targeted tests).
+            (deterministic triggering for targeted tests), sorted.
     """
 
     op: str
     error: str
     rate: float = 0.0
-    at_calls: frozenset[int] | None = None
+    at_calls: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.op != "*" and self.op not in OPS:
@@ -101,12 +102,8 @@ class FaultSpec:
                 f"fault spec has unknown error class {self.error!r} "
                 f"(know {ERROR_CLASSES})"
             )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(
-                f"fault rate must be in [0, 1], got {self.rate}"
-            )
-        if self.at_calls is not None and any(i < 1 for i in self.at_calls):
-            raise ConfigError("at_calls indices are 1-based")
+        at_calls = chaos.check_draw(self.rate, self.at_calls, "at_calls", 1)
+        object.__setattr__(self, "at_calls", at_calls)
 
     def matches_op(self, op: str) -> bool:
         """Whether this spec applies to backend operation ``op``."""
@@ -120,12 +117,7 @@ def default_specs(intensity: float = 1.0) -> tuple[FaultSpec, ...]:
     per call — noisy enough to exercise every error path within a short
     run, quiet enough that most tasks survive).
     """
-    if intensity < 0:
-        raise ConfigError(f"intensity must be >= 0, got {intensity}")
-
-    def r(rate: float) -> float:
-        return min(1.0, rate * intensity)
-
+    r = chaos.capped(intensity, 1.0)
     return (
         FaultSpec("open", "eagain", r(0.04)),
         FaultSpec("open", "esrch", r(0.01)),
@@ -138,17 +130,6 @@ def default_specs(intensity: float = 1.0) -> tuple[FaultSpec, ...]:
         FaultSpec("read", "starve", r(0.03)),
         FaultSpec("close", "eintr", r(0.01)),
     )
-
-
-def _unit(seed: int, tid: int, op: str, index: int) -> float:
-    """Deterministic uniform variate in [0, 1) for one backend call.
-
-    crc32 over a canonical key string: platform-independent, stable across
-    processes (unlike ``hash``), and a function of the *task's own* call
-    history only — global interleaving cannot shift it.
-    """
-    key = f"{seed}:{tid}:{op}:{index}".encode()
-    return zlib.crc32(key) / 2**32
 
 
 @dataclass
@@ -193,15 +174,12 @@ class FaultPlan:
     @staticmethod
     def _check_rates(specs: tuple[FaultSpec, ...]) -> None:
         for op in OPS:
-            total = sum(
+            rates = (
                 s.rate
                 for s in specs
                 if s.at_calls is None and s.matches_op(op)
             )
-            if total > 1.0 + 1e-9:
-                raise ConfigError(
-                    f"fault rates for op {op!r} sum to {total:.3f} > 1"
-                )
+            chaos.check_rates(rates, f"fault {op!r}")
 
     @classmethod
     def from_seed(cls, seed: int, intensity: float = 1.0) -> "FaultPlan":
@@ -238,7 +216,7 @@ class FaultPlan:
                     decision = spec.error
                     break
         if decision is None:
-            u = _unit(self.seed, tid, op, tid_index)
+            u = chaos.unit(f"{self.seed}:{tid}:{op}:{tid_index}")
             for spec in self.specs:
                 if spec.at_calls is not None or not spec.matches_op(op):
                     continue

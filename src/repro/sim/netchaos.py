@@ -11,14 +11,14 @@ auto-reconnecting client then exercises resume-by-seq against the
 retention ring. A healthy TCP stream cannot duplicate, reorder or delay
 a frame, but it can be cut.
 
-Determinism contract (mirroring :mod:`repro.perf.faults`): every
-decision hashes ``(seed, link, seq)`` through crc32 into one uniform
-variate, so the schedule is platform-stable and **independent per
-link** — cuts on one link never shift another link's schedule. The
-third ``attempt`` axis is how a cut *heals*: a fault with ``duration``
-``d`` keeps firing while the frame for that (link, seq) has been
-attempted fewer than ``d`` times, then clears. No wall-clock enters
-the schedule.
+Determinism contract (shared with :mod:`repro.perf.faults` through
+:mod:`repro.util.chaos`): every decision hashes ``(seed, link, seq)``
+through crc32 into one uniform variate, so the schedule is
+platform-stable and **independent per link** — cuts on one link never
+shift another link's schedule. The third ``attempt`` axis is how a cut
+*heals*: a fault with ``duration`` ``d`` keeps firing while the frame
+for that (link, seq) has been attempted fewer than ``d`` times, then
+clears. No wall-clock enters the schedule.
 
 Every fault kind is a cut: the daemon severs the socket the same way
 for each. In the stock mix a ``partition`` lasts two attempts (the heal
@@ -28,10 +28,10 @@ its own ``duration``.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.util import chaos
 
 __all__ = [
     "NET_FAULT_KINDS",
@@ -51,7 +51,7 @@ class NetFaultSpec:
     Attributes:
         kind: one of :data:`NET_FAULT_KINDS`.
         rate: probability per (link, seq) draw.
-        at_epochs: exact frame seqs to fire at (overrides ``rate``).
+        at_epochs: exact frame seqs to fire at (overrides ``rate``), sorted.
         link: restrict to one link id (None = all links).
         duration: how many *attempts* of the same (link, seq) frame the
             cut keeps firing for before the link heals. 1 means a
@@ -60,24 +60,15 @@ class NetFaultSpec:
 
     kind: str
     rate: float = 0.0
-    at_epochs: frozenset[int] | None = None
+    at_epochs: tuple[int, ...] | None = None
     link: int | None = None
     duration: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in NET_FAULT_KINDS:
-            raise ConfigError(
-                f"unknown net fault kind {self.kind!r} "
-                f"(have: {', '.join(NET_FAULT_KINDS)})"
-            )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"fault rate must be in [0, 1], got {self.rate}")
-        if self.at_epochs is not None:
-            object.__setattr__(self, "at_epochs", frozenset(self.at_epochs))
-            if any(e < 0 for e in self.at_epochs):
-                raise ConfigError("at_epochs indices must be >= 0")
-        if self.link is not None and self.link < 0:
-            raise ConfigError("link id must be >= 0")
+        at_epochs = chaos.check_spec(
+            self, "net", NET_FAULT_KINDS, self.link, "link id"
+        )
+        object.__setattr__(self, "at_epochs", at_epochs)
         if self.duration < 1:
             raise ConfigError(f"duration must be >= 1, got {self.duration}")
 
@@ -86,15 +77,9 @@ def default_net_specs(intensity: float = 1.0) -> tuple[NetFaultSpec, ...]:
     """The stock link-cut mix: mostly transient single-frame losses
     (one reconnect each), and some two-attempt partitions (the heal
     path)."""
-    if intensity < 0:
-        raise ConfigError(f"chaos intensity must be >= 0, got {intensity}")
-    # Each rate is capped at 1/6. The cap binds at high intensities, so
-    # it is part of the schedule: changing it moves those seeds' cuts.
-    cap = 1.0 / 6
-
-    def r(rate: float) -> float:
-        return min(rate * intensity, cap)
-
+    # Each rate is capped at 1/6: changing the cap moves the cuts of
+    # every seed run at an intensity where it binds.
+    r = chaos.capped(intensity, 1.0 / 6)
     return (
         NetFaultSpec("partition", rate=r(0.03), duration=2),
         NetFaultSpec("drop", rate=r(0.03)),
@@ -108,56 +93,22 @@ class NetChaosPlan:
     """A seeded, stateless schedule of link cuts.
 
     Decisions hash ``(seed, link, seq)`` through crc32 into one uniform
-    variate walked across the rate specs (exactly the
-    :class:`repro.perf.faults.FaultPlan` shape), so at most one fault
-    fires per (link, seq) and the schedule for one link is independent
-    of every other link's.
+    variate walked across the rate specs (the worker plan's walk,
+    :func:`repro.util.chaos.pick`), so at most one fault fires per
+    (link, seq) and the schedule for one link is independent of every
+    other link's.
     """
 
     seed: int
     specs: tuple[NetFaultSpec, ...]
 
     def __post_init__(self) -> None:
-        total = sum(s.rate for s in self.specs if s.at_epochs is None)
-        if total > 1.0 + 1e-9:
-            raise ConfigError(
-                f"net fault rates sum to {total:.3f} > 1; they partition "
-                "one uniform draw and cannot overlap"
-            )
+        rates = (s.rate for s in self.specs if s.at_epochs is None)
+        chaos.check_rates(rates, "net fault")
 
     @classmethod
     def from_seed(cls, seed: int, intensity: float = 1.0) -> "NetChaosPlan":
         return cls(seed=seed, specs=default_net_specs(intensity))
-
-    def _unit(self, link: int, epoch: int) -> float:
-        # crc32 is linear, so keys differing in one mid-string character
-        # (adjacent links) land on correlated values; feeding the first
-        # digest through a second crc32 restores avalanche while staying
-        # platform-stable and hash()-free.
-        key = f"{self.seed}:net:{link}:{epoch}"
-        inner = zlib.crc32(key.encode())
-        return zlib.crc32(str(inner).encode()) / 2**32
-
-    def _pick(self, link: int, epoch: int) -> NetFaultSpec | None:
-        """The spec (if any) scheduled for this (link, epoch)."""
-        for spec in self.specs:
-            if spec.at_epochs is None:
-                continue
-            if spec.link is not None and spec.link != link:
-                continue
-            if epoch in spec.at_epochs:
-                return spec
-        u = self._unit(link, epoch)
-        edge = 0.0
-        for spec in self.specs:
-            if spec.at_epochs is not None:
-                continue
-            if spec.link is not None and spec.link != link:
-                continue
-            edge += spec.rate
-            if u < edge:
-                return spec
-        return None
 
     def cut(self, link: int, seq: int, attempt: int) -> bool:
         """Is this link severed before frame ``seq`` is written?
@@ -168,5 +119,11 @@ class NetChaosPlan:
         scheduled depends only on ``(seed, link, seq)``, so reconnects
         on other links can never shift it.
         """
-        spec = self._pick(link, seq)
+        # crc32 is linear, so keys differing in one mid-string character
+        # (adjacent links) land on correlated values; feeding the first
+        # digest through a second crc32 restores avalanche while staying
+        # platform-stable and hash()-free.
+        u = chaos.unit(str(chaos.crc(f"{self.seed}:net:{link}:{seq}")))
+        aimed = [s for s in self.specs if s.link in (None, link)]
+        spec = chaos.pick(aimed, seq, u)
         return spec is not None and attempt < spec.duration

@@ -25,10 +25,11 @@ deadlocks* (the paper's operational premise, applied to the grid layer):
    engine degrades to serial semantics (every shard adopted) instead of
    failing the run.
 
-Chaos. :class:`GridFaultPlan` mirrors PR 2's ``repro.perf.faults``: a
-seeded, stateless, picklable plan executed *inside* the worker loop.
-``decide(worker, epoch, incarnation)`` hashes its arguments (crc32, like
-``FaultPlan``) so the schedule is a pure function of the seed —
+Chaos. :class:`GridFaultPlan` is the worker twin of
+:class:`repro.perf.faults.FaultPlan`: a seeded, stateless, picklable
+plan executed *inside* the worker loop. ``decide(worker, epoch,
+incarnation)`` hashes its arguments through the crc32 draw of
+:mod:`repro.util.chaos`, so the schedule is a pure function of the seed —
 ``--grid-chaos SEED`` replays byte-identically. Rate faults draw a fresh
 variate per incarnation, so a restarted worker normally survives the
 retry (transient faults); ``at_epochs`` faults marked ``persistent``
@@ -43,13 +44,13 @@ the same chaos seed produce identical logs.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError, SimulationError, WorkerFailure
 from repro.sim.parallel import Shard, _entry_list
 from repro.sim.transport import CRASH_EXIT, make_transport
+from repro.util import chaos
 from repro.util.backoff import BackoffPolicy
 
 if TYPE_CHECKING:
@@ -80,7 +81,7 @@ class GridFaultSpec:
             Every kind fires *before* the shard advances, so a faulted
             epoch is never half-applied and journal replay is exact.
         rate: probability per (worker, epoch, incarnation) draw.
-        at_epochs: exact epoch indices to fire at (overrides ``rate``).
+        at_epochs: exact epoch indices to fire at (overrides ``rate``), sorted.
         worker: restrict to one worker index (None = all workers).
         persistent: ``at_epochs`` faults refire on every incarnation
             (the poison-epoch path); rate faults always redraw.
@@ -88,36 +89,25 @@ class GridFaultSpec:
 
     kind: str
     rate: float = 0.0
-    at_epochs: frozenset[int] | None = None
+    at_epochs: tuple[int, ...] | None = None
     worker: int | None = None
     persistent: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in GRID_FAULT_KINDS:
-            raise ConfigError(
-                f"unknown grid fault kind {self.kind!r} "
-                f"(have: {', '.join(GRID_FAULT_KINDS)})"
-            )
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"fault rate must be in [0, 1], got {self.rate}")
-        if self.at_epochs is not None:
-            object.__setattr__(self, "at_epochs", frozenset(self.at_epochs))
-            if any(e < 0 for e in self.at_epochs):
-                raise ConfigError("at_epochs indices must be >= 0")
-        if self.worker is not None and self.worker < 0:
-            raise ConfigError("worker index must be >= 0")
+        at_epochs = chaos.check_spec(
+            self, "grid", GRID_FAULT_KINDS, self.worker, "worker index"
+        )
+        object.__setattr__(self, "at_epochs", at_epochs)
 
 
 def default_grid_specs(intensity: float = 1.0) -> tuple[GridFaultSpec, ...]:
     """The stock chaos mix: mostly crashes, some garbled replies, rare
     hangs (hangs cost a full deadline each, so they stay cheapest)."""
-    if intensity < 0:
-        raise ConfigError(f"chaos intensity must be >= 0, got {intensity}")
-    cap = 1.0 / len(GRID_FAULT_KINDS)
+    r = chaos.capped(intensity, 1.0 / len(GRID_FAULT_KINDS))
     return (
-        GridFaultSpec("crash", rate=min(0.05 * intensity, cap)),
-        GridFaultSpec("hang", rate=min(0.02 * intensity, cap)),
-        GridFaultSpec("garble", rate=min(0.03 * intensity, cap)),
+        GridFaultSpec("crash", rate=r(0.05)),
+        GridFaultSpec("hang", rate=r(0.02)),
+        GridFaultSpec("garble", rate=r(0.03)),
     )
 
 
@@ -129,19 +119,20 @@ class GridFaultPlan:
     ``(seed, worker, epoch, incarnation)`` through crc32 into a uniform
     variate, so the schedule is platform-stable, picklable into workers,
     and independent per worker — faults on one shard never shift
-    another's schedule.
+    another's schedule. The rate specs partition that one draw, so their
+    rates sum to at most 1 (exact-epoch specs are exempt).
     """
 
     seed: int
     specs: tuple[GridFaultSpec, ...]
 
+    def __post_init__(self) -> None:
+        rates = (s.rate for s in self.specs if s.at_epochs is None)
+        chaos.check_rates(rates, "grid fault")
+
     @classmethod
     def from_seed(cls, seed: int, intensity: float = 1.0) -> "GridFaultPlan":
         return cls(seed=seed, specs=default_grid_specs(intensity))
-
-    def _unit(self, worker: int, epoch: int, incarnation: int) -> float:
-        key = f"{self.seed}:{worker}:{epoch}:{incarnation}"
-        return zlib.crc32(key.encode()) / 2**32
 
     def decide(self, worker: int, epoch: int, incarnation: int) -> str | None:
         """The fault (if any) this worker exhibits on this epoch advance.
@@ -150,24 +141,14 @@ class GridFaultPlan:
         fire on the first incarnation only unless ``persistent``; rate
         faults draw fresh per incarnation so retries normally succeed.
         """
-        for spec in self.specs:
-            if spec.at_epochs is None:
-                continue
-            if spec.worker is not None and spec.worker != worker:
-                continue
-            if epoch in spec.at_epochs and (spec.persistent or incarnation == 0):
-                return spec.kind
-        u = self._unit(worker, epoch, incarnation)
-        edge = 0.0
-        for spec in self.specs:
-            if spec.at_epochs is not None:
-                continue
-            if spec.worker is not None and spec.worker != worker:
-                continue
-            edge += spec.rate
-            if u < edge:
-                return spec.kind
-        return None
+        aimed = [
+            s for s in self.specs
+            if s.worker in (None, worker)
+            and (s.at_epochs is None or s.persistent or incarnation == 0)
+        ]
+        u = chaos.unit(f"{self.seed}:{worker}:{epoch}:{incarnation}")
+        spec = chaos.pick(aimed, epoch, u)
+        return None if spec is None else spec.kind
 
 
 @dataclass(frozen=True)

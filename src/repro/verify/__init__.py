@@ -25,12 +25,11 @@ a vectorised expression evaluator — each claiming exact agreement.
 
 from repro.verify.oracles import Violation, check, check_scenario
 from repro.verify.runner import Execution, execute
-from repro.verify.scenario import GridFaultClause, Scenario, generate
+from repro.verify.scenario import Scenario, generate
 from repro.verify.shrink import replay_artifact, shrink, write_artifact
 
 __all__ = [
     "Execution",
-    "GridFaultClause",
     "Scenario",
     "Violation",
     "check",

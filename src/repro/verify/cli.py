@@ -6,7 +6,8 @@ Two modes:
   over each, and on failure shrinks the scenario and writes a replay
   artifact to ``--artifact-dir``. Exits non-zero if any seed failed.
 * ``--replay FILE`` re-executes a previously written artifact and
-  reports whether its violations still reproduce.
+  reports whether its violations still reproduce (exit 1 if they do,
+  2 if FILE cannot be loaded).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from collections.abc import Sequence
 
+from repro.errors import ConfigError
 from repro.verify.oracles import check_scenario
 from repro.verify.scenario import generate
 from repro.verify.shrink import replay_artifact, shrink, write_artifact
@@ -106,7 +108,13 @@ def _fuzz(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    scenario, recorded, current = replay_artifact(args.replay)
+    try:
+        scenario, recorded, current = replay_artifact(args.replay)
+    except ConfigError as exc:
+        # Exit 1 already means "the violations reproduce".
+        print(f"repro.verify: cannot replay {args.replay}: {exc}",
+              file=sys.stderr)
+        return 2
     print(
         f"scenario {scenario.digest()} (kind={scenario.kind}, "
         f"seed={scenario.seed}): {len(recorded)} recorded violation(s), "

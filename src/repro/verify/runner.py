@@ -23,6 +23,7 @@ leak count) from each.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -32,21 +33,16 @@ from repro.core.options import Options
 from repro.core.recorder import Recorder
 from repro.core.sampler import Sampler
 from repro.core.screen import Screen, get_screen
-from repro.perf.faults import FaultPlan, FaultSpec, default_specs
+from repro.perf.faults import FaultPlan, default_specs
 from repro.perf.simbackend import SimBackend
 from repro.procfs.simproc import SimProcReader
 from repro.sim.arch import get_arch
 from repro.sim.events import Event
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.machine import SimMachine
-from repro.sim.netchaos import NetChaosPlan, NetFaultSpec, default_net_specs
+from repro.sim.netchaos import NetChaosPlan, default_net_specs
 from repro.sim.parallel import node_snapshot
-from repro.sim.supervisor import (
-    GridFaultPlan,
-    GridFaultSpec,
-    Supervision,
-    default_grid_specs,
-)
+from repro.sim.supervisor import GridFaultPlan, Supervision, default_grid_specs
 from repro.sim.workloads.synthetic import SyntheticSpec, build
 from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
@@ -193,23 +189,19 @@ def _plan_spawns(scenario: Scenario, machine: SimMachine) -> dict[str, int]:
     return pids
 
 
-def _fault_plan(scenario: Scenario) -> FaultPlan | None:
-    specs: tuple[FaultSpec, ...] = ()
-    if scenario.chaos_seed is not None:
-        specs = default_specs(scenario.chaos_intensity)
-    specs += tuple(
-        FaultSpec(
-            op=f.op,
-            error=f.error,
-            rate=f.rate,
-            at_calls=frozenset(f.at_calls) if f.at_calls is not None else None,
-        )
-        for f in scenario.faults
-    )
+def _fault_plan(
+    plan: Callable[[int, tuple], Any], stock: Callable[[float], tuple],
+    seed: int | None, intensity: float, specs: tuple, scenario_seed: int,
+) -> Any:
+    """One layer's fault plan (kernel, worker or link): the ``stock``
+    mix at ``intensity`` when ``seed`` is named, then the scenario's
+    explicit ``specs``, seeded by ``seed`` or else by the scenario's
+    own seed; None when both are empty."""
+    if seed is not None:
+        specs = (*stock(intensity), *specs)
     if not specs:
         return None
-    seed = scenario.chaos_seed if scenario.chaos_seed is not None else scenario.seed
-    return FaultPlan(seed, specs)
+    return plan(scenario_seed if seed is None else seed, specs)
 
 
 def _screen_for(scenario: Scenario, chaotic: bool) -> Screen:
@@ -238,7 +230,10 @@ def run_tool(
     """
     machine = _build_machine(scenario)
     _plan_spawns(scenario, machine)
-    plan = _fault_plan(scenario)
+    plan = _fault_plan(
+        FaultPlan, default_specs, scenario.chaos_seed,
+        scenario.chaos_intensity, scenario.faults, scenario.seed,
+    )
     backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
     reader = SimProcReader(machine)
     screen = _screen_for(scenario, plan is not None)
@@ -290,33 +285,6 @@ def run_tool(
     )
 
 
-def _net_chaos_plan(scenario: Scenario) -> NetChaosPlan | None:
-    """The serve daemon's link-cut plan (mirrors :func:`_fault_plan`)."""
-    specs: tuple[NetFaultSpec, ...] = ()
-    if scenario.net_chaos_seed is not None:
-        specs = default_net_specs(scenario.net_chaos_intensity)
-    specs += tuple(
-        NetFaultSpec(
-            kind=f.kind,
-            rate=f.rate,
-            at_epochs=(
-                frozenset(f.at_epochs) if f.at_epochs is not None else None
-            ),
-            link=f.link,
-            duration=f.duration,
-        )
-        for f in scenario.net_faults
-    )
-    if not specs:
-        return None
-    seed = (
-        scenario.net_chaos_seed
-        if scenario.net_chaos_seed is not None
-        else scenario.seed
-    )
-    return NetChaosPlan(seed, specs)
-
-
 def run_served(scenario: Scenario) -> dict[str, Any]:
     """Serve one tool scenario over localhost TCP to three subscribers.
 
@@ -350,7 +318,10 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
 
     machine = _build_machine(scenario)
     _plan_spawns(scenario, machine)
-    plan = _fault_plan(scenario)
+    plan = _fault_plan(
+        FaultPlan, default_specs, scenario.chaos_seed,
+        scenario.chaos_intensity, scenario.faults, scenario.seed,
+    )
     backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
     reader = SimProcReader(machine)
     screen = _screen_for(scenario, plan is not None)
@@ -372,7 +343,10 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
                 ("X_SERVE", f"{canonical_name(events[0].name)} / delta_t"),
             )
         )
-    netchaos = _net_chaos_plan(scenario)
+    netchaos = _fault_plan(
+        NetChaosPlan, default_net_specs, scenario.net_chaos_seed,
+        scenario.net_chaos_intensity, scenario.net_faults, scenario.seed,
+    )
     daemon = CollectorDaemon(
         sampler,
         advance=lambda: machine.run_for(scenario.delay),
@@ -460,33 +434,6 @@ def run_machine(scenario: Scenario, *, advance: str = "scalar") -> dict[str, Any
 
 # -- grid runs ----------------------------------------------------------------
 
-def _grid_chaos_plan(scenario: Scenario) -> GridFaultPlan | None:
-    """The scenario's worker-fault plan (mirrors :func:`_fault_plan`)."""
-    specs: tuple[GridFaultSpec, ...] = ()
-    if scenario.grid_chaos_seed is not None:
-        specs = default_grid_specs(scenario.grid_chaos_intensity)
-    specs += tuple(
-        GridFaultSpec(
-            kind=f.kind,
-            rate=f.rate,
-            at_epochs=(
-                frozenset(f.at_epochs) if f.at_epochs is not None else None
-            ),
-            worker=f.worker,
-            persistent=f.persistent,
-        )
-        for f in scenario.grid_faults
-    )
-    if not specs:
-        return None
-    seed = (
-        scenario.grid_chaos_seed
-        if scenario.grid_chaos_seed is not None
-        else scenario.seed
-    )
-    return GridFaultPlan(seed, specs)
-
-
 def run_grid(
     scenario: Scenario, engine: str, transport: str | None = None
 ) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -527,7 +474,10 @@ def run_grid(
     )
     chaos = supervision = None
     if engine == "supervised" and transport is None:
-        chaos = _grid_chaos_plan(scenario)
+        chaos = _fault_plan(
+            GridFaultPlan, default_grid_specs, scenario.grid_chaos_seed,
+            scenario.grid_chaos_intensity, scenario.grid_faults, scenario.seed,
+        )
         # No backoff sleep: recovery wall time stays bounded in fuzz
         # runs, and determinism never depends on sleeping anyway.
         supervision = Supervision(

@@ -2,10 +2,11 @@
 
 A :class:`Scenario` is the *complete* input of one conformance run: the
 node (or fleet) shape, the workload population with its spawn/kill churn,
-the fault plan, the tool options, and — for grid scenarios — the queue
-layout and engine set. Everything downstream (:mod:`repro.verify.runner`,
-the oracles, the shrinker) is a pure function of this one value, which is
-what makes a failing case replayable from its JSON form alone.
+the fault plans (their explicit faults are the plans' own specs), the
+tool options, and — for grid scenarios — the queue layout and engine
+set. Everything downstream (:mod:`repro.verify.runner`, the oracles,
+the shrinker) is a pure function of this one value, which is what
+makes a failing case replayable from its JSON form alone.
 
 Determinism rules baked into the generator:
 
@@ -27,15 +28,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.perf.faults import ERROR_CLASSES, OPS
-from repro.sim.netchaos import NET_FAULT_KINDS
+from repro.perf.faults import FaultSpec
+from repro.sim.netchaos import NetFaultSpec
 from repro.sim.parallel import ENGINE_NAMES, TRANSPORT_NAMES
-from repro.sim.supervisor import GRID_FAULT_KINDS
+from repro.sim.supervisor import GridFaultSpec
 from repro.sim.workloads.synthetic import ARCHETYPES, _ipc_range
 
 #: Schema tag written into serialised scenarios and artifacts.
@@ -86,63 +88,6 @@ class TaskPlan:
                 f"task {self.name!r}: kill_at {self.kill_at} must be "
                 f"after spawn_at {self.spawn_at}"
             )
-
-
-@dataclass(frozen=True)
-class FaultClause:
-    """One explicit fault rule (mirrors
-    :class:`~repro.perf.faults.FaultSpec`, JSON-serialisable)."""
-
-    op: str
-    error: str
-    rate: float = 0.0
-    at_calls: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.op != "*" and self.op not in OPS:
-            raise ConfigError(f"unknown fault op {self.op!r}")
-        if self.error not in ERROR_CLASSES:
-            raise ConfigError(f"unknown fault error {self.error!r}")
-
-
-@dataclass(frozen=True)
-class GridFaultClause:
-    """One explicit grid-worker fault rule (mirrors
-    :class:`~repro.sim.supervisor.GridFaultSpec`, JSON-serialisable)."""
-
-    kind: str
-    rate: float = 0.0
-    at_epochs: tuple[int, ...] | None = None
-    worker: int | None = None
-    persistent: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in GRID_FAULT_KINDS:
-            raise ConfigError(f"unknown grid fault kind {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"grid fault rate must be in [0, 1], got {self.rate}")
-
-
-@dataclass(frozen=True)
-class NetFaultClause:
-    """One explicit network-fault rule (mirrors
-    :class:`~repro.sim.netchaos.NetFaultSpec`, JSON-serialisable)."""
-
-    kind: str
-    rate: float = 0.0
-    at_epochs: tuple[int, ...] | None = None
-    link: int | None = None
-    duration: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in NET_FAULT_KINDS:
-            raise ConfigError(f"unknown net fault kind {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(
-                f"net fault rate must be in [0, 1], got {self.rate}"
-            )
-        if self.duration < 1:
-            raise ConfigError(f"duration must be >= 1, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +143,7 @@ class Scenario:
     monitor_uid: int = 0
     chaos_seed: int | None = None
     chaos_intensity: float = 1.0
-    faults: tuple[FaultClause, ...] = ()
+    faults: tuple[FaultSpec, ...] = ()
     tasks: tuple[TaskPlan, ...] = ()
     #: Tool-only: additionally run the scenario through the serve daemon
     #: (collector + subscribers over localhost TCP) so the served-stream
@@ -214,7 +159,7 @@ class Scenario:
     # grid worker chaos (applies to the "supervised" engine run only)
     grid_chaos_seed: int | None = None
     grid_chaos_intensity: float = 1.0
-    grid_faults: tuple[GridFaultClause, ...] = ()
+    grid_faults: tuple[GridFaultSpec, ...] = ()
     epoch_deadline: float = 2.0
     restart_budget: int = 8
     #: Extra shard-transport sweep: each listed transport re-runs the
@@ -227,7 +172,7 @@ class Scenario:
     #: every subscriber auto-reconnects.
     net_chaos_seed: int | None = None
     net_chaos_intensity: float = 1.0
-    net_faults: tuple[NetFaultClause, ...] = ()
+    net_faults: tuple[NetFaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in ("tool", "grid"):
@@ -295,58 +240,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Inverse of :meth:`to_dict` (round-trips exactly)."""
+        """Inverse of :meth:`to_dict` (round-trips exactly).
+
+        Raises:
+            ConfigError: an unknown schema, or a key no field takes at any
+                level (a misspelt key would load as its default).
+        """
         d = dict(data)
         schema = d.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"unknown scenario schema {schema!r}")
-        d["faults"] = tuple(
-            FaultClause(
-                op=f["op"],
-                error=f["error"],
-                rate=f.get("rate", 0.0),
-                at_calls=(
-                    tuple(f["at_calls"])
-                    if f.get("at_calls") is not None
-                    else None
-                ),
-            )
-            for f in d.get("faults", ())
-        )
-        d["tasks"] = tuple(TaskPlan(**t) for t in d.get("tasks", ()))
-        d["queues"] = tuple(QueuePlan(**q) for q in d.get("queues", ()))
-        d["jobs"] = tuple(JobPlan(**j) for j in d.get("jobs", ()))
+        for key, entry in (
+            ("tasks", TaskPlan), ("queues", QueuePlan), ("jobs", JobPlan),
+            ("faults", FaultSpec), ("grid_faults", GridFaultSpec),
+            ("net_faults", NetFaultSpec),
+        ):
+            d[key] = tuple(_build(entry, e, key) for e in d.get(key, ()))
         d["engines"] = tuple(d.get("engines", ("legacy", "serial")))
-        d["grid_faults"] = tuple(
-            GridFaultClause(
-                kind=f["kind"],
-                rate=f.get("rate", 0.0),
-                at_epochs=(
-                    tuple(f["at_epochs"])
-                    if f.get("at_epochs") is not None
-                    else None
-                ),
-                worker=f.get("worker"),
-                persistent=f.get("persistent", False),
-            )
-            for f in d.get("grid_faults", ())
-        )
         d["transports"] = tuple(d.get("transports", ()))
-        d["net_faults"] = tuple(
-            NetFaultClause(
-                kind=f["kind"],
-                rate=f.get("rate", 0.0),
-                at_epochs=(
-                    tuple(f["at_epochs"])
-                    if f.get("at_epochs") is not None
-                    else None
-                ),
-                link=f.get("link"),
-                duration=f.get("duration", 1),
-            )
-            for f in d.get("net_faults", ())
-        )
-        return cls(**d)
+        return _build(cls, d, "scenario")
 
     def to_json(self) -> str:
         """Canonical JSON text (sorted keys; ``repr``-exact floats)."""
@@ -363,6 +275,15 @@ class Scenario:
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+def _build(cls: type, data: dict, where: str) -> Any:
+    """``cls(**data)``, naming any key that no field of ``cls`` takes."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        keys = ", ".join(repr(k) for k in sorted(unknown))
+        raise ConfigError(f"unknown key {keys} in {where}")
+    return cls(**data)
 
 
 # -- generation ---------------------------------------------------------------
@@ -520,11 +441,11 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
         )
     # Supervised-engine coverage: sometimes run the supervision tree
     # clean (pure equivalence), sometimes under worker chaos — seeded
-    # rate faults, or a targeted fault clause aimed at one (worker,
+    # rate faults, or a targeted fault spec aimed at one (worker,
     # epoch) so the poison/adopt and degrade ladders get exercised.
     grid_chaos_seed = None
     grid_chaos_intensity = 1.0
-    grid_faults: tuple[GridFaultClause, ...] = ()
+    grid_faults: tuple[GridFaultSpec, ...] = ()
     restart_budget = 8
     if rng.random() < 0.4:
         if "supervised" not in engines:
@@ -535,7 +456,7 @@ def _gen_grid(rng: np.random.Generator, seed: int) -> Scenario:
             grid_chaos_intensity = float(rng.choice([2.0, 4.0, 8.0]))
         elif mode < 0.85:
             grid_faults = (
-                GridFaultClause(
+                GridFaultSpec(
                     kind=str(rng.choice(["crash", "crash", "garble"])),
                     at_epochs=(int(rng.integers(0, 3)),),
                     worker=int(rng.integers(0, 2)),

@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
+from repro.errors import ConfigError
 from repro.verify.oracles import Violation, check_scenario
 from repro.verify.scenario import SCHEMA_VERSION, Scenario
 
@@ -175,13 +176,20 @@ def replay_artifact(
     ``recorded`` is what the original run reported; ``current`` is what
     the oracles say now. Replay is byte-deterministic, so a divergence
     between the two means the code under test changed.
+
+    Raises:
+        ConfigError: the artifact is missing, is not JSON, or holds a
+            malformed scenario; the message says which.
     """
-    payload = json.loads(Path(path).read_text())
-    scenario = Scenario.from_dict(payload["scenario"])
-    recorded = [
-        Violation(oracle=v["oracle"], message=v["message"])
-        for v in payload.get("violations", [])
-    ]
+    try:
+        payload = json.loads(Path(path).read_text())
+        scenario = Scenario.from_dict(payload["scenario"])
+        recorded = [
+            Violation(oracle=v["oracle"], message=v["message"])
+            for v in payload.get("violations", [])
+        ]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     current = check_scenario(scenario)
     return scenario, recorded, current
 

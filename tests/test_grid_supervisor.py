@@ -146,6 +146,16 @@ class TestGridFaultPlan:
         decisions = {plan.decide(0, e, 0) for e in range(200)}
         assert decisions == {"crash", "garble"}  # never None at total rate 1
 
+    def test_overlapping_rates_are_rejected(self):
+        # Rate specs split one draw: at 0.8 + 0.8, hang would fire on 0.2
+        # of draws, not 0.8. Exact-epoch specs take no slice of the draw.
+        with pytest.raises(ConfigError, match="> 1"):
+            _plan(GridFaultSpec("crash", rate=0.8),
+                  GridFaultSpec("hang", rate=0.8))
+        plan = _plan(GridFaultSpec("crash", rate=0.8),
+                     GridFaultSpec("hang", rate=0.8, at_epochs={1}))
+        assert plan.decide(0, 1, 0) == "hang"
+
     def test_zero_intensity_is_silent(self):
         plan = GridFaultPlan.from_seed(9, intensity=0.0)
         assert all(

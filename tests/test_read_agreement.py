@@ -25,7 +25,7 @@ from repro.perf.simbackend import SimBackend
 from repro.core import sampler as sampler_module
 from repro.verify import runner
 from repro.verify.runner import _SequentialBackend, run_tool
-from repro.verify.scenario import FaultClause, Scenario, TaskPlan
+from repro.verify.scenario import Scenario, TaskPlan
 
 EVENTS = ("cycles", "instructions", "cache-misses")
 
@@ -100,7 +100,7 @@ class TestScenarioLevelAgreement:
                     duration=float("inf"),
                 ),
             ),
-            faults=(FaultClause(op="read", error="eintr", at_calls=(5,)),),
+            faults=(FaultSpec(op="read", error="eintr", at_calls=(5,)),),
         )
 
     def test_fault_actually_fires(self, scenario):

@@ -75,6 +75,36 @@ class TestReplayMode:
         assert "recorded violation(s)" in out
 
 
+class TestReplayErrors:
+    """A replay artifact that cannot be loaded is one stderr line and
+    exit 2 (exit 1 means the violations reproduce), never a traceback."""
+
+    CASES = {
+        "missing": (None, "No such file or directory"),
+        "not-json": ("{not json", "JSONDecodeError"),
+        "malformed": (
+            json.dumps({"scenario": {"kind": "fleet", "seed": 0}}),
+            "unknown scenario kind 'fleet'",
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", [main, tiptop_main],
+                             ids=["verify", "tiptop"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_artifact_is_one_line_and_exit_2(
+        self, entry, case, tmp_path, capsys
+    ):
+        text, reason = self.CASES[case]
+        path = tmp_path / "repro-bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert entry(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert str(path) in line and reason in line
+
+
 class TestParser:
     def test_requires_a_mode(self, capsys):
         with pytest.raises(SystemExit):

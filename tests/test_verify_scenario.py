@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
+from repro.perf.faults import FaultSpec
+from repro.sim.netchaos import NetFaultSpec
 from repro.verify.scenario import (
-    FaultClause,
     JobPlan,
-    NetFaultClause,
     QueuePlan,
     Scenario,
     TaskPlan,
@@ -102,8 +102,8 @@ class TestSerialisation:
                 ),
             ),
             faults=(
-                FaultClause(op="read", error="eintr", at_calls=(5, 9)),
-                FaultClause(op="open", error="emfile", rate=0.5),
+                FaultSpec(op="read", error="eintr", at_calls=(5, 9)),
+                FaultSpec(op="open", error="emfile", rate=0.5),
             ),
         )
         back = Scenario.from_json(s.to_json())
@@ -125,6 +125,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown grid engine"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "name, level, key",
+        [
+            ("emfile-exhaustion", None, "chaos"),
+            ("emfile-exhaustion", "tasks", "kill"),
+            ("grid-queueing", "queues", "prority"),
+            ("grid-queueing", "jobs", "submit"),
+            ("emfile-exhaustion", "faults", "at_call"),
+            ("worker-crash-recover", "grid_faults", "at_epoch"),
+            ("serve-net-reconnect", "net_faults", "at_epoch"),
+        ],
+        ids=[
+            "scenario", "tasks", "queues", "jobs", "faults", "grid_faults",
+            "net_faults",
+        ],
+    )
+    def test_unknown_key_fails_at_load(self, name, level, key):
+        # A stale or misspelt key must not load: dropped from a fault
+        # entry, "at_call": [5] would leave a fault that never fires and a
+        # scenario that passes vacuously.
+        data = json.loads((CORPUS / f"{name}.json").read_text())
+        if level == "net_faults":  # no corpus file has an explicit cut
+            data[level] = [{"kind": "drop", "at_epochs": [1]}]
+        entry = data if level is None else data[level][0]
+        entry[key] = [5]
+        where = level or "scenario"
+        with pytest.raises(ConfigError, match=f"'{key}' in {where}"):
+            Scenario.from_dict(data)
+        del entry[key]
+        Scenario.from_dict(data)  # the file itself loads
+
     def test_unknown_transport_fails_at_load(self):
         with pytest.raises(ConfigError, match="unknown shard transport"):
             Scenario(kind="grid", seed=0, transports=("fork", "pigeon"))
@@ -136,7 +167,7 @@ class TestValidation:
         # Only the serve daemon's sockets can be cut. Link chaos anywhere
         # else (an old grid artifact, a hand-written file) would run
         # clean and its checks would pass vacuously, so it fails at load.
-        cut = (NetFaultClause(kind="drop", at_epochs=(1,)),)
+        cut = (NetFaultSpec(kind="drop", at_epochs=(1,)),)
         with pytest.raises(ConfigError, match="serve"):
             Scenario(kind=kind, seed=0, serve=serve, net_faults=cut)
         data = Scenario(kind=kind, seed=0, serve=serve).to_dict()
@@ -163,11 +194,11 @@ class TestValidation:
 
     def test_unknown_fault_op(self):
         with pytest.raises(ConfigError, match="op"):
-            FaultClause(op="mmap", error="eintr")
+            FaultSpec(op="mmap", error="eintr")
 
     def test_unknown_fault_error(self):
         with pytest.raises(ConfigError, match="error"):
-            FaultClause(op="read", error="enoent")
+            FaultSpec(op="read", error="enoent")
 
     def test_job_plan_validates_archetype(self):
         with pytest.raises(ConfigError, match="archetype"):
@@ -182,7 +213,7 @@ class TestValidation:
         assert Scenario(kind="tool", seed=0, chaos_seed=4).chaotic
         assert Scenario(
             kind="tool", seed=0,
-            faults=(FaultClause(op="read", error="eintr", rate=0.1),),
+            faults=(FaultSpec(op="read", error="eintr", rate=0.1),),
         ).chaotic
 
     def test_queue_plan_fields(self):
