@@ -52,7 +52,7 @@ def _ratio(num: float, den: float) -> float:
 def phase_signature(arch: ArchModel, phase: Phase) -> dict:
     """The frozen observable vector of one phase, solo on ``arch``."""
     rates = solo_rates(arch, phase)
-    ev = rates.events
+    ev = rates.rate
     sig = {
         "name": phase.name,
         "instructions": freeze(phase.instructions),
@@ -63,24 +63,21 @@ def phase_signature(arch: ArchModel, phase: Phase) -> dict:
         "cpi_branch": freeze(rates.cpi_branch),
         "cpi_assist": freeze(rates.cpi_assist),
         "l1_miss_ratio": freeze(
-            _ratio(ev.get(Event.L1D_MISSES, 0.0), ev.get(Event.L1D_ACCESSES, 0.0))
+            _ratio(ev(Event.L1D_MISSES), ev(Event.L1D_ACCESSES))
         ),
         "l2_miss_ratio": freeze(
-            _ratio(ev.get(Event.L2_MISSES, 0.0), ev.get(Event.L2_ACCESSES, 0.0))
+            _ratio(ev(Event.L2_MISSES), ev(Event.L2_ACCESSES))
         ),
         "l3_miss_ratio": freeze(
-            _ratio(ev.get(Event.L3_MISSES, 0.0), ev.get(Event.L3_ACCESSES, 0.0))
+            _ratio(ev(Event.L3_MISSES), ev(Event.L3_ACCESSES))
         ),
-        "llc_misses_per_instruction": freeze(ev.get(Event.CACHE_MISSES, 0.0)),
-        "branch_fraction": freeze(ev.get(Event.BRANCH_INSTRUCTIONS, 0.0)),
+        "llc_misses_per_instruction": freeze(ev(Event.CACHE_MISSES)),
+        "branch_fraction": freeze(ev(Event.BRANCH_INSTRUCTIONS)),
         "mispredict_ratio": freeze(
-            _ratio(
-                ev.get(Event.BRANCH_MISSES, 0.0),
-                ev.get(Event.BRANCH_INSTRUCTIONS, 0.0),
-            )
+            _ratio(ev(Event.BRANCH_MISSES), ev(Event.BRANCH_INSTRUCTIONS))
         ),
-        "assists_per_instruction": freeze(ev.get(Event.FP_ASSIST, 0.0)),
-        "mem_latency_cpi": freeze(ev.get(Event.MEM_LATENCY_CYCLES, 0.0)),
+        "assists_per_instruction": freeze(ev(Event.FP_ASSIST)),
+        "mem_latency_cpi": freeze(ev(Event.MEM_LATENCY_CYCLES)),
     }
     return sig
 

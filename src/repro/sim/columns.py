@@ -130,10 +130,6 @@ class CounterColumns:
 #: rate, so the kernel overwrites this vector lane after accumulating.
 _CYCLES_CODE = EVENT_CODE[Event.CYCLES]
 
-#: Every event in code order: zipped with a delta vector, it rebuilds the
-#: ``{event: delta}`` dict that :meth:`CounterTable.accrue` takes.
-_EVENTS = tuple(EVENT_CODE)
-
 
 class ColumnKernel:
     """The tick engine: one pass per tick advances every live task.
@@ -279,7 +275,7 @@ class ColumnKernel:
                         run_mask[slot] = False
             assignment = scheduler.dispatch_columns(
                 threads, self.tids, self.vruntime, np.flatnonzero(run_mask), dt
-            ).assignment
+            )
             work = []
             if assignment:
                 located = {
@@ -306,7 +302,7 @@ class ColumnKernel:
         """Advance the idle clock of every live task not in ``work`` (the
         tick's ``(thread, tid_slots, rates)`` triples).
 
-        Bitwise the reference's ``accrue(tid, {}, wall_dt=dt,
+        Bitwise the reference's ``accrue(tid, None, wall_dt=dt,
         scheduled_dt=0.0)`` per idle task: ``time_enabled += dt`` on each
         enabled counter, and one multiplex rotation step when the enabled
         set is wider than the PMU.
@@ -339,8 +335,9 @@ class ColumnKernel:
 
         Replicates the reference's ``run_slice`` float for float: same
         segment loop, same noise draw, same phase-boundary rules; only the
-        event accumulation differs mechanically — a dense vector instead
-        of a dict. ``entry`` is the thread's ``tid_slots`` answer.
+        event accumulation differs mechanically — one vector multiply-add
+        per segment instead of the reference's walk over the lanes.
+        ``entry`` is the thread's ``tid_slots`` answer.
         """
         located = thread.current_phase()
         if located is None:
@@ -376,7 +373,7 @@ class ColumnKernel:
             cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
             instructions = min(cycle_budget / cpi, remaining)
             cycles = instructions * cpi
-            np.multiply(rates.events_vector(), instructions, out=seg)
+            np.multiply(rates.events, instructions, out=seg)
             dvec += seg
             thread.retired += instructions
             thread.cycles += cycles
@@ -401,7 +398,7 @@ class ColumnKernel:
         if not simple:
             self._counters.accrue(
                 thread.tid,
-                dict(zip(_EVENTS, dvec.tolist())),
+                dvec,
                 wall_dt=wall_dt,
                 scheduled_dt=scheduled_dt,
                 alive=True,

@@ -13,14 +13,15 @@ The model is additive in CPI, the textbook first-order decomposition::
 * ``fp_assist`` — micro-code assists/instruction x penalty (§3.1).
 
 The same function also emits per-instruction rates for every countable
-:class:`~repro.sim.events.Event`, which is what the simulated PMU integrates
-over a scheduled slice.
+:class:`~repro.sim.events.Event`, one lane each of a dense vector, which
+is what the simulated PMU integrates over a scheduled slice.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +35,12 @@ from repro.sim.microcode import assist_outcome
 from repro.sim.workload import Phase
 
 
-@dataclass(frozen=True)
+#: The lane of each event in :attr:`SliceRates.events`, by event name.
+_LANE = SimpleNamespace(**{event.name: i for event, i in EVENT_CODE.items()})
+
+
+# Identity equality and hash: a generated ``==`` over ``events`` raises.
+@dataclass(frozen=True, eq=False)
 class SliceRates:
     """Per-instruction rates for one task under given machine conditions.
 
@@ -44,8 +50,11 @@ class SliceRates:
         cpi_memory: cache/DRAM stall component.
         cpi_branch: branch mispredict component.
         cpi_assist: FP micro-code assist component.
-        events: per-instruction rate of every countable event
-            (``Event.INSTRUCTIONS`` is always 1.0).
+        events: per-instruction rate of every countable event, as one
+            read-only float64 vector with a lane per :data:`EVENT_CODE`
+            (``INSTRUCTIONS`` is always 1.0; an event the arch's cache
+            path cannot see reads 0.0). The columnar kernel multiplies it
+            by the retired-instruction count on every scheduled slice.
         miss_profile: per-level access/miss rates.
     """
 
@@ -54,7 +63,7 @@ class SliceRates:
     cpi_memory: float
     cpi_branch: float
     cpi_assist: float
-    events: dict[Event, float]
+    events: np.ndarray
     miss_profile: MissProfile
 
     @property
@@ -62,21 +71,9 @@ class SliceRates:
         """Instructions per cycle implied by these rates."""
         return 1.0 / self.cpi
 
-    def events_vector(self) -> "np.ndarray":
-        """Dense float64 rate vector indexed by :data:`EVENT_CODE`.
-
-        Memoised on the instance: rates are immutable and the columnar
-        kernel multiplies this vector by the retired-instruction count on
-        every scheduled slice, so building it once per distinct rates
-        object keeps the hot loop free of enum hashing.
-        """
-        vec = self.__dict__.get("_events_vec")
-        if vec is None:
-            vec = np.zeros(N_EVENT_CODES)
-            for event, rate in self.events.items():
-                vec[EVENT_CODE[event]] = rate
-            object.__setattr__(self, "_events_vec", vec)
-        return vec
+    def rate(self, event: Event) -> float:
+        """The per-instruction rate of ``event``."""
+        return float(self.events[EVENT_CODE[event]])
 
 
 def memory_cpi(
@@ -150,36 +147,38 @@ def compute_rates(
     assist = assist_outcome(arch, mix, phase.operands)
     cpi = cpi_exec + cpi_mem + cpi_branch + assist.cpi_tax
 
-    llc_is_last = len(profile.misses) - 1
-    events: dict[Event, float] = {
-        Event.INSTRUCTIONS: 1.0,
-        Event.CYCLES: cpi,
-        Event.CACHE_REFERENCES: profile.accesses[llc_is_last],
-        Event.CACHE_MISSES: profile.misses[llc_is_last],
-        Event.BRANCH_INSTRUCTIONS: mix.branches,
-        Event.BRANCH_MISSES: mpi,
-        Event.BUS_CYCLES: cpi * 0.25,
-        Event.FP_ASSIST: assist.assists_per_instruction,
-        Event.UOPS_EXECUTED: arch.uops_per_instruction
-        + assist.extra_uops_per_instruction,
-        Event.LOADS: mix.loads,
-        Event.STORES: mix.stores,
-        Event.FP_OPERATIONS: mix.fp_ops,
-        Event.X87_OPERATIONS: mix.x87_ops,
-        Event.SSE_OPERATIONS: mix.sse_ops,
-        Event.L1D_ACCESSES: profile.accesses[0],
-        Event.L1D_MISSES: profile.misses[0],
-        # §3.4 outlook: memory-access latency counters. Total cycles of
-        # DRAM wait per instruction; dividing by LLC misses recovers the
-        # (possibly contention-inflated) average memory latency.
-        Event.MEM_LATENCY_CYCLES: profile.misses[-1] * mem_latency_cycles,
-    }
-    if len(profile.accesses) > 1:
-        events[Event.L2_ACCESSES] = profile.accesses[1]
-        events[Event.L2_MISSES] = profile.misses[1]
-    if len(profile.accesses) > 2:
-        events[Event.L3_ACCESSES] = profile.accesses[2]
-        events[Event.L3_MISSES] = profile.misses[2]
+    llc = len(profile.misses) - 1
+    events = np.zeros(N_EVENT_CODES)
+    events[_LANE.INSTRUCTIONS] = 1.0
+    events[_LANE.CYCLES] = cpi
+    events[_LANE.CACHE_REFERENCES] = profile.accesses[llc]
+    events[_LANE.CACHE_MISSES] = profile.misses[llc]
+    events[_LANE.BRANCH_INSTRUCTIONS] = mix.branches
+    events[_LANE.BRANCH_MISSES] = mpi
+    events[_LANE.BUS_CYCLES] = cpi * 0.25
+    events[_LANE.FP_ASSIST] = assist.assists_per_instruction
+    events[_LANE.UOPS_EXECUTED] = (
+        arch.uops_per_instruction + assist.extra_uops_per_instruction
+    )
+    events[_LANE.LOADS] = mix.loads
+    events[_LANE.STORES] = mix.stores
+    events[_LANE.FP_OPERATIONS] = mix.fp_ops
+    events[_LANE.X87_OPERATIONS] = mix.x87_ops
+    events[_LANE.SSE_OPERATIONS] = mix.sse_ops
+    events[_LANE.L1D_ACCESSES] = profile.accesses[0]
+    events[_LANE.L1D_MISSES] = profile.misses[0]
+    # §3.4 outlook: memory-access latency counters. Total cycles of
+    # DRAM wait per instruction; dividing by LLC misses recovers the
+    # (possibly contention-inflated) average memory latency.
+    events[_LANE.MEM_LATENCY_CYCLES] = profile.misses[-1] * mem_latency_cycles
+    if llc > 0:
+        events[_LANE.L2_ACCESSES] = profile.accesses[1]
+        events[_LANE.L2_MISSES] = profile.misses[1]
+    if llc > 1:
+        events[_LANE.L3_ACCESSES] = profile.accesses[2]
+        events[_LANE.L3_MISSES] = profile.misses[2]
+    # A RateCache hands one rates object to every machine of a shard.
+    events.flags.writeable = False
 
     return SliceRates(
         cpi=cpi,

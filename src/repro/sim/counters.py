@@ -328,7 +328,7 @@ class CounterTable:
     def accrue(
         self,
         tid: int,
-        deltas: dict[Event, float],
+        deltas: np.ndarray | None,
         *,
         wall_dt: float,
         scheduled_dt: float,
@@ -338,8 +338,11 @@ class CounterTable:
 
         Args:
             tid: target thread.
-            deltas: event counts produced during the tick (already scaled by
-                the scheduled time; zero-filled events may be omitted).
+            deltas: event counts produced during the tick (already scaled
+                by the scheduled time), one float64 lane per
+                :data:`~repro.sim.events.EVENT_CODE`; None for a tick the
+                task sat idle. Lanes are read through one ``tolist()``, so
+                the counters' scalar state stays Python floats.
             wall_dt: tick duration (advances ``time_enabled``).
             scheduled_dt: seconds the task was actually on a PU.
             alive: whether the task is still alive (dead tasks freeze).
@@ -347,6 +350,7 @@ class CounterTable:
         counters = self._by_tid.get(tid)
         if not counters:
             return
+        lanes = None if deltas is None else deltas.tolist()
         window = self._active_window(tid)
         for counter in counters:
             if not counter.enabled or not alive:
@@ -354,7 +358,7 @@ class CounterTable:
             counter.time_enabled += wall_dt
             if counter.counter_id in window and scheduled_dt > 0:
                 counter.time_running += scheduled_dt
-                delta = deltas.get(counter.event, 0.0)
+                delta = lanes[EVENT_CODE[counter.event]] if lanes else 0.0
                 if counter.sampling:
                     self._accrue_sampled(counter, delta)
                 else:

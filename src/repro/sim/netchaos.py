@@ -103,8 +103,7 @@ class NetChaosPlan:
     specs: tuple[NetFaultSpec, ...]
 
     def __post_init__(self) -> None:
-        rates = (s.rate for s in self.specs if s.at_epochs is None)
-        chaos.check_rates(rates, "net fault")
+        chaos.check_aimed(self.specs, "link", "net fault")
 
     @classmethod
     def from_seed(cls, seed: int, intensity: float = 1.0) -> "NetChaosPlan":

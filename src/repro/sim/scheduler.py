@@ -18,28 +18,14 @@ Implements the behaviours the paper's experiments depend on:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sim.cpu_topology import Topology
-from repro.sim.process import SimThread, TaskState
+from repro.sim.process import SimThread
 
 #: vruntime weight per nice level, approximating Linux's 1.25x per step.
 NICE_WEIGHT_STEP = 1.25
-
-
-@dataclass
-class Dispatch:
-    """Result of one scheduling round.
-
-    Attributes:
-        assignment: pu_id -> thread scheduled there this tick.
-        preempted: threads that were running last tick but lost their PU.
-    """
-
-    assignment: dict[int, SimThread]
-    preempted: list[SimThread]
 
 
 class Scheduler:
@@ -62,8 +48,9 @@ class Scheduler:
         vruntimes: np.ndarray,
         candidate_slots: np.ndarray,
         dt: float,
-    ) -> Dispatch:
-        """Assign candidate threads to PUs for one tick of length ``dt``.
+    ) -> dict[int, SimThread]:
+        """Assign candidate threads to PUs for one tick of length ``dt``;
+        the ``{pu: thread}`` assignment.
 
         ``candidate_slots`` indexes the parallel ``threads``/``tids``/
         ``vruntimes`` columns (runnable and duty-gated already). Threads
@@ -85,8 +72,9 @@ class Scheduler:
             order = ()
         return self._place(order, dt)
 
-    def _place(self, order: Iterable[SimThread], dt: float) -> Dispatch:
-        """Walk threads in fairness order and place them on free PUs.
+    def _place(self, order: Iterable[SimThread], dt: float) -> dict[int, SimThread]:
+        """Walk threads in fairness order and place them on free PUs;
+        return the ``{pu: thread}`` assignment.
 
         Each thread picks, in preference order: its previous PU if free
         and eligible; a free PU on a fully idle core; any free eligible
@@ -111,12 +99,6 @@ class Scheduler:
             assignment[chosen] = thread
 
         previous = self._last_assignment
-        preempted = [
-            t
-            for pu, t in previous.items()
-            if t.state is TaskState.RUNNABLE and assignment.get(pu) is not t
-            and t not in assignment.values()
-        ]
         for pu, thread in assignment.items():
             if previous.get(pu) is not thread:
                 thread.context_switches += 1
@@ -124,7 +106,7 @@ class Scheduler:
             thread.vruntime += dt * weight
             thread.last_pu = pu
         self._last_assignment = dict(assignment)
-        return Dispatch(assignment=assignment, preempted=preempted)
+        return assignment
 
     def _pick_pu(
         self, thread: SimThread, eligible: list[int], core_busy: dict[int, int]

@@ -119,16 +119,16 @@ class GridFaultPlan:
     ``(seed, worker, epoch, incarnation)`` through crc32 into a uniform
     variate, so the schedule is platform-stable, picklable into workers,
     and independent per worker — faults on one shard never shift
-    another's schedule. The rate specs partition that one draw, so their
-    rates sum to at most 1 (exact-epoch specs are exempt).
+    another's schedule. The rate specs a worker draws through (those
+    aimed at it plus the untargeted ones) partition that one draw, so
+    their rates sum to at most 1 (exact-epoch specs are exempt).
     """
 
     seed: int
     specs: tuple[GridFaultSpec, ...]
 
     def __post_init__(self) -> None:
-        rates = (s.rate for s in self.specs if s.at_epochs is None)
-        chaos.check_rates(rates, "grid fault")
+        chaos.check_aimed(self.specs, "worker", "grid fault")
 
     @classmethod
     def from_seed(cls, seed: int, intensity: float = 1.0) -> "GridFaultPlan":

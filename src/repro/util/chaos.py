@@ -3,10 +3,11 @@
 Kernel faults (:class:`~repro.perf.faults.FaultPlan`), worker faults
 (:class:`~repro.sim.supervisor.GridFaultPlan`) and link cuts
 (:class:`~repro.sim.netchaos.NetChaosPlan`) each hash their own key
-through crc32 into one uniform variate, and their rate specs split
-[0, 1) into disjoint slices, so at most one fault fires per draw. Worker
-and link specs also share a shape (a kind, exact epoch-like indices, an
-optional target) and the walk that picks one of them.
+through crc32 into one uniform variate, and the rate specs that share a
+draw (one op's, or one worker's or link's) split [0, 1) into disjoint
+slices, so at most one fault fires per draw. Worker and link specs also
+share a shape (a kind, exact epoch-like indices, an optional target)
+and the walk that picks one of them.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Any
 
 from repro.errors import ConfigError
 
-__all__ = ["capped", "check_draw", "check_rates", "check_spec", "crc",
-           "pick", "unit"]
+__all__ = ["capped", "check_aimed", "check_draw", "check_rates",
+           "check_spec", "crc", "pick", "unit"]
 
 
 def crc(key: str) -> int:
@@ -47,6 +48,16 @@ def check_rates(rates: Iterable[float], what: str) -> None:
             f"{what} rates sum to {total:.3f} > 1; they partition one "
             "uniform draw and cannot overlap"
         )
+
+
+def check_aimed(specs: Sequence[Any], target: str, what: str) -> None:
+    """:func:`check_rates` per worker or link: the rate specs one target
+    draws through are those aimed at it (``target`` names the spec field)
+    plus the untargeted ones. Specs aimed at two targets share no draw."""
+    rated = [s for s in specs if s.at_epochs is None]
+    for aim in {None, *(getattr(s, target) for s in rated)}:
+        aimed = (s.rate for s in rated if getattr(s, target) in (None, aim))
+        check_rates(aimed, what)
 
 
 def check_draw(

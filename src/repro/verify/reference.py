@@ -3,11 +3,11 @@
 A :class:`~repro.sim.machine.SimMachine` moves its clock only on the
 :class:`~repro.sim.columns.ColumnKernel`. This module keeps the
 per-object tick the kernel replaced — a runnable list comprehension, a
-sorted dispatch, a dict of event deltas per slice, one ``accrue`` per
-live task per tick — as the specification the kernel must match bit for
-bit. It shares the machine's timers, contention model, reaper and
-``accrue``, never memoises, and only the oracles, tests and benchmarks
-use it. A machine is driven by one engine for its whole life: the kernel
+sorted dispatch, a per-lane walk over each segment's event rates, one
+``accrue`` per live task per tick — as the specification the kernel must
+match bit for bit. It shares the machine's timers, contention model,
+reaper and ``accrue``, never memoises, and only the oracles, tests and
+benchmarks use it. A machine is driven by one engine for its whole life: the kernel
 mirrors scheduling state into columns that reference steps do not
 update.
 """
@@ -16,17 +16,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.sim.core import SliceRates, compute_rates
-from repro.sim.events import Event
+from repro.sim.events import EVENT_CODE, N_EVENT_CODES, Event
 from repro.sim.machine import SimMachine
 from repro.sim.process import SimThread, TaskState
-from repro.sim.scheduler import Dispatch, Scheduler
+from repro.sim.scheduler import Scheduler
+
+_CYCLES_CODE = EVENT_CODE[Event.CYCLES]
 
 
 def dispatch(
     scheduler: Scheduler, runnable: list[SimThread], dt: float
-) -> Dispatch:
-    """Assign runnable threads to PUs for one tick of length ``dt``.
+) -> dict[int, SimThread]:
+    """Assign runnable threads to PUs for one tick of length ``dt``; the
+    ``{pu: thread}`` assignment.
 
     Threads are considered in ``(vruntime, tid)`` order and placed by the
     scheduler's shared walk (:meth:`Scheduler._place`).
@@ -67,7 +72,7 @@ def step(machine: SimMachine, dt: float) -> None:
             or t.duty_rng.random() < t.process.duty_cycle
         )
     ]
-    assignment = dispatch(machine.scheduler, runnable, dt).assignment
+    assignment = dispatch(machine.scheduler, runnable, dt)
 
     rates = machine._resolve_contention(assignment)
 
@@ -81,7 +86,7 @@ def step(machine: SimMachine, dt: float) -> None:
     for tid, thread in machine._threads.items():
         if tid not in scheduled_tids and thread.alive:
             machine.counters.accrue(
-                tid, {}, wall_dt=dt, scheduled_dt=0.0, alive=True
+                tid, None, wall_dt=dt, scheduled_dt=0.0, alive=True
             )
 
     machine.now += dt
@@ -109,7 +114,7 @@ def run_slice(
     arch = machine.arch
     cycle_budget = arch.freq_hz * dt
     consumed_cycles = 0.0
-    deltas: dict[Event, float] = {}
+    deltas = [0.0] * N_EVENT_CODES
     noise = math.exp(
         thread.process.rng.normal(0.0, located[0].noise)
     ) if located[0].noise > 0 else 1.0
@@ -127,11 +132,11 @@ def run_slice(
         cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
         instructions = min(cycle_budget / cpi, remaining)
         cycles = instructions * cpi
-        for event, per_instr in rates.events.items():
-            if event is Event.CYCLES:
-                deltas[event] = deltas.get(event, 0.0) + cycles
+        for code, per_instr in enumerate(rates.events.tolist()):
+            if code == _CYCLES_CODE:
+                deltas[code] += cycles
             else:
-                deltas[event] = deltas.get(event, 0.0) + per_instr * instructions
+                deltas[code] += per_instr * instructions
         thread.retired += instructions
         thread.cycles += cycles
         consumed_cycles += cycles
@@ -153,7 +158,7 @@ def run_slice(
     # extrapolate the dead fraction of the tick as multiplexed time.
     machine.counters.accrue(
         thread.tid,
-        deltas,
+        np.array(deltas),
         wall_dt=scheduled_dt if done else dt,
         scheduled_dt=scheduled_dt,
         alive=True,

@@ -23,7 +23,6 @@ leak count) from each.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -33,16 +32,14 @@ from repro.core.options import Options
 from repro.core.recorder import Recorder
 from repro.core.sampler import Sampler
 from repro.core.screen import Screen, get_screen
-from repro.perf.faults import FaultPlan, default_specs
 from repro.perf.simbackend import SimBackend
 from repro.procfs.simproc import SimProcReader
 from repro.sim.arch import get_arch
 from repro.sim.events import Event
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.machine import SimMachine
-from repro.sim.netchaos import NetChaosPlan, default_net_specs
 from repro.sim.parallel import node_snapshot
-from repro.sim.supervisor import GridFaultPlan, Supervision, default_grid_specs
+from repro.sim.supervisor import Supervision
 from repro.sim.workloads.synthetic import SyntheticSpec, build
 from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
@@ -189,21 +186,6 @@ def _plan_spawns(scenario: Scenario, machine: SimMachine) -> dict[str, int]:
     return pids
 
 
-def _fault_plan(
-    plan: Callable[[int, tuple], Any], stock: Callable[[float], tuple],
-    seed: int | None, intensity: float, specs: tuple, scenario_seed: int,
-) -> Any:
-    """One layer's fault plan (kernel, worker or link): the ``stock``
-    mix at ``intensity`` when ``seed`` is named, then the scenario's
-    explicit ``specs``, seeded by ``seed`` or else by the scenario's
-    own seed; None when both are empty."""
-    if seed is not None:
-        specs = (*stock(intensity), *specs)
-    if not specs:
-        return None
-    return plan(scenario_seed if seed is None else seed, specs)
-
-
 def _screen_for(scenario: Scenario, chaotic: bool) -> Screen:
     screen = get_screen(scenario.screen)
     if chaotic and not any(
@@ -230,10 +212,7 @@ def run_tool(
     """
     machine = _build_machine(scenario)
     _plan_spawns(scenario, machine)
-    plan = _fault_plan(
-        FaultPlan, default_specs, scenario.chaos_seed,
-        scenario.chaos_intensity, scenario.faults, scenario.seed,
-    )
+    plan = scenario.fault_plan("kernel")
     backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
     reader = SimProcReader(machine)
     screen = _screen_for(scenario, plan is not None)
@@ -318,10 +297,7 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
 
     machine = _build_machine(scenario)
     _plan_spawns(scenario, machine)
-    plan = _fault_plan(
-        FaultPlan, default_specs, scenario.chaos_seed,
-        scenario.chaos_intensity, scenario.faults, scenario.seed,
-    )
+    plan = scenario.fault_plan("kernel")
     backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
     reader = SimProcReader(machine)
     screen = _screen_for(scenario, plan is not None)
@@ -343,10 +319,7 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
                 ("X_SERVE", f"{canonical_name(events[0].name)} / delta_t"),
             )
         )
-    netchaos = _fault_plan(
-        NetChaosPlan, default_net_specs, scenario.net_chaos_seed,
-        scenario.net_chaos_intensity, scenario.net_faults, scenario.seed,
-    )
+    netchaos = scenario.fault_plan("link")
     daemon = CollectorDaemon(
         sampler,
         advance=lambda: machine.run_for(scenario.delay),
@@ -474,10 +447,7 @@ def run_grid(
     )
     chaos = supervision = None
     if engine == "supervised" and transport is None:
-        chaos = _fault_plan(
-            GridFaultPlan, default_grid_specs, scenario.grid_chaos_seed,
-            scenario.grid_chaos_intensity, scenario.grid_faults, scenario.seed,
-        )
+        chaos = scenario.fault_plan("worker")
         # No backoff sleep: recovery wall time stays bounded in fuzz
         # runs, and determinism never depends on sleeping anyway.
         supervision = Supervision(

@@ -34,10 +34,10 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.perf.faults import FaultSpec
-from repro.sim.netchaos import NetFaultSpec
+from repro.perf.faults import FaultPlan, FaultSpec, default_specs
+from repro.sim.netchaos import NetChaosPlan, NetFaultSpec, default_net_specs
 from repro.sim.parallel import ENGINE_NAMES, TRANSPORT_NAMES
-from repro.sim.supervisor import GridFaultSpec
+from repro.sim.supervisor import GridFaultPlan, GridFaultSpec, default_grid_specs
 from repro.sim.workloads.synthetic import ARCHETYPES, _ipc_range
 
 #: Schema tag written into serialised scenarios and artifacts.
@@ -49,6 +49,17 @@ TOOL_TICKS = (0.125, 0.25, 0.5)
 GRID_TICKS = (0.5, 1.0)
 
 GiB = 1024**3
+
+#: Per fault layer: its plan, its stock mix, and the scenario fields
+#: holding its seed, intensity and explicit specs.
+_FAULT_LAYERS = {
+    "kernel": (FaultPlan, default_specs, "chaos_seed", "chaos_intensity",
+               "faults"),
+    "worker": (GridFaultPlan, default_grid_specs, "grid_chaos_seed",
+               "grid_chaos_intensity", "grid_faults"),
+    "link": (NetChaosPlan, default_net_specs, "net_chaos_seed",
+             "net_chaos_intensity", "net_faults"),
+}
 
 
 @dataclass(frozen=True)
@@ -202,6 +213,22 @@ class Scenario:
                 "net chaos cuts the serve daemon's client links and needs "
                 "a served tool scenario (serve=True)"
             )
+        # Overlapping rates fail here, on load, not mid-run.
+        for layer in _FAULT_LAYERS:
+            self.fault_plan(layer)
+
+    def fault_plan(self, layer: str) -> Any:
+        """A fresh fault plan for ``layer`` ("kernel", "worker" or
+        "link"): the stock mix at the layer's intensity when its seed is
+        named, then its explicit specs, seeded by that seed or else by
+        the scenario's own; None when both are empty."""
+        plan, stock, seed, intensity, specs = _FAULT_LAYERS[layer]
+        seed, specs = getattr(self, seed), getattr(self, specs)
+        if seed is not None:
+            specs = (*stock(getattr(self, intensity)), *specs)
+        if not specs:
+            return None
+        return plan(self.seed if seed is None else seed, specs)
 
     @property
     def chaotic(self) -> bool:

@@ -6,8 +6,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.frame import SnapshotFrame
+from repro.sim.events import EVENT_CODE, N_EVENT_CODES
 
 EVENTS = ("cache-misses", "cycles", "instructions")
+
+
+def lanes(deltas: dict) -> np.ndarray:
+    """The ``{Event: count}`` ``deltas`` as the lane vector that
+    :meth:`~repro.sim.counters.CounterTable.accrue` takes (0.0 elsewhere)."""
+    vec = np.zeros(N_EVENT_CODES)
+    for event, count in deltas.items():
+        vec[EVENT_CODE[event]] = count
+    return vec
 
 
 class NoScan(dict):

@@ -156,6 +156,17 @@ class TestGridFaultPlan:
                      GridFaultSpec("hang", rate=0.8, at_epochs={1}))
         assert plan.decide(0, 1, 0) == "hang"
 
+    def test_rates_sum_per_worker(self):
+        # Specs aimed at different workers never share a draw; an
+        # untargeted spec joins every worker's.
+        plan = _plan(GridFaultSpec("crash", rate=0.6, worker=0),
+                     GridFaultSpec("garble", rate=0.6, worker=1))
+        assert {plan.decide(0, e, 0) for e in range(40)} == {"crash", None}
+        assert {plan.decide(1, e, 0) for e in range(40)} == {"garble", None}
+        with pytest.raises(ConfigError, match="> 1"):
+            _plan(GridFaultSpec("crash", rate=0.6),
+                  GridFaultSpec("garble", rate=0.6, worker=1))
+
     def test_zero_intensity_is_silent(self):
         plan = GridFaultPlan.from_seed(9, intensity=0.0)
         assert all(

@@ -72,7 +72,7 @@ def test_machine_matches_model_llc_misses():
     workload = _noise_free(spec.workload("429.mcf"))
     machine, proc, counts = _run_to_completion(NEHALEM, workload)
     predicted = sum(
-        p.instructions * solo_rates(NEHALEM, p).events[Event.CACHE_MISSES]
+        p.instructions * solo_rates(NEHALEM, p).rate(Event.CACHE_MISSES)
         for p in workload.phases
     )
     # Bus contention from the task itself can shift the effective latency

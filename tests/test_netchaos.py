@@ -176,6 +176,28 @@ def test_rates_partition_one_uniform_draw():
         )
 
 
+def test_rates_sum_per_link():
+    # Specs aimed at different links never share a draw.
+    plan = NetChaosPlan(
+        seed=0,
+        specs=(
+            NetFaultSpec("drop", rate=0.6, link=0),
+            NetFaultSpec("drop", rate=0.6, link=1),
+        ),
+    )
+    assert all(any(plan.cut(link, seq, 0) for seq in range(20))
+               for link in (0, 1))
+    # An untargeted spec joins every link's draw.
+    with pytest.raises(ConfigError, match="> 1"):
+        NetChaosPlan(
+            seed=0,
+            specs=(
+                NetFaultSpec("drop", rate=0.6),
+                NetFaultSpec("partition", rate=0.6, link=1),
+            ),
+        )
+
+
 def test_default_specs_cap_keeps_total_under_one():
     for intensity in (1.0, 4.0, 100.0):
         specs = default_net_specs(intensity)

@@ -10,6 +10,7 @@ from repro.sim.cache import MemoryBehavior, hit_ratio, miss_chain
 from repro.sim.counters import CounterTable
 from repro.sim.events import Event
 from repro.sim.isa import InstructionMix
+from tests.strategies import lanes
 
 # ---------------------------------------------------------------------------
 # Cache model invariants
@@ -129,7 +130,8 @@ def test_counter_scaling_recovers_truth(width, n_events, ticks):
     counters = [table.open(e, 1, 0) for e in events]
     for _ in range(ticks):
         table.accrue(
-            1, {e: 1.0 for e in events}, wall_dt=1.0, scheduled_dt=1.0, alive=True
+            1, lanes({e: 1.0 for e in events}), wall_dt=1.0, scheduled_dt=1.0,
+            alive=True,
         )
     for c in counters:
         value, enabled, running = c.reading()

@@ -14,6 +14,7 @@ from repro.perf.events import resolve_event
 from repro.perf.simbackend import SimBackend
 from repro.sim.counters import CounterTable
 from repro.sim.events import Event
+from tests.strategies import lanes
 
 
 class TestKernelSampling:
@@ -22,7 +23,7 @@ class TestKernelSampling:
         for _ in range(ticks):
             table.accrue(
                 counter.tid,
-                {counter.event: per_tick},
+                lanes({counter.event: per_tick}),
                 wall_dt=1.0,
                 scheduled_dt=1.0,
                 alive=True,
@@ -65,12 +66,13 @@ class TestKernelSampling:
         c = table.open(Event.INSTRUCTIONS, 1, 0, sample_period=1000)
         for _ in range(999):
             table.accrue(
-                1, {Event.INSTRUCTIONS: 1.0}, wall_dt=1.0, scheduled_dt=1.0,
-                alive=True,
+                1, lanes({Event.INSTRUCTIONS: 1.0}), wall_dt=1.0,
+                scheduled_dt=1.0, alive=True,
             )
         assert c.value == 0  # still below one period
         table.accrue(
-            1, {Event.INSTRUCTIONS: 1.0}, wall_dt=1.0, scheduled_dt=1.0, alive=True
+            1, lanes({Event.INSTRUCTIONS: 1.0}), wall_dt=1.0, scheduled_dt=1.0,
+            alive=True,
         )
         assert c.value == 1000
 

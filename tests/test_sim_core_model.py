@@ -13,7 +13,7 @@ from repro.sim.core import (
     memory_cpi,
     solo_rates,
 )
-from repro.sim.events import Event
+from repro.sim.events import EVENT_CODE, Event
 from repro.sim.isa import InstructionMix, OperandProfile
 from repro.sim.workload import Phase
 
@@ -41,28 +41,29 @@ class TestComputeRates:
 
     def test_events_have_instructions_unity(self):
         r = solo_rates(NEHALEM, _phase())
-        assert r.events[Event.INSTRUCTIONS] == 1.0
-        assert r.events[Event.CYCLES] == pytest.approx(r.cpi)
+        assert r.rate(Event.INSTRUCTIONS) == 1.0
+        assert r.rate(Event.CYCLES) == pytest.approx(r.cpi)
 
     def test_event_rates_match_mix(self):
         p = _phase()
         r = solo_rates(NEHALEM, p)
-        assert r.events[Event.LOADS] == p.mix.loads
-        assert r.events[Event.BRANCH_INSTRUCTIONS] == p.mix.branches
-        assert r.events[Event.X87_OPERATIONS] == p.mix.x87_ops
+        assert r.rate(Event.LOADS) == p.mix.loads
+        assert r.rate(Event.BRANCH_INSTRUCTIONS) == p.mix.branches
+        assert r.rate(Event.X87_OPERATIONS) == p.mix.x87_ops
 
     def test_llc_events_for_three_level_arch(self):
         r = solo_rates(NEHALEM, _phase())
-        assert Event.L3_MISSES in r.events
-        assert r.events[Event.CACHE_MISSES] == pytest.approx(
-            r.events[Event.L3_MISSES]
+        assert r.rate(Event.L3_ACCESSES) > 0
+        assert r.rate(Event.CACHE_MISSES) == pytest.approx(
+            r.rate(Event.L3_MISSES)
         )
 
     def test_two_level_arch_has_no_l3(self):
         r = solo_rates(PPC970, _phase())
-        assert Event.L3_MISSES not in r.events
-        assert r.events[Event.CACHE_MISSES] == pytest.approx(
-            r.events[Event.L2_MISSES]
+        assert r.rate(Event.L3_ACCESSES) == 0.0
+        assert r.rate(Event.L3_MISSES) == 0.0
+        assert r.rate(Event.CACHE_MISSES) == pytest.approx(
+            r.rate(Event.L2_MISSES)
         )
 
     def test_issue_share_slows_exec_only(self):
@@ -92,7 +93,7 @@ class TestComputeRates:
         p = _phase(operands=OperandProfile(nonfinite=1.0))
         r = solo_rates(NEHALEM, p)
         assert r.cpi_assist > 10  # 0.1 x87 * 264 cycles
-        assert r.events[Event.FP_ASSIST] == pytest.approx(0.1)
+        assert r.rate(Event.FP_ASSIST) == pytest.approx(0.1)
 
     def test_memory_latency_override(self):
         p = _phase(memory=MemoryBehavior(working_set=1 << 28))
@@ -110,6 +111,21 @@ class TestComputeRates:
     def test_ipc_property(self):
         r = solo_rates(NEHALEM, _phase())
         assert r.ipc == pytest.approx(1 / r.cpi)
+
+    def test_event_lanes_are_read_only(self):
+        """A RateCache hands one rates object to every machine of a
+        shard, so no reader may write a lane."""
+        from repro.sim.core import RateCache
+
+        caps = [(s, float(s.size)) for s in NEHALEM.cache_levels]
+        cache = RateCache()
+        p = _phase()
+        cache.rates(NEHALEM, p, caps)
+        hit = cache.rates(NEHALEM, p, caps)
+        assert cache.hits == 1
+        for r in (solo_rates(NEHALEM, p), hit):
+            with pytest.raises(ValueError):
+                r.events[EVENT_CODE[Event.CYCLES]] = 0.0
 
 
 class TestMemoryCpi:
@@ -219,7 +235,11 @@ class TestRateCacheEviction:
         self._fill(cache, 16, start=50)  # churn through several evictions
         again = cache.rates(NEHALEM, p, caps)
         # Entry was evicted and recomputed: equal rates, fresh object.
-        assert again == first
+        assert again.events.tobytes() == first.events.tobytes()
+        for name in ("cpi", "cpi_exec", "cpi_memory", "cpi_branch",
+                     "cpi_assist"):
+            assert getattr(again, name).hex() == getattr(first, name).hex()
+        assert again.miss_profile == first.miss_profile
 
     def test_clear_still_empties(self):
         from repro.sim.core import RateCache

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CounterStateError
 from repro.sim.counters import CounterTable
 from repro.sim.events import Event
+from tests.strategies import lanes
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ class TestOpenClose:
 class TestAccrual:
     def test_scheduled_accrues_value_and_times(self, table):
         c = table.open(Event.CYCLES, 1, 0)
-        table.accrue(1, {Event.CYCLES: 100.0}, wall_dt=1.0, scheduled_dt=1.0, alive=True)
+        table.accrue(1, lanes({Event.CYCLES: 100.0}), wall_dt=1.0, scheduled_dt=1.0, alive=True)
         value, enabled, running = c.reading()
         assert value == 100
         assert enabled == 1.0
@@ -67,7 +68,7 @@ class TestAccrual:
 
     def test_unscheduled_advances_enabled_only(self, table):
         c = table.open(Event.CYCLES, 1, 0)
-        table.accrue(1, {}, wall_dt=1.0, scheduled_dt=0.0, alive=True)
+        table.accrue(1, None, wall_dt=1.0, scheduled_dt=0.0, alive=True)
         value, enabled, running = c.reading()
         assert value == 0
         assert enabled == 1.0
@@ -76,23 +77,23 @@ class TestAccrual:
     def test_disabled_counter_frozen(self, table):
         c = table.open(Event.CYCLES, 1, 0)
         c.enabled = False
-        table.accrue(1, {Event.CYCLES: 50.0}, wall_dt=1.0, scheduled_dt=1.0, alive=True)
+        table.accrue(1, lanes({Event.CYCLES: 50.0}), wall_dt=1.0, scheduled_dt=1.0, alive=True)
         assert c.reading() == (0, 0.0, 0.0)
 
     def test_dead_task_frozen(self, table):
         c = table.open(Event.CYCLES, 1, 0)
-        table.accrue(1, {Event.CYCLES: 50.0}, wall_dt=1.0, scheduled_dt=1.0, alive=False)
+        table.accrue(1, lanes({Event.CYCLES: 50.0}), wall_dt=1.0, scheduled_dt=1.0, alive=False)
         assert c.reading() == (0, 0.0, 0.0)
 
     def test_accrue_unmonitored_tid_is_noop(self, table):
-        table.accrue(999, {Event.CYCLES: 1.0}, wall_dt=1.0, scheduled_dt=1.0, alive=True)
+        table.accrue(999, lanes({Event.CYCLES: 1.0}), wall_dt=1.0, scheduled_dt=1.0, alive=True)
 
     def test_only_matching_event_accrues(self, table):
         c = table.open(Event.CYCLES, 1, 0)
         i = table.open(Event.INSTRUCTIONS, 1, 0)
         table.accrue(
             1,
-            {Event.CYCLES: 10.0, Event.INSTRUCTIONS: 30.0},
+            lanes({Event.CYCLES: 10.0, Event.INSTRUCTIONS: 30.0}),
             wall_dt=1.0,
             scheduled_dt=1.0,
             alive=True,
@@ -107,7 +108,7 @@ class TestMultiplexing:
             table.open(e, 1, 0)
             for e in (Event.CYCLES, Event.INSTRUCTIONS, Event.CACHE_MISSES)
         ]
-        table.accrue(1, {e.event: 1.0 for e in counters}, wall_dt=1.0,
+        table.accrue(1, lanes({e.event: 1.0 for e in counters}), wall_dt=1.0,
                      scheduled_dt=1.0, alive=True)
         for c in counters:
             assert c.reading()[2] == 1.0  # time_running == scheduled
@@ -124,7 +125,7 @@ class TestMultiplexing:
         counters = [table.open(e, 1, 0) for e in events]
         ticks = 60
         for _ in range(ticks):
-            table.accrue(1, {e: 1.0 for e in events}, wall_dt=1.0,
+            table.accrue(1, lanes({e: 1.0 for e in events}), wall_dt=1.0,
                          scheduled_dt=1.0, alive=True)
         for c in counters:
             value, enabled, running = c.reading()
@@ -147,7 +148,7 @@ class TestMultiplexing:
         ]
         counters = [table.open(e, 1, 0) for e in events]
         for _ in range(80):
-            table.accrue(1, {e: 1.0 for e in events}, wall_dt=1.0,
+            table.accrue(1, lanes({e: 1.0 for e in events}), wall_dt=1.0,
                          scheduled_dt=1.0, alive=True)
         runnings = [c.reading()[2] for c in counters]
         assert max(runnings) - min(runnings) <= 2.0
@@ -166,11 +167,11 @@ class TestCounterColumns:
 
     def test_closed_counter_keeps_final_state_despite_recycling(self, table):
         a = table.open(Event.CYCLES, 1, 0)
-        table.accrue(1, {Event.CYCLES: 42.0}, wall_dt=1.0, scheduled_dt=1.0,
+        table.accrue(1, lanes({Event.CYCLES: 42.0}), wall_dt=1.0, scheduled_dt=1.0,
                      alive=True)
         table.close(a.counter_id)
         b = table.open(Event.LOADS, 2, 0)  # recycles a's slot
-        table.accrue(2, {Event.LOADS: 7.0}, wall_dt=0.5, scheduled_dt=0.5,
+        table.accrue(2, lanes({Event.LOADS: 7.0}), wall_dt=0.5, scheduled_dt=0.5,
                      alive=True)
         # The detached handle still exposes its final values; reading()
         # raises (closed), but the columns behind it are private now.

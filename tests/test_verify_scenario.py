@@ -177,6 +177,28 @@ class TestValidation:
         served = Scenario(kind="tool", seed=0, serve=True, net_faults=cut)
         assert served.net_chaotic
 
+    @pytest.mark.parametrize("name, layer, entries", [
+        ("emfile-exhaustion", "faults", [
+            {"op": "read", "error": "eintr", "rate": 0.7},
+            {"op": "read", "error": "eagain", "rate": 0.7},
+        ]),
+        # The stock mix at intensity 8 already takes 0.733 of the draw.
+        ("worker-crash-recover", "grid_faults", [
+            {"kind": "crash", "rate": 0.5},
+        ]),
+    ], ids=["faults", "grid_faults"])
+    def test_overlapping_rates_fail_at_load(self, name, layer, entries):
+        # Rejected when the scenario is built, not when a run first
+        # builds its plan (for a grid, after the clean engines ran).
+        data = json.loads((CORPUS / f"{name}.json").read_text())
+        data[layer] = entries
+        if layer == "grid_faults":
+            data["grid_chaos_seed"], data["grid_chaos_intensity"] = 3, 8.0
+        with pytest.raises(ConfigError, match="> 1"):
+            Scenario.from_dict(data)
+        data[layer] = entries[:-1]
+        Scenario.from_dict(data)  # the rest fits the draw
+
     def test_delay_must_be_tick_multiple(self):
         with pytest.raises(ConfigError, match="multiple"):
             Scenario(kind="tool", seed=0, tick=0.25, delay=0.8)

@@ -51,7 +51,7 @@ class TestTable1:
 
     def _assist_pct(self, isa, operands, arch=NEHALEM):
         r = solo_rates(arch, fp_microbench(isa, operands).phases[0])
-        return 100 * r.events[Event.FP_ASSIST]
+        return 100 * r.rate(Event.FP_ASSIST)
 
     def test_x87_finite(self):
         assert self._ipc("x87", "finite") == pytest.approx(1.33, abs=0.01)

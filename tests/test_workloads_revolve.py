@@ -52,7 +52,7 @@ class TestCalibration:
         """Fig. 3c's right axis: ~12 assists per 100 instructions."""
         w = revolve.original()
         diverged = next(p for p in w.phases if p.name.startswith("diverged"))
-        rate = solo_rates(NEHALEM, diverged).events[Event.FP_ASSIST]
+        rate = solo_rates(NEHALEM, diverged).rate(Event.FP_ASSIST)
         assert 100 * rate == pytest.approx(12.25, abs=1.0)
 
     def test_ppc_no_collapse(self):
