@@ -40,39 +40,6 @@ class MetricSeries:
         """Build from any array-likes."""
         return cls(np.asarray(x, dtype=float), np.asarray(y, dtype=float), label)
 
-    @classmethod
-    def from_frames(
-        cls,
-        frames,
-        pid: int,
-        header: str,
-        *,
-        label: str = "",
-        drop_nan: bool = True,
-    ) -> "MetricSeries":
-        """Series of one numeric column for one pid across SnapshotFrames.
-
-        Each frame contributes its rows for ``pid`` (frames not carrying
-        the column are skipped); x is the frame timestamp. This is the
-        columnar replacement for looping over recorder samples.
-        """
-        xs: list[np.ndarray] = []
-        ys: list[np.ndarray] = []
-        for frame in frames:
-            column = frame.numeric_column(header)
-            if column is None:
-                continue
-            mask = frame.pids == pid
-            if drop_nan:
-                mask = mask & ~np.isnan(column)
-            picked = column[mask]
-            if len(picked):
-                xs.append(np.full(len(picked), frame.time))
-                ys.append(picked)
-        if not xs:
-            return cls(np.empty(0), np.empty(0), label)
-        return cls(np.concatenate(xs), np.concatenate(ys), label)
-
     def mean(self) -> float:
         """Arithmetic mean of the values (NaN-aware)."""
         return float(np.nanmean(self.y)) if len(self) else float("nan")

@@ -16,7 +16,6 @@ from collections.abc import Callable, Iterator
 from typing import Protocol
 
 from repro.core import formatter
-from repro.core.columns import HEALTH_COLUMN, ColumnKind
 from repro.core.options import Options
 from repro.core.recorder import Recorder
 from repro.core.sampler import Sampler, Snapshot
@@ -119,10 +118,7 @@ class TipTop:
             backend = host.backend
             if isinstance(backend, SimBackend) and backend.faults is None:
                 backend.faults = FaultPlan.from_seed(self.options.chaos)
-            if not any(
-                c.kind is ColumnKind.HEALTH for c in screen.columns
-            ):
-                screen = screen.with_columns(HEALTH_COLUMN)
+            screen = screen.with_health()
         self.screen = screen
         self.sampler = Sampler(
             host.backend, host.tasks, self.screen, self.options

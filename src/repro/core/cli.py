@@ -14,6 +14,7 @@ import os
 import sys
 
 from repro.core.app import RealHost, SimHost, TipTop
+from repro.core.columns import ColumnKind
 from repro.core.config_file import load_screens
 from repro.core.options import Options
 from repro.core.screen import Screen, get_screen, screens
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(ESRCH/EMFILE/EINTR/EAGAIN, corrupt reads, "
                              "multiplex starvation) and show a HEALTH "
                              "column; the same seed replays the same "
-                             "failures byte-for-byte (requires --sim)")
+                             "failures byte-for-byte (requires --sim; "
+                             "not with --grid-workers or --connect)")
     parser.add_argument("--serve", type=int, default=None, metavar="PORT",
                         help="run as a collector daemon on this TCP port "
                              "(0 = ephemeral): one sampler, any number of "
@@ -175,25 +177,30 @@ def _run_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _demo_host(args: argparse.Namespace) -> SimHost:
+    """The demo simulated node that ``--sim`` monitors and serves."""
+    machine = datacenter.make_node(tick=min(0.5, args.delay / 4))
+    datacenter.populate_fig1(machine)
+    return SimHost(machine)
+
+
 def _run_serve(args: argparse.Namespace, options: Options, screen) -> int:
     """The --serve path: collector daemon over the demo simulated node.
 
     Binds, prints the bound address (flushed, so scripts can scrape an
     ephemeral port), waits for the first subscriber, then publishes
-    ``--iterations`` refreshes and says BYE to everyone.
+    ``--iterations`` refreshes and says BYE to everyone. The sampler is
+    the one a local run builds, ``--chaos`` fault plan and HEALTH column
+    included.
     """
     import asyncio
 
-    from repro.core.sampler import Sampler
     from repro.serve.daemon import CollectorDaemon
 
-    machine = datacenter.make_node(tick=min(0.5, args.delay / 4))
-    datacenter.populate_fig1(machine)
-    host = SimHost(machine)
-    sampler = Sampler(host.backend, host.tasks, screen, options)
+    app = TipTop(_demo_host(args), options, screen)
     daemon = CollectorDaemon(
-        sampler,
-        advance=lambda: host.sleep(args.delay),
+        app.sampler,
+        advance=lambda: app.host.sleep(args.delay),
         iterations=args.iterations,
         min_clients=1,
         profile=(
@@ -219,7 +226,8 @@ def _run_connect(args: argparse.Namespace, extra: list[Screen]) -> int:
     Served frames are bitwise-identical to local sampling, so they feed
     the ordinary batch renderer (and the server names its screen in
     HELLO, so columns always match what the daemon counts). A screen the
-    daemon loaded from a file resolves through the viewer's own ``-W``.
+    daemon loaded from a file resolves through the viewer's own ``-W``,
+    and a HEALTH column in the daemon's layout (``--chaos``) is shown.
     """
     import asyncio
 
@@ -233,6 +241,9 @@ def _run_connect(args: argparse.Namespace, extra: list[Screen]) -> int:
         client = ServeClient(host_name, int(port_text), client_id="tiptop")
         hello = await client.connect()
         screen = get_screen(hello.get("screen", "default"), extra)
+        kinds = {kind for _, kind in hello.get("columns", ())}
+        if ColumnKind.HEALTH.value in kinds:
+            screen = screen.with_health()
         shown = 0
         try:
             async for _seq, frame in client.frames():
@@ -281,10 +292,14 @@ def _main(argv: list[str] | None) -> int:
         from repro.verify.cli import main as verify_main
 
         return verify_main(["--replay", args.replay])
-    if args.chaos is not None and not args.sim:
+    if args.chaos is not None and (
+        not args.sim
+        or args.grid_workers is not None
+        or args.connect is not None
+    ):
         print(
-            "tiptop: --chaos injects faults into the simulated kernel "
-            "and requires --sim",
+            "tiptop: --chaos injects faults into the simulated node's "
+            "kernel and requires --sim, without --grid-workers or --connect",
             file=sys.stderr,
         )
         return 2
@@ -337,12 +352,7 @@ def _main(argv: list[str] | None) -> int:
         screen = get_screen(args.screen, extra)
         if args.serve is not None:
             return _run_serve(args, options, screen)
-        if args.sim:
-            machine = datacenter.make_node(tick=min(0.5, args.delay / 4))
-            datacenter.populate_fig1(machine)
-            host = SimHost(machine)
-        else:
-            host = RealHost()
+        host = _demo_host(args) if args.sim else RealHost()
         with TipTop(host, options, screen) as app:
             if args.batch:
                 app.run_batch(args.iterations)

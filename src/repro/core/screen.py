@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from repro.core.columns import (
     COMMAND_COLUMN,
     CPU_COLUMN,
+    HEALTH_COLUMN,
     Column,
+    ColumnKind,
     PID_COLUMN,
     USER_COLUMN,
     expr_column,
@@ -48,9 +50,6 @@ class Screen:
     def with_columns(self, *extra: Column) -> "Screen":
         """This screen plus ``extra`` columns appended (headers must be new).
 
-        Used e.g. by chaos mode to append the HEALTH lifecycle column to
-        whatever screen the user selected.
-
         Raises:
             ConfigError: when an extra column duplicates an existing header.
         """
@@ -67,6 +66,13 @@ class Screen:
             description=self.description,
             columns=(*self.columns, *extra),
         )
+
+    def with_health(self) -> "Screen":
+        """This screen with the HEALTH lifecycle column (chaos mode),
+        appended unless it already shows one."""
+        if any(c.kind is ColumnKind.HEALTH for c in self.columns):
+            return self
+        return self.with_columns(HEALTH_COLUMN)
 
     def required_events(self) -> list[EventSpec]:
         """Counter events this screen's expressions reference, resolved.

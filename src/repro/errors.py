@@ -113,7 +113,7 @@ class WireTruncatedError(WireError):
 
 class WireCorruptError(WireError):
     """A message failed structural validation (bad magic, bad checksum,
-    undecodable compression, trailing garbage, unknown dtype tag)."""
+    undecodable text, trailing garbage, unknown dtype tag)."""
 
 
 class WireVersionError(WireError):

@@ -39,7 +39,6 @@ retention ring's span per link.
 from __future__ import annotations
 
 import asyncio
-import zlib
 from collections.abc import Callable
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -49,6 +48,7 @@ from repro.errors import SessionError, WireError
 from repro.serve import protocol
 from repro.serve.session import FanoutHub, Subscription
 from repro.serve.stream import MessageStream
+from repro.util.chaos import crc
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.netchaos import NetChaosPlan
@@ -70,7 +70,6 @@ class CollectorDaemon:
             starting every viewer at the same baseline.
         queue_limit: per-client send-queue bound (drop-oldest beyond).
         retention: frames kept for resume-by-sequence.
-        compress: forwarded to the codec (None = auto by block width).
         profile: per-refresh observability sink (a callable taking one
             formatted line); the CLI's ``--profile`` wires stderr here.
         netchaos: seeded link-fault schedule; cuts client connections
@@ -88,7 +87,6 @@ class CollectorDaemon:
         min_clients: int = 0,
         queue_limit: int = 64,
         retention: int = 256,
-        compress: bool | None = None,
         profile: Callable[[str], None] | None = None,
         netchaos: "NetChaosPlan | None" = None,
     ) -> None:
@@ -105,9 +103,7 @@ class CollectorDaemon:
         #: heal schedule must survive the reconnects it causes. Pruned
         #: after every publish by :meth:`_forget_unsendable`.
         self._net_attempts: dict[tuple[int, int], int] = {}
-        self.hub = FanoutHub(
-            queue_limit=queue_limit, retention=retention, compress=compress
-        )
+        self.hub = FanoutHub(queue_limit=queue_limit, retention=retention)
         self.finished = False
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -371,4 +367,4 @@ class CollectorDaemon:
 
 def _link(client_id: str) -> int:
     """A client's net-chaos link id (stable across its reconnects)."""
-    return zlib.crc32(client_id.encode()) & 0x7FFFFFFF
+    return crc(client_id) & 0x7FFFFFFF

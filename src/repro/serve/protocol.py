@@ -21,9 +21,12 @@ Message envelope (all scalar fields network byte order)::
 ``FRAME`` body::
 
     u64   sequence number
-    u8    flags (bit 0: body is zlib-compressed)
-    u32   crc32 of the (possibly compressed) column block that follows
+    u32   crc32 of the column block that follows
     ...   column block
+
+The block crosses the wire raw and the decoder parses it in place: the
+daemon's viewers are loopback peers, where a zlib pass cost most of an
+encode (DESIGN §5d).
 
 Column block (scalars network order, array buffers little-endian)::
 
@@ -63,7 +66,7 @@ from repro.errors import (
 )
 
 MAGIC = b"TTSV"
-VERSION = 1
+VERSION = 2
 
 MSG_HELLO = 1
 MSG_SUBSCRIBE = 2
@@ -75,20 +78,13 @@ _MSG_TYPES = frozenset({MSG_HELLO, MSG_SUBSCRIBE, MSG_FRAME, MSG_BYE})
 #: :class:`WireOversizeError` before any buffering happens.
 MAX_MESSAGE = 64 * 1024 * 1024
 
-#: Column blocks larger than this are zlib-compressed on the wire
-#: (wide frames: many tasks x many columns compress well; tiny frames
-#: are cheaper uncompressed).
-COMPRESS_THRESHOLD = 4096
-
 DTYPE_I64 = 1
 DTYPE_F64 = 2
 DTYPE_STR = 3
 
-FLAG_COMPRESSED = 0x01
-
 _PREFIX = struct.Struct("!I")
 _HEAD = struct.Struct("!4sBB")
-_FRAME_HEAD = struct.Struct("!QBI")
+_FRAME_HEAD = struct.Struct("!QI")
 _BLOCK_HEAD = struct.Struct("!ddI")
 
 #: (tag, numpy dtype) of the six fixed identity arrays, in wire order.
@@ -221,7 +217,7 @@ def _get_strings(r: _Reader, nrows: int) -> tuple[str, ...]:
 # -- the column block ---------------------------------------------------------
 
 def frame_block(frame: SnapshotFrame) -> bytes:
-    """The canonical uncompressed column block of one frame.
+    """The canonical column block of one frame.
 
     Pure function of the frame's columnar storage (via
     :meth:`~repro.core.frame.SnapshotFrame.wire_columns`); two frames
@@ -329,19 +325,11 @@ def encode_control(msg_type: int, obj: dict) -> bytes:
     return pack_message(msg_type, json.dumps(obj, sort_keys=True).encode())
 
 
-def encode_frame(
-    frame: SnapshotFrame, seq: int, *, compress: bool | None = None
-) -> bytes:
-    """One FRAME message. ``compress=None`` decides by block width."""
+def encode_frame(frame: SnapshotFrame, seq: int) -> bytes:
+    """One FRAME message: the sequence number, the block's crc32, the
+    column block."""
     block = frame_block(frame)
-    if compress is None:
-        compress = len(block) > COMPRESS_THRESHOLD
-    flags = 0
-    wire = block
-    if compress:
-        wire = zlib.compress(block, 6)
-        flags |= FLAG_COMPRESSED
-    body = _FRAME_HEAD.pack(seq, flags, zlib.crc32(wire)) + wire
+    body = _FRAME_HEAD.pack(seq, zlib.crc32(block)) + block
     return pack_message(MSG_FRAME, body)
 
 
@@ -353,7 +341,7 @@ def decode_message(payload: bytes | memoryview) -> tuple[int, object]:
 
     Raises:
         WireTruncatedError: the payload ends before its declared content.
-        WireCorruptError: bad magic, checksum, compression or structure.
+        WireCorruptError: bad magic, checksum or structure.
         WireVersionError: the peer speaks an unknown protocol version.
     """
     r = _Reader(payload)
@@ -365,19 +353,10 @@ def decode_message(payload: bytes | memoryview) -> tuple[int, object]:
     if msg_type not in _MSG_TYPES:
         raise WireCorruptError(f"unknown message type {msg_type}")
     if msg_type == MSG_FRAME:
-        seq, flags, crc = r.unpack(_FRAME_HEAD)
-        wire = r.rest()
-        if zlib.crc32(wire) != crc:
+        seq, crc = r.unpack(_FRAME_HEAD)
+        block = r.rest()
+        if zlib.crc32(block) != crc:
             raise WireCorruptError(f"frame {seq}: checksum mismatch")
-        if flags & FLAG_COMPRESSED:
-            try:
-                block = zlib.decompress(wire)
-            except zlib.error as exc:
-                raise WireCorruptError(
-                    f"frame {seq}: undecodable compressed block: {exc}"
-                ) from exc
-        else:
-            block = bytes(wire)
         return MSG_FRAME, (seq, _parse_block(block))
     raw = bytes(r.rest())
     try:

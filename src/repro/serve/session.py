@@ -291,18 +291,10 @@ class FanoutHub:
     Args:
         queue_limit: per-session send-queue bound (drop-oldest beyond).
         retention: how many (seq, frame) pairs to keep for resume.
-        compress: forwarded to the codec (None = auto by width).
     """
 
-    def __init__(
-        self,
-        *,
-        queue_limit: int = 64,
-        retention: int = 256,
-        compress: bool | None = None,
-    ) -> None:
+    def __init__(self, *, queue_limit: int = 64, retention: int = 256) -> None:
         self.queue_limit = queue_limit
-        self.compress = compress
         self.next_seq = 0
         self.sessions: dict[str, ClientSession] = {}
         self._retained: deque[tuple[int, SnapshotFrame]] = deque(
@@ -346,9 +338,7 @@ class FanoutHub:
                     view = subscription_view(
                         frame, session.subscription, session.compiled_exprs
                     )
-                    session.offer(
-                        seq, encode_frame(view, seq, compress=self.compress)
-                    )
+                    session.offer(seq, encode_frame(view, seq))
         return session
 
     def remove_session(self, client_id: str) -> None:
@@ -375,7 +365,7 @@ class FanoutHub:
                 view = subscription_view(
                     frame, session.subscription, session.compiled_exprs
                 )
-                payload = encode_frame(view, seq, compress=self.compress)
+                payload = encode_frame(view, seq)
                 cache[key] = payload
                 self.encode_misses += 1
             else:

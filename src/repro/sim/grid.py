@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -604,9 +603,7 @@ class Grid:
         msgs_before = getattr(self.engine, "messages", 0)
         sent_before = getattr(self.engine, "bytes_sent", 0)
         recv_before = getattr(self.engine, "bytes_received", 0)
-        t0 = time.perf_counter()
         reports = self.engine.advance(commands, n_ticks, frac)
-        wall = time.perf_counter() - t0
         # The grid clock advances by the same repeated-addition ladder as
         # the legacy loop; boundary values are kept so finish times can be
         # backfilled bitwise-identically to the per-tick reaper.

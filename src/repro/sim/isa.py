@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import WorkloadError
 
@@ -29,6 +30,9 @@ class InstructionClass(enum.Enum):
 @dataclass(frozen=True)
 class InstructionMix:
     """Fractions of retired instructions per class; must sum to 1.
+
+    The class fractions the pipeline model reads (``loads``, ``fp_ops``,
+    ...) are resolved once per mix, on first read.
 
     Use :meth:`of` to build one from keyword fractions with validation::
 
@@ -66,39 +70,39 @@ class InstructionMix:
         """Fraction of retired instructions in class ``ic`` (0 if absent)."""
         return self.fractions.get(ic, 0.0)
 
-    @property
+    @cached_property
     def loads(self) -> float:
         """Load fraction (the paper's LPI when multiplied by 1)."""
         return self.fraction(InstructionClass.LOAD)
 
-    @property
+    @cached_property
     def stores(self) -> float:
         """Store fraction."""
         return self.fraction(InstructionClass.STORE)
 
-    @property
+    @cached_property
     def mem_refs(self) -> float:
         """Memory references (loads + stores) per instruction."""
         return self.loads + self.stores
 
-    @property
+    @cached_property
     def branches(self) -> float:
         """Branch fraction (BPI)."""
         return self.fraction(InstructionClass.BRANCH)
 
-    @property
+    @cached_property
     def fp_ops(self) -> float:
         """Floating-point fraction (FPI), both x87 and SSE."""
         return self.fraction(InstructionClass.FP_SSE) + self.fraction(
             InstructionClass.FP_X87
         )
 
-    @property
+    @cached_property
     def x87_ops(self) -> float:
         """x87 floating-point fraction (assist-eligible on Intel models)."""
         return self.fraction(InstructionClass.FP_X87)
 
-    @property
+    @cached_property
     def sse_ops(self) -> float:
         """SSE floating-point fraction."""
         return self.fraction(InstructionClass.FP_SSE)

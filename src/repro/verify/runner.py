@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.core.columns import HEALTH_COLUMN, ColumnKind
+from repro.core.columns import HEALTH_COLUMN
 from repro.core.frame import SnapshotFrame
 from repro.core.options import Options
 from repro.core.recorder import Recorder
 from repro.core.sampler import Sampler
-from repro.core.screen import Screen, get_screen
+from repro.core.screen import get_screen
 from repro.perf.simbackend import SimBackend
 from repro.procfs.simproc import SimProcReader
 from repro.sim.arch import get_arch
@@ -186,13 +186,36 @@ def _plan_spawns(scenario: Scenario, machine: SimMachine) -> dict[str, int]:
     return pids
 
 
-def _screen_for(scenario: Scenario, chaotic: bool) -> Screen:
+def _sampler_for(
+    scenario: Scenario, *, sequential: bool = False
+) -> tuple[SimMachine, SimBackend, Sampler]:
+    """The scenario's node, its backend and a sampler watching it.
+
+    Machine, spawns, kernel fault plan, backend, /proc reader, screen
+    (HEALTH added under kernel faults) and options all come from the
+    scenario alone, so every tool and served run starts from the same
+    state. ``sequential`` shows the sampler only the backend's
+    per-handle methods.
+    """
+    machine = _build_machine(scenario)
+    _plan_spawns(scenario, machine)
+    plan = scenario.fault_plan("kernel")
+    backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
     screen = get_screen(scenario.screen)
-    if chaotic and not any(
-        c.kind is ColumnKind.HEALTH for c in screen.columns
-    ):
-        screen = screen.with_columns(HEALTH_COLUMN)
-    return screen
+    if plan is not None:
+        screen = screen.with_health()
+    options = Options(
+        delay=scenario.delay,
+        iterations=scenario.iterations,
+        per_thread=scenario.per_thread,
+    )
+    sampler = Sampler(
+        _SequentialBackend(backend) if sequential else backend,
+        SimProcReader(machine),
+        screen,
+        options,
+    )
+    return machine, backend, sampler
 
 
 def run_tool(
@@ -210,23 +233,7 @@ def run_tool(
         sequential: show the sampler only the backend's per-handle
             methods, so every counter is read with its own ``read``.
     """
-    machine = _build_machine(scenario)
-    _plan_spawns(scenario, machine)
-    plan = scenario.fault_plan("kernel")
-    backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
-    reader = SimProcReader(machine)
-    screen = _screen_for(scenario, plan is not None)
-    options = Options(
-        delay=scenario.delay,
-        iterations=scenario.iterations,
-        per_thread=scenario.per_thread,
-    )
-    sampler = Sampler(
-        _SequentialBackend(backend) if sequential else backend,
-        reader,
-        screen,
-        options,
-    )
+    machine, backend, sampler = _sampler_for(scenario, sequential=sequential)
     recorder = Recorder()
     frames: list[SnapshotFrame] = []
     health: list[dict[int, str]] = []
@@ -250,7 +257,7 @@ def run_tool(
         health=health,
         snapshot=snapshot,
         kernel=kernel,
-        n_events=len(screen.required_events()),
+        n_events=len(sampler.screen.required_events()),
         pmu_width=machine.arch.pmu_width,
         n_pus=len(machine.topology.pus),
         total_threads=sum(t.nthreads for t in scenario.tasks),
@@ -267,8 +274,8 @@ def run_tool(
 def run_served(scenario: Scenario) -> dict[str, Any]:
     """Serve one tool scenario over localhost TCP to three subscribers.
 
-    The daemon rebuilds machine, backend and fault plan from the scenario
-    exactly as :func:`run_tool` does and replicates its cadence (baseline
+    The daemon's sampler is built from the scenario by the helper
+    :func:`run_tool` uses, and the daemon replicates its cadence (baseline
     sample, then ``run_for(delay)`` + sample per iteration), so an
     unfiltered subscriber's reassembled stream must be bitwise-equal to a
     solo run's frames — that comparison is the ``served-stream`` oracle's
@@ -295,24 +302,13 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
     from repro.serve.session import Subscription
     from repro.util.backoff import BackoffPolicy
 
-    machine = _build_machine(scenario)
-    _plan_spawns(scenario, machine)
-    plan = scenario.fault_plan("kernel")
-    backend = SimBackend(machine, scenario.monitor_uid, faults=plan)
-    reader = SimProcReader(machine)
-    screen = _screen_for(scenario, plan is not None)
-    options = Options(
-        delay=scenario.delay,
-        iterations=scenario.iterations,
-        per_thread=scenario.per_thread,
-    )
-    sampler = Sampler(backend, reader, screen, options)
+    machine, _, sampler = _sampler_for(scenario)
     subs: dict[str, Any] = {"total": Subscription()}
     if scenario.tasks:
         subs["filtered"] = Subscription(
             comms=frozenset({scenario.tasks[0].name})
         )
-    events = screen.required_events()
+    events = sampler.screen.required_events()
     if events:
         subs["derived"] = Subscription(
             exprs=(

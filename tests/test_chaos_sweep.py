@@ -16,6 +16,7 @@ import pytest
 from repro.core import cli
 from repro.core.app import SimHost, TipTop
 from repro.core.options import Options
+from repro.core.screen import get_screen
 from repro.perf.faults import FaultPlan, default_specs
 from repro.sim import NEHALEM, SimMachine
 from repro.sim.branch import BranchBehavior
@@ -98,6 +99,10 @@ class TestReplay:
         with TipTop(host, Options(chaos=3)) as app:
             headers = [c.header for c in app.screen.columns]
         assert headers.count("HEALTH") == 1
+        # A screen that already shows HEALTH keeps its one column.
+        shown = get_screen("default").with_health()
+        with TipTop(make_host(None), Options(chaos=3), shown) as app:
+            assert app.screen is shown
 
     def test_cli_chaos_replays_byte_identically(self, capsys):
         argv = ["-b", "--sim", "-n", "2", "--chaos", "7"]

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timeseries import MetricSeries
 from repro.core.app import SimHost, TipTop
 from repro.core.cli import main
 from repro.core.expr import Expression
@@ -190,14 +189,6 @@ class TestRecorderColumnar:
                 ref_y.append(v)
         assert xs.tolist() == pytest.approx(ref_x)
         assert ys.tolist() == ref_y
-
-    def test_metric_series_from_frames(self):
-        recorder = self._recording()
-        pid = recorder.pids()[0]
-        series = MetricSeries.from_frames(recorder.frames, pid, "IPC")
-        times, values = recorder.series(pid, "IPC")
-        assert series.x.tolist() == times.tolist()
-        assert series.y.tolist() == values.tolist()
 
 
 _comm = st.text(

@@ -16,6 +16,8 @@ import subprocess
 import sys
 import weakref
 
+import pytest
+
 from repro.core.app import SimHost
 from repro.core.cli import main as cli_main
 from repro.core.frame import SnapshotFrame
@@ -293,6 +295,22 @@ def test_cli_bad_connect_address(capsys):
     assert "connect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sim", "--grid-workers", "2", "--chaos", "1"],
+        ["--sim", "--connect", "127.0.0.1:1", "--chaos", "1"],
+    ],
+    ids=["grid-workers", "connect"],
+)
+def test_cli_chaos_needs_a_monitored_kernel(capsys, argv):
+    """Neither the grid nor a viewer has a kernel of its own to fault:
+    --chaos there is a flag conflict, not a silent no-op."""
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("tiptop: --chaos")
+
+
 def _serve_and_connect(server_args, viewer_args, header):
     """A daemon subprocess on an ephemeral port, a connect subprocess
     rendering its frames to stdout."""
@@ -340,3 +358,9 @@ def test_cli_serve_and_connect_screen_file(tmp_path):
     path = tmp_path / "screens.json"
     path.write_text(json.dumps({"name": "hpc", "columns": ["FPC", "LPC"]}))
     _serve_and_connect(["-W", str(path), "-S", "hpc"], ["-W", str(path)], "FPC")
+
+
+def test_cli_serve_and_connect_chaos():
+    """--chaos on the daemon faults its kernel, and the viewer shows the
+    HEALTH column the daemon's layout names."""
+    _serve_and_connect(["--chaos", "7"], [], "HEALTH")

@@ -4,7 +4,7 @@ Two properties carry the collector/client split:
 
 * **Lossless**: ``encode -> decode`` reproduces any frame bitwise —
   NaN payloads, infinities, -0.0, int64 extremes, unicode command
-  names, zero-row frames, compression on or off.
+  names, zero-row frames, narrow and wide blocks alike.
 * **Never hang, never over-read**: any truncation, garbling or hostile
   length prefix raises a typed :class:`~repro.errors.WireError`
   subclass; no input makes the decoder read past its payload or makes
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.serve.protocol import (
     MSG_BYE,
     MSG_FRAME,
     MSG_HELLO,
+    VERSION,
     MessageReader,
     decode_message,
     encode_control,
@@ -115,23 +117,13 @@ def _decode_frame(message: bytes) -> tuple[int, SnapshotFrame]:
 # -- round-trip properties ----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(frame=frames(), seq=st.integers(min_value=0, max_value=2**64 - 1),
-       compress=st.none() | st.booleans())
-def test_roundtrip_bitwise(frame, seq, compress):
-    got_seq, got = _decode_frame(encode_frame(frame, seq, compress=compress))
+@given(frame=frames(), seq=st.integers(min_value=0, max_value=2**64 - 1))
+def test_roundtrip_bitwise(frame, seq):
+    got_seq, got = _decode_frame(encode_frame(frame, seq))
     assert got_seq == seq
     assert frame.bitwise_equal(got)
     assert got.bitwise_equal(frame)
     assert frame_digest(frame) == frame_digest(got)
-
-
-@settings(max_examples=40, deadline=None)
-@given(frame=frames())
-def test_compression_is_invisible(frame):
-    """Compressed and uncompressed wire forms decode to the same frame."""
-    _, plain = _decode_frame(encode_frame(frame, 1, compress=False))
-    _, squeezed = _decode_frame(encode_frame(frame, 1, compress=True))
-    assert plain.bitwise_equal(squeezed)
 
 
 def test_roundtrip_hostile_values():
@@ -163,6 +155,39 @@ def test_roundtrip_zero_rows():
     _, got = _decode_frame(encode_frame(frame, 3))
     assert frame.bitwise_equal(got)
     assert len(got) == 0
+
+
+def _wide_frame(n: int = 200) -> SnapshotFrame:
+    ids = np.arange(1000, 1000 + n, dtype=np.int64)
+    return SnapshotFrame(
+        time=10.0,
+        interval=1.0,
+        pids=ids,
+        tids=ids,
+        uids=np.zeros(n, dtype=np.int64),
+        users=("root",) * n,
+        comms=tuple(f"process{i}" for i in range(n)),
+        cpu_pct=np.full(n, 12.5),
+        cpu_time=np.linspace(0.0, 1.0, n),
+        processors=ids % 4,
+        deltas={"cycles": np.full(n, 1e9), "instructions": np.full(n, 2e9)},
+        metrics={"IPC": np.full(n, 2.0)},
+        labels={},
+        columns=(("PID", "pid"), ("IPC", "expr")),
+    )
+
+
+def test_wide_block_goes_out_raw():
+    """A block of any width is sent as it is: seq, crc32, block."""
+    frame = _wide_frame()
+    block = frame_block(frame)
+    assert len(block) > 4096
+    message = encode_frame(frame, 77)
+    assert message == pack_message(
+        MSG_FRAME, struct.pack("!QI", 77, zlib.crc32(block)) + block
+    )
+    seq, got = _decode_frame(message)
+    assert seq == 77 and frame.bitwise_equal(got)
 
 
 def test_control_roundtrip_unicode():
@@ -197,7 +222,7 @@ def _small_frame() -> SnapshotFrame:
 def test_truncation_at_every_offset_raises_typed():
     """Chopping the payload anywhere raises a WireError, never hangs,
     never returns a frame silently missing data."""
-    payload = encode_frame(_small_frame(), 9, compress=False)[4:]
+    payload = encode_frame(_small_frame(), 9)[4:]
     for cut in range(len(payload)):
         with pytest.raises(WireError):
             decode_message(payload[:cut])
@@ -217,7 +242,7 @@ def test_block_truncation_is_truncated_error():
     checksum, typed as corruption."""
     block = frame_block(_small_frame())
     payload = pack_message(
-        MSG_FRAME, struct.pack("!QBI", 0, 0, 0) + block
+        MSG_FRAME, struct.pack("!QI", 0, 0) + block
     )[4:]
     with pytest.raises(WireCorruptError):
         decode_message(payload)  # crc of 0 never matches
@@ -229,8 +254,12 @@ def test_bad_magic_and_version():
     good = encode_frame(_small_frame(), 1)[4:]
     with pytest.raises(WireCorruptError):
         decode_message(b"XXXX" + bytes(good[4:]))
-    with pytest.raises(WireVersionError):
-        decode_message(good[:4] + b"\xff" + bytes(good[5:]))
+    # Version 1 put a flags byte before the crc: its frames are refused
+    # by version, never parsed as a raw block.
+    assert VERSION == 2
+    for version in (b"\x01", b"\xff"):
+        with pytest.raises(WireVersionError):
+            decode_message(good[:4] + version + bytes(good[5:]))
 
 
 def test_unknown_message_type():
@@ -242,20 +271,13 @@ def test_unknown_message_type():
 
 def test_garbled_block_fails_checksum():
     """Flipping any byte of the column block raises, never mis-decodes."""
-    payload = bytearray(encode_frame(_small_frame(), 5, compress=False)[4:])
-    body_start = 6 + struct.calcsize("!QBI")  # head + frame head
+    payload = bytearray(encode_frame(_small_frame(), 5)[4:])
+    body_start = 6 + struct.calcsize("!QI")  # head + frame head
     for offset in range(body_start, len(payload)):
         garbled = bytearray(payload)
         garbled[offset] ^= 0xA5
         with pytest.raises(WireError):
             decode_message(bytes(garbled))
-
-
-def test_garbled_compressed_block():
-    payload = bytearray(encode_frame(_small_frame(), 5, compress=True)[4:])
-    payload[-1] ^= 0xFF
-    with pytest.raises(WireCorruptError):
-        decode_message(bytes(payload))
 
 
 def test_control_garbage_json():
@@ -326,11 +348,9 @@ def test_cursor_never_overreads():
     block = bytearray(frame_block(_small_frame()))
     # Inflate nrows (offset 16 in the !ddI block head) to 2**31-ish.
     struct.pack_into("!I", block, 16, 1_000_000)
-    import zlib
-
     payload = pack_message(
         MSG_FRAME,
-        struct.pack("!QBI", 0, 0, zlib.crc32(bytes(block))) + bytes(block),
+        struct.pack("!QI", 0, zlib.crc32(bytes(block))) + bytes(block),
     )[4:]
     with pytest.raises(WireTruncatedError):
         decode_message(payload)
