@@ -33,7 +33,7 @@ class SimProcReader:
             ),
             user=tuple([p.user for p in procs]),
             comm=tuple([p.command[:15] for p in procs]),
-            tids=tuple([tuple([t.tid for t in p.threads]) for p in procs]),
+            tids=tuple([p.tids for p in procs]),
         )
 
     def process(self, pid: int) -> ProcessInfo:

@@ -98,6 +98,12 @@ _FIXED_TAGS = (
 )
 
 
+def _short(n: int, pos: int, end: int) -> WireTruncatedError:
+    return WireTruncatedError(
+        f"need {n} bytes at offset {pos}, payload has {end - pos} left"
+    )
+
+
 class _Reader:
     """Bounds-checked cursor over one payload; can never over-read."""
 
@@ -109,10 +115,7 @@ class _Reader:
 
     def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
-            raise WireTruncatedError(
-                f"need {n} bytes at offset {self.pos}, payload has "
-                f"{len(self.buf) - self.pos} left"
-            )
+            raise _short(n, self.pos, len(self.buf))
         view = self.buf[self.pos : self.pos + n]
         self.pos += n
         return view
@@ -201,16 +204,27 @@ def _put_strings(out: bytearray, values: tuple[str, ...], nrows: int) -> None:
 
 
 def _get_strings(r: _Reader, nrows: int) -> tuple[str, ...]:
+    """A string column: one local cursor over the reader's buffer, every
+    length and cell bounds-checked before it is read."""
     tag = r.u8()
     if tag != DTYPE_STR:
         raise WireCorruptError(f"string column dtype tag {tag}")
+    buf, pos, end = r.buf, r.pos, len(r.buf)
+    length = _PREFIX.unpack_from
     items = []
-    for _ in range(nrows):
-        raw = r.take(r.u32())
-        try:
-            items.append(str(raw, "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise WireCorruptError(f"undecodable string cell: {exc}") from exc
+    try:
+        for _ in range(nrows):
+            if pos + 4 > end:
+                raise _short(4, pos, end)
+            (n,) = length(buf, pos)
+            pos += 4
+            if pos + n > end:
+                raise _short(n, pos, end)
+            items.append(str(buf[pos : pos + n], "utf-8"))
+            pos += n
+    except UnicodeDecodeError as exc:
+        raise WireCorruptError(f"undecodable string cell: {exc}") from exc
+    r.pos = pos
     return tuple(items)
 
 

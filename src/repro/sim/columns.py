@@ -10,7 +10,7 @@ Two pieces live here:
   columns.
 * :class:`ColumnKernel` — the tick engine, the only way a
   :class:`~repro.sim.machine.SimMachine` moves its clock. It keeps the
-  live threads' scheduling state (tid, vruntime, live bit, duty gate) in
+  threads' scheduling state (tid, vruntime, live bit, duty gate) in
   parallel arrays across calls, so one pass per tick replaces per-object
   loops over the population.
 
@@ -20,11 +20,12 @@ draw by RNG draw. The vector code therefore only uses elementwise float64
 operations (IEEE-754 correctly rounded, hence identical to the scalar
 Python arithmetic they replace), never reductions (which reassociate),
 and keeps every RNG draw — per-process CPI noise, duty-cycle gates,
-sampling loss — in the reference's order.
+sampling loss — in the reference's order on each generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
@@ -130,29 +131,41 @@ class CounterColumns:
 #: rate, so the kernel overwrites this vector lane after accumulating.
 _CYCLES_CODE = EVENT_CODE[Event.CYCLES]
 
+#: Gate uniforms drawn at once from a duty-cycled thread's generator.
+#: ``Generator.random(k)`` yields the doubles of ``k`` ``random()`` calls
+#: and leaves the same state, so blocks keep every stream bit for bit.
+DUTY_BLOCK = 64
+
+#: Share of dead slots past which :meth:`ColumnKernel._settle` compacts.
+COMPACT_SHARE = 0.25
+
 
 class ColumnKernel:
     """The tick engine: one pass per tick advances every live task.
 
-    Columns persist across calls: :meth:`add` (from ``spawn``) queues new
-    threads, :meth:`drop` (from ``kill`` and reaping) clears a dead
-    thread's live bit, and :meth:`_settle` folds both into the arrays at
-    the start of every call and after timers fire, where dead threads
-    leave. Per-call cost thus follows the live population, not every
-    thread the machine ever ran. The kernel keeps no reference to its
-    machine (:meth:`run` takes it), so a finished machine is freed by
-    reference counting, columns and all.
+    Columns persist across calls. :meth:`add` (from ``spawn``) queues new
+    threads, which :meth:`_settle` appends at the start of every call and
+    after timers fire; :meth:`drop` (from ``kill`` and reaping) only
+    clears a dead thread's live bit. Slots stay in spawn order, which is
+    tid order, so a tid's slot is one ``np.searchsorted`` on ``tids``; the
+    columns compact, keeping that order, once dead slots pass
+    :data:`COMPACT_SHARE`. Per-call cost thus follows the live
+    population, not every thread the machine ever ran. The kernel keeps
+    no reference to its machine (:meth:`run` takes it), so a finished
+    machine is freed by reference counting, columns and all.
 
-    Per tick: duty-cycle draws stay scalar on each thread's own
-    generator; :meth:`Scheduler.dispatch_columns` ranks the live mask
-    with one ``np.lexsort`` over (vruntime, tid); :meth:`_idle_step`
-    advances every unscheduled live task's enabled clock with one masked
-    add; and :meth:`_slice` retires each scheduled task, summing its
-    event deltas in a dense vector. A *simple* counter set (all enabled,
-    none sampling, within the PMU) lands with one fancy-indexed add; any
-    other set lands through :meth:`CounterTable.accrue`, at the same
-    point in slice order as in the reference, so its multiplex window,
-    sampling draws and enabled bits follow the one shared rule.
+    Per tick: :meth:`_gate` opens each live duty-cycled thread with one
+    fancy-index into a matrix of its pre-drawn uniforms, :data:`DUTY_BLOCK`
+    per row from the thread's own generator, refilled only when spent;
+    :meth:`Scheduler.dispatch_columns` ranks the open slots with one
+    ``np.lexsort`` over (vruntime, tid); :meth:`_idle_step` advances every
+    unscheduled live task's enabled clock with one masked add; and
+    :meth:`_slice` retires each scheduled task, summing its event deltas
+    in a dense vector. A *simple* counter set (all enabled, none
+    sampling, within the PMU) lands with one fancy-indexed add; any other
+    set lands through :meth:`CounterTable.accrue`, at the same point in
+    slice order as in the reference, so its multiplex window, sampling
+    draws and enabled bits follow the one shared rule.
     """
 
     __slots__ = (
@@ -160,9 +173,12 @@ class ColumnKernel:
         "tids",
         "vruntime",
         "live",
-        "slot_of",
-        "duty_slots",
+        "gated",
+        "duty",
+        "draws",
+        "cursor",
         "slices",
+        "ticks",
         "_counters",
         "_pending",
         "_dead",
@@ -180,9 +196,16 @@ class ColumnKernel:
         self.tids = np.empty(0, dtype=np.int64)
         self.vruntime = np.empty(0)
         self.live = np.empty(0, dtype=bool)
-        self.slot_of: dict[int, int] = {}
-        self.duty_slots: list[int] = []
+        # One gate row per duty-cycled slot, in slot order: the slot, its
+        # duty cycle, DUTY_BLOCK pre-drawn uniforms and the next one's
+        # column (DUTY_BLOCK when spent, as a joining row starts). The
+        # ``draws`` matrix keeps spare rows past the last gate row.
+        self.gated = np.empty(0, dtype=np.int64)
+        self.duty = np.empty(0)
+        self.draws = np.empty((0, DUTY_BLOCK))
+        self.cursor = np.empty(0, dtype=np.int64)
         self.slices = 0
+        self.ticks = 0
         self._pending: list[SimThread] = []
         self._dead = 0
         # Idle-clock mask over counter slots: enabled counters whose owner
@@ -204,42 +227,89 @@ class ColumnKernel:
 
     def drop(self, thread: SimThread) -> None:
         """Take a dead thread out of dispatch and the idle clock."""
-        slot = self.slot_of.get(thread.tid)
-        if slot is None or not self.live[slot]:
-            return  # still queued (settle filters it) or already dropped
-        self.live[slot] = False
-        self._dead += 1
-        self._version = -1
+        slot = self.tids.searchsorted(thread.tid)
+        if slot == len(self.threads) or self.tids[slot] != thread.tid:
+            return  # still queued: settle filters it
+        if self.live[slot]:
+            self.live[slot] = False
+            self._dead += 1
+            self._version = -1
 
     def _settle(self) -> None:
-        """Fold queued spawns and deaths into the columns."""
-        if self._pending or self._dead:
-            keep = self.live
-            threads = [t for t, k in zip(self.threads, keep.tolist()) if k]
+        """Compact past the dead share, then append queued spawns."""
+        if self._dead > COMPACT_SHARE * len(self.threads):
+            self._compact()
+        if self._pending:
             new = [t for t in self._pending if t.state is not TaskState.DEAD]
             self._pending = []
-            threads.extend(new)
-            self.threads = threads
-            self.tids = np.concatenate(
-                (self.tids[keep], np.array([t.tid for t in new], dtype=np.int64))
-            )
-            self.vruntime = np.concatenate(
-                (self.vruntime[keep], np.array([t.vruntime for t in new]))
-            )
-            self.live = np.ones(len(threads), dtype=bool)
-            self.slot_of = {t.tid: i for i, t in enumerate(threads)}
-            self.duty_slots = [
-                i for i, t in enumerate(threads) if t.duty_rng is not None
-            ]
-            self._dead = 0
             if new:
-                self._version = -1  # new owners may already hold counters
+                self._append(new)
+
+    def _append(self, new: list[SimThread]) -> None:
+        first = len(self.threads)
+        self.threads.extend(new)
+        self.tids = np.append(self.tids, [t.tid for t in new])
+        self.vruntime = np.append(self.vruntime, [t.vruntime for t in new])
+        self.live = np.append(self.live, np.ones(len(new), dtype=bool))
+        gated = [
+            (first + i, t.process.duty_cycle)
+            for i, t in enumerate(new)
+            if t.duty_rng is not None
+        ]
+        if gated:
+            slots, duty = zip(*gated)
+            rows = len(self.gated)
+            self.gated = np.append(self.gated, slots)
+            self.duty = np.append(self.duty, duty)
+            self.cursor = np.append(self.cursor, [DUTY_BLOCK] * len(slots))
+            if len(self.gated) > len(self.draws):
+                # Rows double, so a spawn does not copy the whole matrix.
+                draws = np.empty((2 * len(self.gated), DUTY_BLOCK))
+                draws[:rows] = self.draws[:rows]
+                self.draws = draws
+        self._version = -1  # new owners may already hold counters
+
+    def _compact(self) -> None:
+        keep = self.live
+        self.threads = list(itertools.compress(self.threads, keep.tolist()))
+        self.tids = self.tids[keep]
+        self.vruntime = self.vruntime[keep]
+        self.live = np.ones(len(self.threads), dtype=bool)
+        rows = np.flatnonzero(keep[self.gated])
+        self.gated = (np.cumsum(keep) - 1)[self.gated[rows]]
+        self.duty = self.duty[rows]
+        self.cursor = self.cursor[rows]
+        self.draws[: len(rows)] = self.draws[rows]
+        self._dead = 0
+
+    def _gate(self) -> np.ndarray:
+        """The tick's run mask: live slots whose duty gate opens.
+
+        Draws one uniform per live duty-cycled thread, as the reference
+        does with one ``random()`` call on the thread's generator.
+        """
+        live = self.live
+        if not self.gated.size:
+            return live
+        rows = np.flatnonzero(live[self.gated])
+        at = self.cursor[rows]
+        spent = at == DUTY_BLOCK
+        if spent.any():
+            for row in rows[spent].tolist():
+                thread = self.threads[self.gated[row]]
+                self.draws[row] = thread.duty_rng.random(DUTY_BLOCK)
+            at[spent] = 0
+        self.cursor[rows] = at + 1
+        shut = rows[~(self.draws[rows, at] < self.duty[rows])]
+        run_mask = live.copy()
+        run_mask[self.gated[shut]] = False
+        return run_mask
 
     def _refresh_idle(self) -> None:
         counters = self._counters
         cols = counters.columns
         self._version = cols.version
-        # Spawn order is tid order, so the live tids are sorted.
+        # Slots are in tid order, so the live tids are sorted.
         live = self.tids[self.live]
         owner = cols.owner
         if live.size:
@@ -258,23 +328,15 @@ class ColumnKernel:
         scheduler = m.scheduler
         timers = m._timers
         rate_cache = m._rate_cache
+        self.ticks += n
         self._settle()
         for _ in range(n):
             if timers and timers[0][0] <= m.now + 1e-12:
                 m._fire_timers()
                 self._settle()
-            threads = self.threads
-            run_mask = self.live
-            if self.duty_slots:
-                run_mask = run_mask.copy()
-                for slot in self.duty_slots:
-                    thread = threads[slot]
-                    if run_mask[slot] and not (
-                        thread.duty_rng.random() < thread.process.duty_cycle
-                    ):
-                        run_mask[slot] = False
             assignment = scheduler.dispatch_columns(
-                threads, self.tids, self.vruntime, np.flatnonzero(run_mask), dt
+                self.threads, self.tids, self.vruntime,
+                np.flatnonzero(self._gate()), dt,
             )
             work = []
             if assignment:
@@ -288,7 +350,6 @@ class ColumnKernel:
                     rates = m._cached_contention(assignment, located)
                 for thread in assignment.values():
                     tid = thread.tid
-                    self.vruntime[self.slot_of[tid]] = thread.vruntime
                     work.append((thread, counters.tid_slots(tid), rates.get(tid)))
             self._idle_step(work, dt)
             for thread, entry, contended in work:

@@ -316,7 +316,7 @@ class SimMachine:
         return {
             "counter_slots_live": columns.live_slots(),
             "counter_slot_capacity": columns.capacity,
-            "tracked_tasks": len(kernel.threads),
+            "tracked_tasks": int(np.count_nonzero(kernel.live)),
             "fast_slices": kernel.slices,
             "fallback_slices": 0,
         }

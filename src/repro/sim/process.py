@@ -101,6 +101,8 @@ class SimProcess:
             sub-100 %CPU rows like process11 at 43.7 % in Fig. 1).
         start_time: virtual time the process was spawned.
         threads: the schedulable threads.
+        tids: their thread ids, fixed at spawn (threads never change
+            after it).
         rng: per-process deterministic noise source.
     """
 
@@ -114,6 +116,7 @@ class SimProcess:
     duty_cycle: float = 1.0
     start_time: float = 0.0
     threads: list[SimThread] = field(default_factory=list)
+    tids: tuple[int, ...] = ()
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
@@ -127,8 +130,8 @@ class SimProcess:
             raise SimulationError(f"process {self.pid} needs >= 1 thread")
         if self.threads:
             raise SimulationError(f"process {self.pid} already has threads")
-        for i in range(count):
-            self.threads.append(SimThread(tid=first_tid + i, process=self))
+        self.tids = tuple(range(first_tid, first_tid + count))
+        self.threads = [SimThread(tid=tid, process=self) for tid in self.tids]
 
     @property
     def alive(self) -> bool:
@@ -144,14 +147,3 @@ class SimProcess:
     def cpu_time(self) -> float:
         """Total CPU seconds across threads."""
         return sum(t.cpu_time for t in self.threads)
-
-    def thread(self, tid: int) -> SimThread:
-        """Look up a thread by tid.
-
-        Raises:
-            SimulationError: when the tid is not part of this process.
-        """
-        for t in self.threads:
-            if t.tid == tid:
-                return t
-        raise SimulationError(f"process {self.pid} has no thread {tid}")

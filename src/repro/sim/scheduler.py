@@ -17,7 +17,7 @@ Implements the behaviours the paper's experiments depend on:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -60,17 +60,23 @@ class Scheduler:
         placed by :meth:`_place`, which the scalar reference dispatch in
         :mod:`repro.verify.reference` shares. Only the walked prefix of the
         order ever materialises thread objects (placement stops when the
-        PUs run out).
+        PUs run out), and its slots of ``vruntimes`` are written back
+        from the threads, which keeps the column current.
         """
-        order: Iterable[SimThread]
-        if len(candidate_slots):
-            ranked = candidate_slots[
-                np.lexsort((tids[candidate_slots], vruntimes[candidate_slots]))
-            ]
-            order = (threads[slot] for slot in ranked)
-        else:
-            order = ()
-        return self._place(order, dt)
+        ranked = candidate_slots[
+            np.lexsort((tids[candidate_slots], vruntimes[candidate_slots]))
+        ]
+        walked = []
+
+        def order() -> Iterator[SimThread]:
+            for slot in ranked:
+                walked.append(slot)
+                yield threads[slot]
+
+        assignment = self._place(order(), dt)
+        for slot in walked:
+            vruntimes[slot] = threads[slot].vruntime
+        return assignment
 
     def _place(self, order: Iterable[SimThread], dt: float) -> dict[int, SimThread]:
         """Walk threads in fairness order and place them on free PUs;

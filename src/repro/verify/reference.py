@@ -7,9 +7,10 @@ sorted dispatch, a per-lane walk over each segment's event rates, one
 ``accrue`` per live task per tick — as the specification the kernel must
 match bit for bit. It shares the machine's timers, contention model,
 reaper and ``accrue``, never memoises, and only the oracles, tests and
-benchmarks use it. A machine is driven by one engine for its whole life: the kernel
-mirrors scheduling state into columns that reference steps do not
-update.
+benchmarks use it. A machine is driven by one engine for its whole
+life: the kernel mirrors scheduling state into columns that reference
+steps do not update, and pre-draws duty gates from the threads' own
+generators, so :func:`step` refuses a machine the kernel has advanced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.sim.core import SliceRates, compute_rates
 from repro.sim.events import EVENT_CODE, N_EVENT_CODES, Event
 from repro.sim.machine import SimMachine
@@ -61,7 +63,17 @@ def run_for(machine: SimMachine, seconds: float) -> None:
 
 
 def step(machine: SimMachine, dt: float) -> None:
-    """One tick of length ``dt``: timers, dispatch, slices, idle clocks."""
+    """One tick of length ``dt``: timers, dispatch, slices, idle clocks.
+
+    Raises:
+        SimulationError: the column kernel has already advanced
+            ``machine``.
+    """
+    if machine._kernel.ticks:
+        raise SimulationError(
+            "the column kernel already advances this machine; "
+            "a machine has one engine for its whole life"
+        )
     machine._fire_timers()
     runnable = [
         t

@@ -13,19 +13,23 @@ handed in, as a grid shard does, so both memos keep a bitwise check.
 
 Scenarios cover the regimes the kernel special-cases: seeds, tick sizes,
 oversubscription, SMT co-runs pinned to sibling hardware threads,
-duty-cycled tasks (per-tick RNG draws), multi-threaded processes with nice
-levels, sampling-mode counters, multiplexed and partly disabled counter
-sets, timers that spawn, kill and toggle counters mid-run, state carried
-across calls, and fractional steps.
+duty-cycled tasks (per-tick RNG draws, past several gate blocks),
+multi-threaded processes with nice levels, sampling-mode counters,
+multiplexed and partly disabled counter sets, timers that spawn, kill and
+toggle counters mid-run, a death wave that compacts the columns, state
+carried across calls, and fractional steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.arch import NEHALEM
+from repro.sim.columns import COMPACT_SHARE, DUTY_BLOCK
 from repro.sim.core import RateCache
 from repro.sim.events import Event
 from repro.sim.machine import SimMachine
@@ -409,6 +413,117 @@ class TestAcrossCalls:
             clock.run_ticks(10)
 
         assert_drives_equal(self.build, drive)
+
+
+def live_threads(machine: SimMachine) -> int:
+    return sum(t.alive for t in machine._threads.values())
+
+
+def short_lived(spec, seconds: float):
+    """``spec`` cut to ``seconds`` of solo run time, so it reaps mid-run."""
+    return synthetic.build(replace(spec, duration=seconds), NEHALEM, seed=11)
+
+
+class TestKernelBoundaries:
+    """Where the kernel's layout moves: gate blocks refill, spawns append,
+    deaths clear live bits and the columns compact."""
+
+    def test_duty_gates_past_three_blocks_with_churn(self):
+        """Duty-cycled threads run past three gate blocks while timers
+        spawn and kill and short workloads reap, each landing mid-block."""
+        ticks = 3 * DUTY_BLOCK + 29
+        specs = synthetic.generate_specs(6, seed=41)
+
+        def build(cache):
+            machine = make_machine(cache=cache, tick=0.05, seed=61)
+            populate(machine, 6, spec_seed=42, duty_cycle=0.55,
+                     nthreads=2)
+            for i, spec in enumerate(specs):
+                proc = machine.spawn(
+                    f"short{i}", short_lived(spec, 0.3 + 0.25 * i),
+                    duty_cycle=0.35 + 0.1 * i,
+                )
+                for event in EVENTS:
+                    machine.counters.open(event, proc.pid, 0)
+            for k, when in enumerate((0.85, 3.2, 5.05, 7.7, 9.95)):
+                machine.spawn_at(
+                    when, f"late{k}", short_lived(specs[k], 1.5 + k),
+                    duty_cycle=0.45, nthreads=1 + k % 2,
+                )
+            for when, pid in ((2.15, 1002), (4.4, 1006), (8.3, 1004)):
+                machine.kill_at(when, pid)
+            return machine
+
+        ref = build(False)
+        reference.run_ticks(ref, ticks)
+        assert len(ref.death_observed) >= 6  # kills and reaps both landed
+        for cache in (False, True):
+            kernel = build(cache)
+            kernel.run_ticks(ticks)
+            assert_same_state(
+                ref, kernel, f"after {ticks} ticks (cache={cache})"
+            )
+            assert kernel.kernel_stats()["tracked_tasks"] == live_threads(kernel)
+
+    def test_death_wave_crosses_the_compaction_share(self):
+        """Killing a third of the threads between calls leaves dead slots
+        past the share; the next call compacts, keeping tid order."""
+
+        def build(cache):
+            machine = make_machine(cache=cache, tick=0.1, seed=67)
+            populate(machine, 12, spec_seed=44, duty_cycle=0.7)
+            populate(machine, 6, spec_seed=45)
+            return machine
+
+        def drive(machine, clock):
+            clock.run_ticks(DUTY_BLOCK - 3)
+            pids = list(machine.processes)
+            for pid in pids[1::3]:
+                machine.kill(pid)
+            if clock is not machine:
+                clock.run_ticks(DUTY_BLOCK)
+                return
+            kernel = machine._kernel
+            slots = len(kernel.threads)
+            assert kernel._dead > COMPACT_SHARE * slots
+            assert machine.kernel_stats()["tracked_tasks"] == live_threads(machine)
+            clock.run_ticks(DUTY_BLOCK)
+            assert kernel._dead == 0 and len(kernel.threads) < slots
+            assert np.all(np.diff(kernel.tids) > 0)
+            assert kernel.tids.tolist() == [t.tid for t in kernel.threads]
+            assert machine.kernel_stats()["tracked_tasks"] == live_threads(machine)
+
+        assert_drives_equal(build, drive)
+
+    def test_fractional_run_until_with_duty_gates(self):
+        """A fractional step draws a gate like a whole tick does."""
+
+        def build(cache):
+            machine = make_machine(cache=cache, tick=0.1, seed=71)
+            populate(machine, 9, spec_seed=46, duty_cycle=0.5)
+            return machine
+
+        def drive(machine, clock):
+            clock.run_until(DUTY_BLOCK * 0.1 - 0.037)
+            clock.run_until(2 * DUTY_BLOCK * 0.1 + 0.061)
+            clock.run_for(0.013)
+
+        assert_drives_equal(build, drive)
+
+    def test_reference_refuses_a_machine_the_kernel_advanced(self):
+        """One engine per machine: after a kernel tick the reference
+        would draw gates the kernel already drew, so it raises."""
+        machine = make_machine(tick=0.1, seed=73)
+        populate(machine, 4, spec_seed=47, duty_cycle=0.5)
+        reference.run_ticks(machine, 0)
+        machine.run_ticks(1)
+        for advance in (
+            lambda: reference.step(machine, 0.1),
+            lambda: reference.run_ticks(machine, 1),
+            lambda: reference.run_for(machine, 0.25),
+        ):
+            with pytest.raises(SimulationError, match="one engine"):
+                advance()
 
 
 class TestInterleaving:

@@ -354,3 +354,37 @@ def test_cursor_never_overreads():
     )[4:]
     with pytest.raises(WireTruncatedError):
         decode_message(payload)
+
+
+def _with_crc(block: bytearray) -> bytes:
+    """A FRAME payload carrying ``block`` under its own (valid) crc32."""
+    return pack_message(
+        MSG_FRAME,
+        struct.pack("!QI", 0, zlib.crc32(bytes(block))) + bytes(block),
+    )[4:]
+
+
+#: Offset of the users column in ``_small_frame``'s block: the !ddI head,
+#: then six fixed columns of a tag byte and two 8-byte values.
+_USERS_AT = struct.calcsize("!ddI") + 6 * (1 + 2 * 8)
+
+
+def test_string_length_past_the_block_is_truncated_error():
+    """A string cell whose u32 length runs past the block raises
+    WireTruncatedError, under a crc that matches."""
+    block = bytearray(frame_block(_small_frame()))
+    assert struct.unpack_from("!BI", block, _USERS_AT) == (3, len("root"))
+    struct.pack_into("!I", block, _USERS_AT + 1, len(block))
+    with pytest.raises(WireTruncatedError, match=f"need {len(block)} bytes"):
+        decode_message(_with_crc(block))
+
+
+def test_undecodable_string_cell_is_corrupt_error():
+    """A cell of invalid UTF-8 raises WireCorruptError, under a crc that
+    matches."""
+    block = bytearray(frame_block(_small_frame()))
+    cell = _USERS_AT + 1 + 4
+    assert block[cell : cell + 4] == b"root"
+    block[cell : cell + 4] = b"\xff\xfe\xfd\xfc"
+    with pytest.raises(WireCorruptError, match="undecodable string cell"):
+        decode_message(_with_crc(block))
