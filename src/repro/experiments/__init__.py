@@ -15,7 +15,7 @@ Layers (import order, no cycles):
   per-phase metric signatures of every library workload.
 * :mod:`~repro.experiments.spec` — spec schema, loading, validation.
 * :mod:`~repro.experiments.matrix` — the factorial cell planner.
-* :mod:`~repro.experiments.executor` — counters/tool/grid harnesses.
+* :mod:`~repro.experiments.executor` — the counters and tool harnesses.
 * :mod:`~repro.experiments.report` — canonical artifact writers.
 * :mod:`~repro.experiments.runner` — orchestration (``--jobs`` fan-out).
 * :mod:`~repro.experiments.cli` — ``python -m repro.experiments``.

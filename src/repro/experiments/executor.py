@@ -1,10 +1,9 @@
-"""Cell execution: one (config, workload, seed) point, three harnesses.
+"""Cell execution: one (config, workload, seed) point, two harnesses.
 
 Every harness builds a fresh simulated machine seeded with the cell's
-seed and advances it with :meth:`~repro.sim.machine.SimMachine.run_for`
-(the grid harness through its engine), so a cell's metrics are a pure
-function of the cell — the property the byte-identical-artifact tests
-pin.
+seed and advances it with :meth:`~repro.sim.machine.SimMachine.run_for`,
+so a cell's metrics are a pure function of the cell — the property the
+byte-identical-artifact tests pin.
 
 * ``counters`` — raw :class:`~repro.perf.counter.Counter` objects on a
   :class:`~repro.perf.simbackend.SimBackend`: counting vs sampling,
@@ -12,15 +11,10 @@ pin.
 * ``tool`` — the full tiptop application recording through a
   :class:`~repro.core.recorder.Recorder`: refresh-period and
   thread-vs-process ablations, phase-transition detection.
-* ``grid`` — batch submission through :class:`~repro.sim.grid.Grid`
-  with selectable engine/transport; reports wait/turnaround latency
-  percentiles and the cross-engine conformance digest.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import replace
 
@@ -33,7 +27,6 @@ from repro.perf.counter import Counter
 from repro.perf.events import event_names, resolve_event
 from repro.perf.simbackend import SimBackend
 from repro.sim.arch import ArchModel, get_arch
-from repro.sim.grid import Grid, NodeSpec
 from repro.sim.machine import SimMachine
 from repro.sim.workload import Workload
 
@@ -260,70 +253,9 @@ def _run_tool(cell: Cell, workload: Workload) -> dict:
     return metrics
 
 
-def _run_grid(cell: Cell, workload: Workload) -> dict:
-    cfg = cell.config
-    arch = get_arch(cfg.arch)
-    specs = [
-        NodeSpec(
-            name=f"node{i:02d}",
-            arch=arch,
-            sockets=cfg.sockets,
-            cores_per_socket=cfg.cores_per_socket,
-        )
-        for i in range(cfg.nodes)
-    ]
-    with Grid(
-        specs,
-        tick=cfg.tick,
-        seed=cell.seed,
-        workers=cfg.workers,
-        engine=cfg.engine,
-        transport=cfg.transport,
-    ) as grid:
-        for i in range(cfg.copies):
-            grid.submit(
-                f"{workload.name}-{i}", workload, user="experiments",
-                queue=cfg.queue,
-            )
-        grid.run_for(cfg.span)
-        jobs = grid.jobs()
-        waits = [
-            j.started_at - j.submitted_at for j in jobs
-            if j.started_at is not None
-        ]
-        turnarounds = [
-            j.finished_at - j.submitted_at for j in jobs
-            if j.finished_at is not None
-        ]
-        utilisation = grid.utilisation()
-        digest = grid.conformance_digest()
-
-    metrics: dict = {
-        "jobs": len(jobs),
-        "started": len(waits),
-        "completed": len(turnarounds),
-        "utilisation_mean": (
-            float(sum(utilisation.values()) / len(utilisation))
-            if utilisation
-            else 0.0
-        ),
-        # The cross-engine identity: two engines/transports agree on a
-        # scenario iff these sixteen hex digits agree.
-        "digest": hashlib.sha256(
-            json.dumps(digest, sort_keys=True, default=repr).encode()
-        ).hexdigest()[:16],
-    }
-    if waits:
-        metrics.update(_series_summary("wait", waits))
-    if turnarounds:
-        metrics.update(_series_summary("turnaround", turnarounds))
-    return metrics
-
-
 _HARNESSES = {
     "counters": _run_counters,
     "tool": _run_tool,
-    "grid": _run_grid,
 }
 
 

@@ -46,8 +46,8 @@ from repro.experiments import library
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 
-#: The three execution harnesses (see :mod:`repro.experiments.executor`).
-HARNESSES = ("counters", "tool", "grid")
+#: The two execution harnesses (see :mod:`repro.experiments.executor`).
+HARNESSES = ("counters", "tool")
 
 
 @dataclass(frozen=True)
@@ -56,21 +56,19 @@ class CellConfig:
 
     Attributes:
         name: config label, unique within the spec.
-        harness: ``"counters"`` (SimBackend + Counter loop), ``"tool"``
-            (the full tiptop app + Recorder) or ``"grid"`` (batch
-            submission through :class:`~repro.sim.grid.Grid`).
+        harness: ``"counters"`` (SimBackend + Counter loop) or
+            ``"tool"`` (the full tiptop app + Recorder).
         arch: architecture model name (``get_arch``).
         tick: scheduler tick in simulated seconds.
-        sockets / cores_per_socket: machine shape (counters/tool) or
-            per-node shape (grid).
+        sockets / cores_per_socket: machine shape.
         span: simulated seconds to run. ``0`` means "until the first
             process exits" (tool harness only).
         warmup: seconds advanced before the measured window.
-        delay: sampling interval in seconds (counters/tool).
-        copies: processes spawned (or grid jobs submitted).
+        delay: sampling interval in seconds.
+        copies: processes spawned.
         nthreads: threads per process.
         per_thread: tool harness counts threads separately (inherit off).
-        pin: pin copy *i* to PU *i* (counters/tool).
+        pin: pin copy *i* to PU *i*.
         duty_cycle: runnable fraction per process.
         sample_period: when set, adds an interrupt-sampled instructions
             counter next to the counted one (the §2.5 ablation).
@@ -81,9 +79,6 @@ class CellConfig:
         screen: tool-harness screen name.
         detect_transitions: tool harness reports the first detected
             IPC transition point.
-        engine / workers / transport: grid execution engine selection.
-        nodes: grid node count.
-        queue: grid submission queue.
     """
 
     name: str
@@ -105,11 +100,6 @@ class CellConfig:
     noise: float | None = None
     screen: str = "default"
     detect_transitions: bool = False
-    engine: str | None = None
-    workers: int = 1
-    transport: str | None = None
-    nodes: int = 2
-    queue: str = "day-8g-asap"
 
 
 @dataclass(frozen=True)
@@ -144,14 +134,11 @@ class ExperimentSpec:
 
 _FLOAT_KEYS = {"tick", "span", "warmup", "delay", "duty_cycle", "noise"}
 _INT_KEYS = {"sockets", "cores_per_socket", "copies", "nthreads",
-             "sample_period", "workers", "nodes"}
+             "sample_period"}
 _BOOL_KEYS = {"per_thread", "pin", "detect_transitions"}
-_STR_KEYS = {"name", "harness", "arch", "screen", "queue"}
-_OPT_STR_KEYS = {"engine", "transport"}
-_CONFIG_KEYS = (
-    _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _OPT_STR_KEYS | {"events"}
-)
-_OPTIONAL = {"sample_period", "noise", "events", "engine", "transport"}
+_STR_KEYS = {"name", "harness", "arch", "screen"}
+_CONFIG_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | {"events"}
+_OPTIONAL = {"sample_period", "noise", "events"}
 
 
 def _fail(msg: str) -> None:
@@ -176,7 +163,7 @@ def _coerce(key: str, value):
         if math.isnan(value) or math.isinf(value):
             _fail(f"config key {key!r} must be finite, got {value!r}")
         return value
-    if key in _STR_KEYS or key in _OPT_STR_KEYS:
+    if key in _STR_KEYS:
         if not isinstance(value, str):
             _fail(f"config key {key!r} must be a string, got {value!r}")
         return value
@@ -225,10 +212,6 @@ def _validate_config(cfg: CellConfig) -> None:
         _fail(f"{where}: events count must be >= 1")
     if cfg.noise is not None and not 0 <= cfg.noise < 1:
         _fail(f"{where}: noise must be in [0, 1)")
-    if cfg.workers < 1:
-        _fail(f"{where}: workers must be >= 1")
-    if cfg.nodes < 1:
-        _fail(f"{where}: nodes must be >= 1")
 
 
 def from_dict(data: dict, *, source: str = "") -> ExperimentSpec:

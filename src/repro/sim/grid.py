@@ -287,7 +287,7 @@ class Grid:
         self._kill_due: dict[int, float] = {}
         self._exit_after: dict[int, float] = {}
         self._pending_cmds: list[SpawnCmd] = []
-        self.stats: dict[str, Any] = {
+        self._counters: dict[str, Any] = {
             "epochs": 0,
             "ticks": 0,
             "messages": 0,
@@ -298,14 +298,6 @@ class Grid:
             "bytes_sent": 0,
             "bytes_received": 0,
         }
-        if self.engine.name == "supervised":
-            self.stats.update(
-                restarts=0,
-                replayed_epochs=0,
-                adopted_shards=0,
-                worker_failures=0,
-                degraded=False,
-            )
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -489,7 +481,7 @@ class Grid:
     def _preempt(self, victim: Job) -> None:
         """Kill a running job's process and requeue the job as pending."""
         victim.preemptions += 1
-        self.stats["preemptions"] += 1
+        self._counters["preemptions"] += 1
         if self._legacy:
             if victim.process is not None and victim.process.alive:
                 self.nodes[victim.node].kill(  # type: ignore[index]
@@ -655,34 +647,28 @@ class Grid:
         msgs = getattr(self.engine, "messages", 0) - msgs_before
         sent = getattr(self.engine, "bytes_sent", 0)
         recv = getattr(self.engine, "bytes_received", 0)
-        self.stats["epochs"] += 1
-        self.stats["ticks"] += n_ticks
-        self.stats["messages"] += msgs
-        self.stats["shard_wall"] += sum(shard_walls)
-        self.stats["rate_cache_hits"] = hits
-        self.stats["rate_cache_misses"] = misses
-        self.stats["bytes_sent"] = sent
-        self.stats["bytes_received"] = recv
-        supervised = self.engine.name == "supervised"
-        if supervised:
-            sup = self.engine.stats
-            self.stats["restarts"] = sup["restarts"]
-            self.stats["replayed_epochs"] = sup["replayed_epochs"]
-            self.stats["adopted_shards"] = sup["adopted_shards"]
-            self.stats["worker_failures"] = sum(sup["failures"].values())
-            self.stats["degraded"] = sup["degraded"]
+        counters = self._counters
+        counters["epochs"] += 1
+        counters["ticks"] += n_ticks
+        counters["messages"] += msgs
+        counters["shard_wall"] += sum(shard_walls)
+        counters["rate_cache_hits"] = hits
+        counters["rate_cache_misses"] = misses
+        counters["bytes_sent"] = sent
+        counters["bytes_received"] = recv
         if self.profile:
             walls = ",".join(f"{w * 1000:.2f}" for w in shard_walls)
             extra = ""
-            if supervised:
+            if self.engine.name == "supervised":
+                stats = self.stats
                 extra = (
-                    f" restarts={self.stats['restarts']}"
-                    f" replayed={self.stats['replayed_epochs']}"
-                    f" adopted={self.stats['adopted_shards']}"
-                    f" degraded={int(self.stats['degraded'])}"
+                    f" restarts={stats['restarts']}"
+                    f" replayed={stats['replayed_epochs']}"
+                    f" adopted={stats['adopted_shards']}"
+                    f" degraded={int(stats['degraded'])}"
                 )
             print(
-                f"grid-profile: epoch={self.stats['epochs']}"
+                f"grid-profile: epoch={counters['epochs']}"
                 f" ticks={n_ticks} frac={frac:g} spawns={len(commands)}"
                 f" deaths={len(deaths)} wall_ms=[{walls}] msgs={msgs}"
                 f" bytes={sent - sent_before}/{recv - recv_before}"
@@ -700,6 +686,23 @@ class Grid:
                 job.finished_at = self.now
 
     # -- introspection -----------------------------------------------------------
+    @property
+    def stats(self) -> dict[str, Any]:
+        """The grid's own counters, plus the supervised engine's recovery
+        counts read off its event log (restarts, replayed epochs, adopted
+        shards, worker failures, degraded) at this moment."""
+        out = dict(self._counters)
+        if self.engine.name == "supervised":
+            counts = self.engine.stats
+            out.update(
+                restarts=counts["restarts"],
+                replayed_epochs=counts["replayed_epochs"],
+                adopted_shards=counts["adopted_shards"],
+                worker_failures=sum(counts["failures"].values()),
+                degraded=counts["degraded"],
+            )
+        return out
+
     @property
     def nodes(self) -> dict[str, SimMachine]:
         """In-process machines by name (empty under the supervised
@@ -767,20 +770,6 @@ class Grid:
             ],
             "nodes": {spec.name: snaps[spec.name] for spec in self.specs},
             "utilisation": self.utilisation(),
-        }
-
-    def kernel_stats(self) -> dict[str, dict[str, int]]:
-        """Columnar-kernel health per in-process node.
-
-        Observability only, never part of :meth:`conformance_digest`:
-        tracked-task and slot counts depend on how an engine batches its
-        advance calls, exactly the detail digests must ignore.
-        Supervised grids return an empty map (their machines live in
-        worker processes); serial and legacy engines report every node.
-        """
-        return {
-            name: machine.kernel_stats()
-            for name, machine in self.engine.nodes.items()
         }
 
     @property

@@ -127,11 +127,6 @@ class PreemptCmd:
 
 # -- exit lower bounds --------------------------------------------------------
 
-#: (id(arch), id(phase)) -> (floor CPI, keepalive) exact memo; the solo
-#: floor CPI is a pure function of the two objects.
-_FLOOR_CPI: dict[tuple[int, int], tuple[float, tuple]] = {}
-
-
 def _floor_cpi(arch, phase) -> float:
     """A sound floor on ``phase``'s per-instruction cycle cost on ``arch``
     in *any* machine state.
@@ -145,43 +140,52 @@ def _floor_cpi(arch, phase) -> float:
     issue sharing can only *raise* exec CPI — so the full solo CPI is the
     floor, making exit bounds near-exact for noise-free jobs.
     """
-    key = (id(arch), id(phase))
-    hit = _FLOOR_CPI.get(key)
-    if hit is not None:
-        return hit[0]
     rates = solo_rates(arch, phase)
     value = rates.cpi_memory + rates.cpi_branch + rates.cpi_assist
     if phase.noise == 0:
         value += rates.cpi_exec
-    _FLOOR_CPI[key] = (value, (arch, phase))
     return value
 
 
-def workload_exit_lb(arch, workload: "Workload", retired: float = 0.0) -> float | None:
-    """Seconds before which a task ``retired`` instructions into
-    ``workload`` cannot possibly exit on ``arch`` (None = never exits)."""
-    total = workload.total_instructions
-    if math.isinf(total):
+def workload_floor_cpi(arch, workload: "Workload") -> float | None:
+    """The lowest per-instruction cycle cost any phase of ``workload``
+    can reach on ``arch`` (None = the workload never exits).
+
+    No process-wide memo keeps it: the shard stores it with the job that
+    needs it and drops it with the job, and the grid computes it once per
+    dispatch, so nothing pins the phases of finished jobs.
+    """
+    if math.isinf(workload.total_instructions):
         return None
-    remaining = max(0.0, total - retired)
-    floor_cpi = min(_floor_cpi(arch, p) for p in workload.phases)
-    return remaining * floor_cpi / arch.freq_hz
+    return min(_floor_cpi(arch, p) for p in workload.phases)
 
 
-def proc_exit_lb(machine: SimMachine, proc: "SimProcess") -> float | None:
-    """Earliest-possible-exit bound for a whole process (None = endless).
+def workload_exit_lb(arch, workload: "Workload") -> float | None:
+    """Seconds before which a fresh task of ``workload`` cannot possibly
+    exit on ``arch`` (None = never exits)."""
+    floor_cpi = workload_floor_cpi(arch, workload)
+    if floor_cpi is None:
+        return None
+    return workload.total_instructions * floor_cpi / arch.freq_hz
+
+
+def proc_exit_lb(
+    machine: SimMachine, proc: "SimProcess", floor_cpi: float
+) -> float:
+    """Earliest-possible-exit bound for a whole process of a finite
+    workload whose :func:`workload_floor_cpi` on this machine is
+    ``floor_cpi``.
 
     A process dies when its *last* thread does, so the bound is the max
     over live threads of each thread's remaining-work bound.
     """
+    total = proc.workload.total_instructions
     worst = 0.0
     for thread in proc.threads:
         if not thread.alive:
             continue
-        lb = workload_exit_lb(machine.arch, proc.workload, thread.retired)
-        if lb is None:
-            return None
-        worst = max(worst, lb)
+        remaining = max(0.0, total - thread.retired)
+        worst = max(worst, remaining * floor_cpi / machine.arch.freq_hz)
     return worst
 
 
@@ -260,8 +264,9 @@ class Shard:
                 seed=seed,
                 rate_cache=self.rate_cache,
             )
-        #: job_id -> (node name, pid) for jobs this shard still tracks.
-        self._jobs: dict[int, tuple[str, int]] = {}
+        #: job_id -> (node name, pid, floor CPI or None when endless)
+        #: for jobs this shard still tracks.
+        self._jobs: dict[int, tuple[str, int, float | None]] = {}
         self._procs: dict[int, "SimProcess"] = {}
         self._killed: set[int] = set()
 
@@ -305,7 +310,10 @@ class Shard:
                 continue
             machine = self.machines[cmd.node]
             proc = machine.spawn(cmd.command, cmd.workload, user=cmd.user)
-            self._jobs[cmd.job_id] = (cmd.node, proc.pid)
+            self._jobs[cmd.job_id] = (
+                cmd.node, proc.pid,
+                workload_floor_cpi(machine.arch, cmd.workload),
+            )
             self._procs[cmd.job_id] = proc
             spawned[cmd.job_id] = proc.pid
             if cmd.wallclock_limit is not None:
@@ -351,7 +359,7 @@ class Shard:
         killed: list[int] = []
         bounds: dict[int, float] = {}
         done: list[int] = []
-        for job_id, (node, pid) in self._jobs.items():
+        for job_id, (node, pid, floor_cpi) in self._jobs.items():
             proc = self._procs[job_id]
             machine = self.machines[node]
             if not proc.alive:
@@ -359,12 +367,12 @@ class Shard:
                 if job_id in self._killed:
                     killed.append(job_id)
                 done.append(job_id)
-            else:
-                lb = proc_exit_lb(machine, proc)
-                if lb is not None:
-                    # Absolute machine time before which this job cannot
-                    # have exited — the grid's next epoch boundary input.
-                    bounds[job_id] = machine.now + lb
+            elif floor_cpi is not None:
+                # Absolute machine time before which this job cannot have
+                # exited — the grid's next epoch boundary input.
+                bounds[job_id] = (
+                    machine.now + proc_exit_lb(machine, proc, floor_cpi)
+                )
         for job_id in done:
             del self._jobs[job_id]
             self._killed.discard(job_id)

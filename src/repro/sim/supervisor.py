@@ -39,7 +39,8 @@ Determinism of the event log. Supervisor events carry only values that
 are pure functions of (scenario, seed, chaos plan): worker index, epoch
 number, failure kind, incarnation, replayed-epoch counts, configured
 backoff. Wall-clock times and OS exit codes are kept out so two runs of
-the same chaos seed produce identical logs.
+the same chaos seed produce identical logs. The log is the one record of
+recovery: :func:`recovery_counts` reads every count off it.
 """
 
 from __future__ import annotations
@@ -64,10 +65,32 @@ __all__ = [
     "Supervision",
     "SupervisedShardedEngine",
     "default_grid_specs",
+    "recovery_counts",
 ]
 
 #: Fault kinds a worker can be ordered to exhibit.
 GRID_FAULT_KINDS = ("crash", "hang", "garble")
+
+#: Failure events the supervisor logs (one per failed round-trip).
+_FAILURE_EVENTS = ("crash", "hang", "garbled")
+
+
+def recovery_counts(events: list[dict[str, Any]]) -> dict[str, Any]:
+    """The recovery counts of a supervisor event log: restarts and
+    adoptions count their events, replayed epochs sum their ``replayed``
+    fields, the engine is degraded once a ``degrade`` event exists, and
+    failures count per kind."""
+    kinds = [event["event"] for event in events]
+    return {
+        "restarts": kinds.count("restart"),
+        "replayed_epochs": sum(
+            event["replayed"] for event in events
+            if event["event"] in ("restart", "adopt")
+        ),
+        "adopted_shards": kinds.count("adopt"),
+        "degraded": "degrade" in kinds,
+        "failures": {kind: kinds.count(kind) for kind in _FAILURE_EVENTS},
+    }
 
 
 @dataclass(frozen=True)
@@ -268,16 +291,9 @@ class SupervisedShardedEngine:
         self.nodes: dict[str, Any] = {}
         self._node_worker: dict[str, int] = {}
         self.messages = 0
-        #: Deterministic recovery log (no wall-times, no OS exit codes).
+        #: Deterministic recovery log (no wall-times, no OS exit codes),
+        #: the one record of recovery.
         self.events: list[dict[str, Any]] = []
-        self.stats: dict[str, Any] = {
-            "restarts": 0,
-            "replayed_epochs": 0,
-            "adopted_shards": 0,
-            "degraded": False,
-            "failures": {"crash": 0, "hang": 0, "garbled": 0},
-        }
-        self.degraded = False
         entry_list = _entry_list(specs, seed)
         self._states: list[_WorkerState] = []
         for w in range(self.workers):
@@ -348,16 +364,21 @@ class SupervisedShardedEngine:
         return payload
 
     # -- the recovery ladder ------------------------------------------------
+    @property
+    def stats(self) -> dict[str, Any]:
+        """The recovery counts, read off the event log."""
+        return recovery_counts(self.events)
+
     def _note_failure(self, fail: WorkerFailure, epoch: int) -> None:
-        self.stats["failures"][fail.kind] += 1
+        if fail.kind not in _FAILURE_EVENTS:
+            # A transport closed on purpose is not a failure to recover.
+            raise fail
         self.events.append(
             {"event": fail.kind, "worker": fail.worker, "epoch": epoch}
         )
 
     def _degrade(self, worker: int, epoch: int) -> None:
-        if not self.degraded:
-            self.degraded = True
-            self.stats["degraded"] = True
+        if not self.stats["degraded"]:
             self.events.append(
                 {"event": "degrade", "worker": worker, "epoch": epoch}
             )
@@ -376,8 +397,6 @@ class SupervisedShardedEngine:
         replay = state.journal[:-1] if need_report else state.journal
         shard = Shard.replayed(state.entries, self.tick, replay)
         state.shard = shard
-        self.stats["replayed_epochs"] += len(replay)
-        self.stats["adopted_shards"] += 1
         self.events.append(
             {
                 "event": "adopt",
@@ -423,10 +442,8 @@ class SupervisedShardedEngine:
                 self._degrade(state.index, epoch)
                 return self._adopt(state, need_report, reason="degrade")
             backoff = self._policy.sleep(attempts)
-            self.stats["restarts"] += 1
             state.incarnation += 1
             replay = state.journal[:-1] if need_report else list(state.journal)
-            self.stats["replayed_epochs"] += len(replay)
             self.events.append(
                 {
                     "event": "restart",
@@ -460,7 +477,7 @@ class SupervisedShardedEngine:
         phases, so their work overlaps the workers'. Reports have
         disjoint job/node keys; order is immaterial to the grid's merge.
         """
-        if self.degraded:
+        if self.stats["degraded"]:
             # Serial semantics: every shard in-process from here on.
             for state in self._states:
                 if state.shard is None:

@@ -39,7 +39,7 @@ from repro.sim.events import Event
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.machine import SimMachine
 from repro.sim.parallel import node_snapshot
-from repro.sim.supervisor import Supervision
+from repro.sim.supervisor import Supervision, recovery_counts
 from repro.sim.workloads.synthetic import SyntheticSpec, build
 from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
@@ -480,18 +480,11 @@ def run_grid(
     finally:
         procs = list(getattr(grid.engine, "_procs", []))
         grid.close()
-    sup_stats = getattr(grid.engine, "stats", {})
+    events = grid.supervisor_events
     meta = {
         "engine": engine,
-        "events": grid.supervisor_events,
-        "stats": {
-            **{
-                k: sup_stats.get(k, 0)
-                for k in ("restarts", "replayed_epochs", "adopted_shards")
-            },
-            "degraded": bool(sup_stats.get("degraded", False)),
-            "failures": dict(sup_stats.get("failures", {})),
-        },
+        "events": events,
+        "stats": recovery_counts(events),
         "leaked_workers": sum(1 for p in procs if p.is_alive()),
     }
     return digest, meta

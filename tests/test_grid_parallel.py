@@ -7,8 +7,10 @@ tables — for any fleet, seed and churn script. Determinism is what
 makes ``workers=N`` a pure performance knob.
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.sim.parallel import (
     node_snapshot,
     proc_exit_lb,
     workload_exit_lb,
+    workload_floor_cpi,
 )
 from repro.sim.workloads import datacenter
 
@@ -228,9 +231,9 @@ class TestExitBoundSoundness:
         proc = machine.spawn("j", wl)
         lb = workload_exit_lb(machine.arch, wl)
         assert lb is not None and lb > 0.0
+        floor_cpi = workload_floor_cpi(machine.arch, wl)
         while proc.alive and machine.now < 120.0:
-            running = proc_exit_lb(machine, proc)
-            assert running is not None
+            running = proc_exit_lb(machine, proc, floor_cpi)
             machine.run_ticks(1)
             if not proc.alive:
                 died_at = machine.death_observed[proc.pid]
@@ -271,6 +274,42 @@ class TestExitBoundSoundness:
         for proc in procs:
             assert not proc.alive
             assert machine.death_observed[proc.pid] >= lb_exact - machine.tick
+
+
+class TestExitBoundsPinNothing:
+    """Each floor CPI lives with the job or dispatch that needs it, so a
+    finished grid leaves no process-wide entry behind (resources stay
+    bounded however many jobs a process dispatches)."""
+
+    def test_finished_grids_pin_no_phase(self):
+        phases = []
+
+        def run(grid, n_jobs, span):
+            for i in range(n_jobs):
+                workload = _job(seconds=5.0, ipc=1.0, name=f"j{i}")
+                phases.append(weakref.ref(workload.phases[0]))
+                grid.submit(f"j{i}", workload, queue="slow",
+                            memory_bytes=1024**3)
+            grid.run_for(span)
+            assert len(grid.jobs("done")) == n_jobs
+            # The shard dropped every finished job's entry, floor included.
+            assert grid.engine.shard._jobs == {}
+
+        # One long serial run of many finite jobs, then several grids
+        # built one after another in the same process.
+        with Grid(_small_fleet(), _small_queues(), tick=1.0, seed=1) as grid:
+            run(grid, 80, 160.0)
+        for seed in range(3):
+            fleet = [
+                NodeSpec(name=f"n{i}", sockets=1, cores_per_socket=2,
+                         memory_bytes=4 * 1024**3)
+                for i in range(8)
+            ]
+            with Grid(fleet, _small_queues(), tick=1.0, seed=seed) as grid:
+                run(grid, 10, 30.0)
+        del grid
+        gc.collect()
+        assert sum(ref() is not None for ref in phases) == 0
 
 
 class TestBatchedPathRouting:

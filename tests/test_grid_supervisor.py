@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.cli import main
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, WorkerFailure
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.parallel import create_engine
 from repro.sim.supervisor import (
@@ -27,6 +27,7 @@ from repro.sim.supervisor import (
     GridFaultSpec,
     Supervision,
     default_grid_specs,
+    recovery_counts,
 )
 from repro.sim.workloads import datacenter
 
@@ -384,6 +385,10 @@ class TestSnapshotRecovery:
             os.kill(grid.engine._procs[0].pid, signal.SIGKILL)
             time.sleep(0.05)
             assert grid.snapshot("a0") == reference
+            # The failure and the adoption count at once, not at the next
+            # epoch.
+            assert grid.stats["worker_failures"] == 1
+            assert grid.stats["adopted_shards"] == 1
             kinds = _kinds(grid.supervisor_events)
             assert "adopt" in kinds
             reasons = [e.get("reason") for e in grid.supervisor_events]
@@ -413,6 +418,42 @@ class TestObservability:
         finally:
             grid.close()
 
+    @pytest.mark.parametrize("chaos_seed", [1, 2, 3])
+    def test_recovery_stats_are_the_event_log_counts(self, chaos_seed):
+        """``grid.stats`` and the engine's ``stats`` read every recovery
+        count off the event log, at every read. A budget of two restarts
+        lets seeds 1 and 2 reach adoption and the degrade."""
+        plan = GridFaultPlan.from_seed(chaos_seed, intensity=8.0)
+        supervision = Supervision(deadline=0.5, backoff_base=0.0,
+                                  restart_budget=2)
+
+        def check(grid):
+            counts = recovery_counts(grid.supervisor_events)
+            assert grid.engine.stats == counts
+            stats = grid.stats
+            assert stats["restarts"] == counts["restarts"]
+            assert stats["replayed_epochs"] == counts["replayed_epochs"]
+            assert stats["adopted_shards"] == counts["adopted_shards"]
+            assert stats["worker_failures"] == sum(
+                counts["failures"].values()
+            )
+            assert stats["degraded"] is counts["degraded"]
+
+        with Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
+                  grid_chaos=plan, supervision=supervision,
+                  transport="inproc") as grid:
+            grid.submit("svc0", _endless("svc0"), queue="quick",
+                        memory_bytes=GiB)
+            for i, secs in enumerate([3.0, 5.0, 8.0, 4.0]):
+                grid.submit(f"j{i}", _job(secs, name=f"j{i}"),
+                            queue="slow", memory_bytes=GiB)
+            for span in (4.0, 8.5, 3.0):
+                grid.run_for(span)
+                check(grid)
+            grid.conformance_digest()
+            check(grid)
+            assert grid.stats["worker_failures"] >= 1
+
     def test_profile_lines_include_recovery_counters(self, capsys):
         plan = _plan(GridFaultSpec("crash", at_epochs={0}, worker=0))
         grid = Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
@@ -434,6 +475,18 @@ class TestObservability:
         grid.close()
         grid.close()
         assert all(not p.is_alive() for p in procs)
+
+    def test_run_after_close_is_typed_closed(self):
+        """A closed transport is not a failure to recover: the run raises
+        the typed failure and logs no recovery."""
+        grid = Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
+                    engine="supervised", supervision=FAST)
+        grid.close()
+        with pytest.raises(WorkerFailure) as info:
+            grid.run_for(2.0)
+        assert info.value.kind == "closed"
+        assert grid.supervisor_events == []
+        _assert_no_children()
 
 
 class TestGridChaosCli:
