@@ -16,7 +16,10 @@ available physical memory."
 nodes sharing one virtual clock, FIFO queues with priorities, per-node
 logical-core and memory admission limits, wall-clock kill, and node
 dedication. Tiptop attaches to any node via ``SimHost(grid.node(i))`` —
-which is how Figures 1 and 10 were captured in production.
+which is how Figures 1 and 10 were captured in production. An attached
+tiptop may advance its node between grid runs; a job that ends there
+reads running until the grid's next :meth:`Grid.run_for` observes the
+death and stamps its finish time.
 
 Execution is delegated to an engine from :mod:`repro.sim.parallel`. Nodes
 only couple through the dispatcher, and the dispatcher only has work when
@@ -133,7 +136,9 @@ class NodeSpec:
 
 @dataclass
 class Job:
-    """A submitted job.
+    """A submitted job: the one record of its facts. It holds no process
+    on any engine (``node`` and ``pid`` name it), and :attr:`state` reads
+    only the grid's own stamps.
 
     Attributes:
         job_id: grid-assigned id.
@@ -143,9 +148,6 @@ class Job:
         queue: target queue name.
         memory_bytes: declared memory need (admission only).
         submitted_at: submission time.
-        process: the spawned process, when it lives in this process
-            (legacy/serial engines; None under the supervised engine,
-            whose processes live in workers — use ``pid``).
         pid: pid on the target node once dispatched.
         node: the node name it landed on.
         started_at / finished_at: dispatch / completion times (a
@@ -163,7 +165,6 @@ class Job:
     queue: str
     memory_bytes: int
     submitted_at: float
-    process: SimProcess | None = None
     pid: int | None = None
     node: str | None = None
     started_at: float | None = None
@@ -174,18 +175,23 @@ class Job:
 
     @property
     def state(self) -> str:
-        """pending / running / done."""
+        """pending until dispatched, done once the grid has stamped its
+        death, running in between."""
         if self.started_at is None:
             return "pending"
         if self.finished_at is not None:
-            return "done"
-        if self.process is not None and not self.process.alive:
             return "done"
         return "running"
 
 
 class Grid:
     """A fleet of simulated nodes behind an SGE-like dispatcher.
+
+    One job table: ``_jobs`` maps job id to :class:`Job` in submission
+    order, and ``_running[node]`` holds the jobs running on a node, from
+    dispatch until the grid observes the death or preempts the job. The
+    dispatcher and :meth:`utilisation` find running jobs there, so their
+    cost follows the running jobs, not every job ever submitted.
 
     Args:
         node_specs: the fleet (defaults to a small mixed fleet).
@@ -272,8 +278,10 @@ class Grid:
         self._pending: dict[str, list[Job]] = {
             name: [] for name in self.queues
         }
-        self._jobs: list[Job] = []
-        self._by_id: dict[int, Job] = {}
+        self._jobs: dict[int, Job] = {}
+        self._running: dict[str, dict[int, Job]] = {
+            spec.name: {} for spec in specs
+        }
         self._ids = itertools.count(1)
         self.now = 0.0
         self.tick = tick
@@ -348,27 +356,24 @@ class Grid:
             priority=priority,
         )
         self._pending[queue].append(job)
-        self._jobs.append(job)
-        self._by_id[job.job_id] = job
+        self._jobs[job.job_id] = job
         return job
 
     # -- admission -----------------------------------------------------------
     def _node_load(self, node_name: str) -> tuple[int, int]:
         """(running jobs, committed memory) on one node."""
-        running = [
-            j for j in self._jobs
-            if j.node == node_name and j.state == "running"
-        ]
+        running = self._running[node_name].values()
         return len(running), sum(j.memory_bytes for j in running)
 
+    def _hosts(self, queue: QueueSpec) -> list[NodeSpec]:
+        """The nodes that may run jobs of ``queue``: the nodes dedicated
+        to it when it is dedicated-only, else every undedicated node."""
+        want = queue.name if queue.dedicated_only else None
+        return [spec for spec in self.specs if spec.dedicated_queue == want]
+
     def _eligible_node(self, job: Job) -> str | None:
-        queue = self.queues[job.queue]
         best: tuple[float, str] | None = None
-        for spec in self.specs:
-            if queue.dedicated_only and spec.dedicated_queue != job.queue:
-                continue
-            if not queue.dedicated_only and spec.dedicated_queue is not None:
-                continue
+        for spec in self._hosts(self.queues[job.queue]):
             running, committed = self._node_load(spec.name)
             if running >= spec.n_pus:
                 continue  # the rule of thumb: jobs <= logical cores
@@ -397,14 +402,15 @@ class Grid:
                 pending.remove(job)
                 job.node = node_name
                 job.started_at = self.now
+                self._running[node_name][job.job_id] = job
                 if self._legacy:
                     machine = self.nodes[node_name]
-                    job.process = machine.spawn(
-                        job.name, job.workload, user=job.user
-                    )
-                    job.pid = job.process.pid
+                    proc = machine.spawn(job.name, job.workload, user=job.user)
+                    job.pid = proc.pid
                     if queue.max_wallclock != float("inf"):
-                        self._arm_wallclock_kill(job, queue.max_wallclock)
+                        self._arm_wallclock_kill(
+                            job, proc, machine, queue.max_wallclock
+                        )
                     continue
                 limit = (
                     queue.max_wallclock
@@ -445,15 +451,9 @@ class Grid:
         the least completed work). Returns the freed node, or None.
         """
         best: tuple[tuple, Job] | None = None
-        for spec in self.specs:
-            if queue.dedicated_only and spec.dedicated_queue != job.queue:
-                continue
-            if not queue.dedicated_only and spec.dedicated_queue is not None:
-                continue
+        for spec in self._hosts(queue):
             _, committed = self._node_load(spec.name)
-            for victim in self._jobs:
-                if victim.node != spec.name or victim.state != "running":
-                    continue
+            for victim in self._running[spec.name].values():
                 vq = self.queues[victim.queue]
                 if not (
                     (vq.priority, victim.priority)
@@ -482,16 +482,16 @@ class Grid:
         """Kill a running job's process and requeue the job as pending."""
         victim.preemptions += 1
         self._counters["preemptions"] += 1
+        node = victim.node
+        del self._running[node][victim.job_id]  # type: ignore[index]
         if self._legacy:
-            if victim.process is not None and victim.process.alive:
-                self.nodes[victim.node].kill(  # type: ignore[index]
-                    victim.process.pid
-                )
+            machine = self.nodes[node]  # type: ignore[index]
+            if machine.process(victim.pid).alive:
+                machine.kill(victim.pid)
         else:
             # Rides the same epoch command list as spawns, in list order:
             # the shard evicts before the boundary's new spawns apply.
-            self._pending_cmds.append(PreemptCmd(victim.job_id, victim.node))
-        victim.process = None
+            self._pending_cmds.append(PreemptCmd(victim.job_id, node))
         victim.pid = None
         victim.node = None
         victim.started_at = None
@@ -499,18 +499,16 @@ class Grid:
         self._exit_after.pop(victim.job_id, None)
         self._pending[victim.queue].append(victim)
 
-    def _arm_wallclock_kill(self, job: Job, limit: float) -> None:
-        machine = self.nodes[job.node]  # type: ignore[index]
-        # Capture the process at arm time: a preempted job's restart gets
-        # a NEW process (possibly on another node) that this stale timer
-        # must never touch.
-        proc = job.process
-
+    def _arm_wallclock_kill(
+        self, job: Job, proc: SimProcess, machine: SimMachine, limit: float
+    ) -> None:
+        # The timer is the one holder of the legacy path's process. A
+        # preemption kills the process, so a stale timer finds it dead
+        # and never touches the job's restart.
         def kill() -> None:
-            if proc is not None and proc.alive:
+            if proc.alive:
                 machine.kill(proc.pid)
-                if job.process is proc:
-                    job.killed = True
+                job.killed = True
 
         machine.at(machine.now + limit, kill)
 
@@ -574,18 +572,17 @@ class Grid:
         if not any(self._pending.values()):
             return remaining
         bound = remaining
-        for job in self._jobs:
-            if job.state != "running":
-                continue
-            node_now = self._node_now[job.node]  # type: ignore[index]
-            for due in (
-                self._kill_due.get(job.job_id),
-                self._exit_after.get(job.job_id),
-            ):
-                if due is None:
-                    continue
-                ticks = math.ceil((due - node_now) / self.tick - 1e-9)
-                bound = min(bound, max(1, ticks))
+        for node, running in self._running.items():
+            node_now = self._node_now[node]
+            for job_id in running:
+                for due in (
+                    self._kill_due.get(job_id),
+                    self._exit_after.get(job_id),
+                ):
+                    if due is None:
+                        continue
+                    ticks = math.ceil((due - node_now) / self.tick - 1e-9)
+                    bound = min(bound, max(1, ticks))
         return max(1, min(bound, remaining))
 
     def _run_epoch(self, n_ticks: int, frac: float) -> None:
@@ -615,11 +612,7 @@ class Grid:
             start_now.update(rep["start_now"])
             self._node_now.update(rep["end_now"])
             for job_id, pid in rep["spawned"].items():
-                job = self._by_id[job_id]
-                job.pid = pid
-                proc = self.engine.process_of(job_id)
-                if proc is not None:
-                    job.process = proc
+                self._jobs[job_id].pid = pid
             killed.update(rep["killed"])
             deaths.update(rep["deaths"])
             self._exit_after.update(rep["bounds"])
@@ -627,9 +620,10 @@ class Grid:
             hits += rep["cache_hits"]
             misses += rep["cache_misses"]
         for job_id in killed:
-            self._by_id[job_id].killed = True
+            self._jobs[job_id].killed = True
         for job_id, observed in deaths.items():
-            job = self._by_id[job_id]
+            job = self._jobs[job_id]
+            del self._running[job.node][job_id]  # type: ignore[index]
             # The machine stamped the first tick boundary at which the
             # death was observable; map it onto the grid's boundary ladder
             # (the k-th boundary of this epoch) to land on the exact float
@@ -677,13 +671,13 @@ class Grid:
             )
 
     def _reap(self) -> None:
-        for job in self._jobs:
-            if (
-                job.process is not None
-                and job.finished_at is None
-                and not job.process.alive
-            ):
-                job.finished_at = self.now
+        """Stamp the legacy loop's deaths at this tick boundary."""
+        for node, running in self._running.items():
+            machine = self.nodes[node]
+            for job_id, job in list(running.items()):
+                if not machine.process(job.pid).alive:
+                    job.finished_at = self.now
+                    del running[job_id]
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -730,10 +724,12 @@ class Grid:
 
     def snapshot(self, name: str) -> dict[str, Any]:
         """Exact observable state of one node (works on every engine —
-        the supervised engine fetches it from the owning worker)."""
-        if name not in self._spec_by_name:
-            raise SimulationError(f"no node {name!r}")
-        return self.engine.snapshot(name)
+        the supervised engine fetches it from the owning worker).
+
+        Raises:
+            SimulationError: unknown node.
+        """
+        return self.engine.snapshot_many([name])[name]
 
     def conformance_digest(self) -> dict[str, Any]:
         """Every cross-engine observable of the whole grid, exactly.
@@ -766,7 +762,7 @@ class Grid:
                     "priority": j.priority,
                     "preemptions": j.preemptions,
                 }
-                for j in self._jobs
+                for j in self._jobs.values()
             ],
             "nodes": {spec.name: snaps[spec.name] for spec in self.specs},
             "utilisation": self.utilisation(),
@@ -782,16 +778,15 @@ class Grid:
     def jobs(self, state: str | None = None) -> list[Job]:
         """All jobs, optionally filtered by state."""
         if state is None:
-            return list(self._jobs)
-        return [j for j in self._jobs if j.state == state]
+            return list(self._jobs.values())
+        return [j for j in self._jobs.values() if j.state == state]
 
     def utilisation(self) -> dict[str, float]:
         """Running jobs / logical cores per node."""
-        out = {}
-        for spec in self.specs:
-            running, _ = self._node_load(spec.name)
-            out[spec.name] = running / spec.n_pus
-        return out
+        return {
+            spec.name: len(self._running[spec.name]) / spec.n_pus
+            for spec in self.specs
+        }
 
 
 def default_fleet(n_standard: int = 4, n_dedicated: int = 1) -> list[NodeSpec]:

@@ -37,6 +37,12 @@ counter tables are bitwise identical (the tick kernel is proven bitwise
 equal, with and without a rate cache, to the scalar reference by
 ``tests/test_run_ticks_equivalence.py``).
 
+Job facts. A grid :class:`~repro.sim.grid.Job` holds no process on any
+engine: it learns pids, deaths and kills from the reports. A shard keeps
+one ``(node, process, floor CPI)`` entry per live job, until the epoch
+that reports the death or the eviction. Every engine answers one
+snapshot call, ``snapshot_many``.
+
 The epoch boundary rule. An epoch may extend to the earliest virtual time
 at which the dispatcher could possibly have work: the next wallclock-kill
 boundary, or the earliest *possible* natural job exit. The latter uses a
@@ -241,6 +247,17 @@ def node_snapshot(machine: SimMachine) -> dict[str, Any]:
     }
 
 
+def node_snapshots(
+    machines: dict[str, SimMachine], names: list[str]
+) -> dict[str, dict[str, Any]]:
+    """:func:`node_snapshot` of each named node; a name with no node
+    raises the supervised engine's :class:`SimulationError`."""
+    for name in names:
+        if name not in machines:
+            raise SimulationError(f"no node {name!r}")
+    return {name: node_snapshot(machines[name]) for name in names}
+
+
 # -- the shard ----------------------------------------------------------------
 
 class Shard:
@@ -248,7 +265,8 @@ class Shard:
 
     The same class backs both the in-process serial engine and each worker
     process, which is what guarantees the two execute identical code on
-    identical state.
+    identical state. Each live job is one ``_jobs`` entry, dropped when
+    the job ends, so a shard keeps nothing for a finished job.
     """
 
     def __init__(self, entries: list[tuple["NodeSpec", int]], tick: float) -> None:
@@ -264,10 +282,9 @@ class Shard:
                 seed=seed,
                 rate_cache=self.rate_cache,
             )
-        #: job_id -> (node name, pid, floor CPI or None when endless)
-        #: for jobs this shard still tracks.
-        self._jobs: dict[int, tuple[str, int, float | None]] = {}
-        self._procs: dict[int, "SimProcess"] = {}
+        #: job_id -> (node name, process, floor CPI or None when endless)
+        #: for the jobs still alive on this shard.
+        self._jobs: dict[int, tuple[str, "SimProcess", float | None]] = {}
         self._killed: set[int] = set()
 
     @classmethod
@@ -290,10 +307,6 @@ class Shard:
             shard.advance(commands, n_ticks, frac)
         return shard
 
-    def process_of(self, job_id: int) -> "SimProcess | None":
-        """In-process handle of a job's process (serial engine only)."""
-        return self._procs.get(job_id)
-
     def _apply(self, commands: list) -> dict[int, int]:
         spawned: dict[int, int] = {}
         for cmd in commands:
@@ -301,20 +314,16 @@ class Shard:
                 # Eviction: kill now, forget the job (no death report —
                 # the grid re-queues it), leave any armed wallclock kill
                 # to no-op on the dead process.
-                machine = self.machines[cmd.node]
-                self._jobs.pop(cmd.job_id, None)
-                proc = self._procs.pop(cmd.job_id, None)
-                if proc is not None and proc.alive:
-                    machine.kill(proc.pid)
+                entry = self._jobs.pop(cmd.job_id, None)
+                if entry is not None and entry[1].alive:
+                    self.machines[cmd.node].kill(entry[1].pid)
                 self._killed.discard(cmd.job_id)
                 continue
             machine = self.machines[cmd.node]
             proc = machine.spawn(cmd.command, cmd.workload, user=cmd.user)
             self._jobs[cmd.job_id] = (
-                cmd.node, proc.pid,
-                workload_floor_cpi(machine.arch, cmd.workload),
+                cmd.node, proc, workload_floor_cpi(machine.arch, cmd.workload)
             )
-            self._procs[cmd.job_id] = proc
             spawned[cmd.job_id] = proc.pid
             if cmd.wallclock_limit is not None:
                 self._arm_kill(machine, cmd.job_id, proc, cmd.wallclock_limit)
@@ -359,11 +368,12 @@ class Shard:
         killed: list[int] = []
         bounds: dict[int, float] = {}
         done: list[int] = []
-        for job_id, (node, pid, floor_cpi) in self._jobs.items():
-            proc = self._procs[job_id]
+        for job_id, (node, proc, floor_cpi) in self._jobs.items():
             machine = self.machines[node]
             if not proc.alive:
-                deaths[job_id] = machine.death_observed.get(pid, machine.now)
+                deaths[job_id] = machine.death_observed.get(
+                    proc.pid, machine.now
+                )
                 if job_id in self._killed:
                     killed.append(job_id)
                 done.append(job_id)
@@ -388,13 +398,10 @@ class Shard:
             "cache_misses": self.rate_cache.misses,
         }
 
-    def snapshot(self, node: str) -> dict[str, Any]:
-        return node_snapshot(self.machines[node])
-
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         """Snapshots for several nodes in one call (one message per worker
         on the supervised engine, instead of a round-trip per node)."""
-        return {name: node_snapshot(self.machines[name]) for name in names}
+        return node_snapshots(self.machines, names)
 
 
 # -- engines ------------------------------------------------------------------
@@ -425,11 +432,8 @@ class LegacyTickEngine:
                 seed=node_seed,
             )
 
-    def snapshot(self, node: str) -> dict[str, Any]:
-        return node_snapshot(self.nodes[node])
-
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
-        return {name: node_snapshot(self.nodes[name]) for name in names}
+        return node_snapshots(self.nodes, names)
 
     def close(self) -> None:
         pass
@@ -451,12 +455,6 @@ class SerialEpochEngine:
         self, commands: list, n_ticks: int, frac: float
     ) -> list[dict[str, Any]]:
         return [self.shard.advance(commands, n_ticks, frac)]
-
-    def process_of(self, job_id: int) -> "SimProcess | None":
-        return self.shard.process_of(job_id)
-
-    def snapshot(self, node: str) -> dict[str, Any]:
-        return self.shard.snapshot(node)
 
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         return self.shard.snapshot_many(names)

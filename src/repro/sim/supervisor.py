@@ -511,14 +511,6 @@ class SupervisedShardedEngine:
             reports.append(self._recover(state, fail, need_report=True))
         return reports
 
-    def process_of(self, job_id: int) -> None:
-        return None
-
-    def snapshot(self, node: str) -> dict[str, Any]:
-        if node not in self._node_worker:
-            raise SimulationError(f"no node {node!r}")
-        return self.snapshot_many([node])[node]
-
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         """Snapshots for several nodes: one message per worker, not one
         per node. A failed worker is adopted and serves from the replayed

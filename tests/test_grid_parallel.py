@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import RateCache
-from repro.sim.grid import Grid, NodeSpec, QueueSpec
+from repro.sim.grid import Grid, Job, NodeSpec, QueueSpec
 from repro.sim.machine import SimMachine
 from repro.sim.parallel import (
     ENGINE_NAMES,
@@ -312,6 +312,88 @@ class TestExitBoundsPinNothing:
         assert sum(ref() is not None for ref in phases) == 0
 
 
+class TestJobTable:
+    """Each job fact has one record: the grid's job table and running
+    index, and one shard entry per live job."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "serial"])
+    def test_dispatcher_reads_no_finished_job(self, engine, monkeypatch):
+        """With a backlog queued, a run plus a utilisation read look at
+        as many job states after 200 finished jobs as after none."""
+        state = Job.state
+        reads = [0]
+
+        def counted(job):
+            reads[0] += 1
+            return state.fget(job)
+
+        monkeypatch.setattr(Job, "state", property(counted))
+
+        def reads_with_history(finished):
+            fleet = [NodeSpec(name=f"n{i}", sockets=1, cores_per_socket=1)
+                     for i in range(4)]
+            with Grid(fleet, tick=1.0, seed=3, engine=engine) as grid:
+                for i in range(finished):
+                    grid.submit(f"f{i}", _job(seconds=2.0, ipc=1.0,
+                                              name=f"f{i}"),
+                                queue="short-2g-asap")
+                grid.run_for(120.0)
+                assert len(grid.jobs("done")) == finished
+                for i in range(12):  # 8 slots: a backlog of 4
+                    grid.submit(f"svc{i}", _endless(f"svc{i}"),
+                                queue="short-2g-asap")
+                grid.run_for(1.0)
+                assert len(grid.jobs("pending")) == 4
+                reads[0] = 0
+                grid.run_for(5.0)
+                grid.utilisation()
+                return reads[0]
+
+        assert reads_with_history(0) == reads_with_history(200)
+
+    def test_shard_keeps_nothing_for_a_finished_job(self):
+        fleet = [NodeSpec(name=f"n{i}", sockets=1, cores_per_socket=1)
+                 for i in range(8)]
+        with Grid(fleet, tick=1.0, seed=4) as grid:
+            for i in range(100):
+                grid.submit(f"j{i}", _job(seconds=2.0, ipc=1.0, name=f"j{i}"),
+                            queue="short-2g-asap")
+            grid.run_for(60.0)
+            assert len(grid.jobs("done")) == 100
+            shard = grid.engine.shard
+            kept = {
+                name: value for name, value in vars(shard).items()
+                if isinstance(value, (dict, set, list)) and name != "machines"
+            }
+            assert kept and not any(kept.values()), {
+                name: len(value) for name, value in kept.items()
+            }
+
+    @pytest.mark.parametrize("engine", ["legacy", "serial"])
+    def test_advance_through_a_node_shows_at_the_next_run(self, engine):
+        """A tiptop attached through ``grid.node()`` may run a node past a
+        job's end. The job stays running until the grid observes its
+        death, so its slot frees no earlier than its finish time."""
+        with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
+                  tick=1.0, seed=2, engine=engine) as grid:
+            a = grid.submit("a", _job(seconds=3.0, ipc=1.0, name="a"),
+                            queue="short-2g-asap")
+            b = grid.submit("b", _endless("b"), queue="short-2g-asap")
+            c = grid.submit("c", _endless("c"), queue="short-2g-asap")
+            grid.run_for(1.0)
+            assert (a.state, b.state, c.state) == \
+                ("running", "running", "pending")
+            machine = grid.node("n")
+            machine.run_for(10.0)
+            assert not machine.process(a.pid).alive
+            for job in (a, b, c):
+                assert (job.state == "done") == (job.finished_at is not None)
+            grid.run_for(2.0)
+            assert a.state == "done" and a.finished_at is not None
+            assert c.started_at is not None
+            assert c.started_at >= a.finished_at
+
+
 class TestBatchedPathRouting:
     def test_serial_engine_shares_one_rate_cache(self):
         with Grid(_small_fleet(), _small_queues(), tick=1.0, seed=1) as grid:
@@ -380,7 +462,18 @@ class TestShardedEngineSurface:
         with Grid(_small_fleet(), _small_queues(), tick=1.0, seed=1,
                   workers=2) as grid:
             with pytest.raises(SimulationError):
-                grid.engine.snapshot("nope")
+                grid.engine.snapshot_many(["nope"])
+
+    @pytest.mark.parametrize("engine,workers", ENGINES)
+    def test_unknown_node_is_the_same_error_on_every_engine(
+        self, engine, workers
+    ):
+        with Grid(_small_fleet(), _small_queues(), tick=1.0, seed=1,
+                  workers=workers, engine=engine) as grid:
+            with pytest.raises(SimulationError, match="no node 'nope'"):
+                grid.engine.snapshot_many(["a0", "nope"])
+            with pytest.raises(SimulationError, match="no node 'nope'"):
+                grid.snapshot("nope")
 
     def test_invalid_engine_and_workers_rejected(self):
         for engine in ("warp", "sharded", "fleet"):

@@ -401,7 +401,7 @@ class TestSnapshotRecovery:
         with Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=2,
                   engine="supervised") as grid:
             with pytest.raises(SimulationError):
-                grid.engine.snapshot("nope")
+                grid.engine.snapshot_many(["nope"])
 
 
 class TestObservability:

@@ -27,7 +27,9 @@ _submissions = st.lists(
 @settings(max_examples=25, deadline=None)
 def test_grid_never_violates_admission(subs, seed):
     """At every step: running jobs <= logical cores per node and committed
-    memory <= physical memory, for arbitrary submission patterns."""
+    memory <= physical memory, for arbitrary submission patterns, and each
+    node's load (read off the running index) is that of its running jobs
+    in the job records."""
     fleet = [
         NodeSpec(name="a", sockets=1, cores_per_socket=2,
                  memory_bytes=4 * _GB),
@@ -45,10 +47,15 @@ def test_grid_never_violates_admission(subs, seed):
         )
     for _ in range(12):
         grid.run_for(5.0)
+        records = grid.jobs("running")
         for spec in fleet:
             running, committed = grid._node_load(spec.name)
             assert running <= grid.nodes[spec.name].topology.n_pus
             assert committed <= spec.memory_bytes
+            mine = [j for j in records if j.node == spec.name]
+            assert (running, committed) == (
+                len(mine), sum(j.memory_bytes for j in mine)
+            )
 
 
 @given(_submissions)

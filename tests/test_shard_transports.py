@@ -143,10 +143,10 @@ class TestSnapshotBatching:
         engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=3,
                                          workers=2, transport=name)
         try:
-            snap = engine.snapshot("a1")
+            snap = engine.snapshot_many(["a1"])["a1"]
             assert {"counters", "procs", "now"} <= set(snap)
             with pytest.raises(SimulationError, match="no node"):
-                engine.snapshot("nope")
+                engine.snapshot_many(["nope"])
         finally:
             engine.close()
 
