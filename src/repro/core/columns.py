@@ -10,8 +10,11 @@ screen is a tuple of them, buildable from a plain dict
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.expr import Expression
 from repro.errors import ConfigError
@@ -83,25 +86,49 @@ class Column:
             truncate=self.truncate,
         )
 
-    def format_values(self, values: Sequence) -> list[str]:
-        """This column's cell texts, one comprehension for the column.
+    def cells(self, values: Sequence) -> list[str]:
+        """This column's cells: each value converted and padded by one
+        ``%`` format (:meth:`ColumnFormat.spec`).
 
         USER, COMMAND and HEALTH show text as it is; PID and P show ints;
-        every other kind shows ``decimals`` fixed decimals, with ``"-"``
-        for NaN.
+        every other kind shows ``decimals`` fixed decimals, with a padded
+        ``"-"`` for NaN, and formats each distinct float once.
         """
+        layout = self.to_format()
         if self.kind in _TEXT_KINDS:
-            return list(map(str, values))
+            return layout.cells(values)
         if self.kind in _INT_KINDS:
-            return [str(int(v)) for v in values]
-        fixed = f"{{:.{self.decimals}f}}".format
-        return ["-" if v != v else fixed(v) for v in values]
+            if self.truncate:
+                return layout.cells(map("%d".__mod__, values))
+            spec = layout.spec("d")
+            return [spec % v for v in values]
+        number = f".{self.decimals}f"
+        if self.truncate:
+            # Only a text conversion caps, so a capped number is first
+            # converted alone.
+            return layout.cells(_floats(values, f"%{number}", "-"))
+        return _floats(values, layout.spec(number), layout.spec() % "-")
 
     def variables(self) -> frozenset[str]:
         """Identifiers this column's expression references (empty if intrinsic)."""
         if self.expression is None:
             return frozenset()
         return self.expression.variables
+
+
+def _floats(values: Sequence, spec: str, dash: str) -> list[str]:
+    """Each value by the ``%`` format ``spec``, NaN as ``dash``.
+
+    Each distinct bit pattern is formatted once: on a busy node most
+    tasks did not run in an interval, so a column repeats a few values
+    (0.0, NaN) down most of its rows.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, at = np.unique(bits, return_inverse=True)
+    nan = spec % math.nan  # no other float formats as "nan"
+    cells = [spec % v for v in distinct.view(np.float64).tolist()]
+    cells = np.array([dash if c == nan else c for c in cells], dtype=object)
+    return cells[at].tolist()
 
 
 def expr_column(

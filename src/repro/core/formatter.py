@@ -7,8 +7,11 @@ for further processing" with sed/awk-style tools.
 
 The renderers work column by column: each screen column's cells come from
 one field of the snapshot's :class:`~repro.core.frame.SnapshotFrame` (one
-``tolist``), are formatted in one comprehension and fitted to the column's
-width in one more, and the rows are joined from the fitted columns.
+``tolist``), each converted and padded to the column's width by one ``%``
+format (:meth:`~repro.core.columns.Column.cells`), and the rows are joined
+from the formatted columns. Output thus pays at most one format per
+cell, with no second pass over the cells to fit them; a float column
+formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -22,26 +25,27 @@ from repro.util.units import format_seconds
 
 
 def _column_texts(column: Column, frame: SnapshotFrame) -> list[str]:
-    """One screen column's cell texts, in row order."""
+    """One screen column's cells, in row order, formatted to its width."""
     kind = column.kind
     if kind is ColumnKind.PID:
         values = frame.pids.tolist()
     elif kind is ColumnKind.USER:
         values = frame.users
     elif kind is ColumnKind.CPU_PCT:
-        values = frame.cpu_pct.tolist()
+        values = frame.cpu_pct
     elif kind is ColumnKind.TIME:
-        values = frame.cpu_time.tolist()
+        values = frame.cpu_time
     elif kind is ColumnKind.COMMAND:
         values = frame.comms
     elif kind is ColumnKind.PROCESSOR:
         values = frame.processors.tolist()
     elif column.header in frame.metrics:
-        values = frame.metrics[column.header].tolist()
+        values = frame.metrics[column.header]
     else:
         # Label columns (HEALTH) carry strings, shown as they are.
-        return list(frame.labels.get(column.header, ("",) * len(frame)))
-    return column.format_values(values)
+        labels = frame.labels.get(column.header, ("",) * len(frame))
+        return column.to_format().cells(labels)
+    return column.cells(values)
 
 
 def render_frame_table(screen: Screen, frame: SnapshotFrame) -> str:

@@ -119,15 +119,16 @@ class SnapshotFrame:
             pids=self.pids[idx],
             tids=self.tids[idx],
             uids=self.uids[idx],
-            users=tuple(self.users[i] for i in picks),
-            comms=tuple(self.comms[i] for i in picks),
+            users=tuple(map(self.users.__getitem__, picks)),
+            comms=tuple(map(self.comms.__getitem__, picks)),
             cpu_pct=self.cpu_pct[idx],
             cpu_time=self.cpu_time[idx],
             processors=self.processors[idx],
             deltas={k: v[idx] for k, v in self.deltas.items()},
             metrics={k: v[idx] for k, v in self.metrics.items()},
             labels={
-                k: tuple(v[i] for i in picks) for k, v in self.labels.items()
+                k: tuple(map(v.__getitem__, picks))
+                for k, v in self.labels.items()
             },
         )
 

@@ -57,7 +57,8 @@ def watched(options: Options, table: ProcessTable) -> np.ndarray:
 class TaskTable:
     """Every tracked task's state, one row per task.
 
-    A row holds the task's ``tid``, ``pid`` and counter ``group``; its
+    A row holds the task's ``tid``, ``pid``, counter ``group`` and attach
+    ``serial`` (rows attached later have larger serials); its
     ``health``, and whether a ``"reattached"`` health was ``reported``;
     its delta baselines ``value``, ``time_enabled`` and ``time_running``
     (one column per event, zero at alloc, as a fresh counter starts); and
@@ -71,9 +72,9 @@ class TaskTable:
     """
 
     _COLUMNS = (
-        "tid", "pid", "group", "health", "reported", "value", "time_enabled",
-        "time_running", "time", "cpu_seconds", "uid", "processor", "user",
-        "comm",
+        "tid", "pid", "group", "serial", "health", "reported", "value",
+        "time_enabled", "time_running", "time", "cpu_seconds", "uid",
+        "processor", "user", "comm",
     )
 
     def __init__(self, width: int) -> None:
@@ -82,6 +83,8 @@ class TaskTable:
         self.tid = np.zeros(1, dtype=np.int64)
         self.pid = np.zeros(1, dtype=np.int64)
         self.group = np.full(1, None, dtype=object)
+        self.serial = np.zeros(1, dtype=np.int64)
+        self._attaches = 0
         self.health = np.full(1, "", dtype=object)
         self.reported = np.zeros(1, dtype=bool)
         self.value = np.zeros((1, width), dtype=np.int64)
@@ -109,6 +112,8 @@ class TaskTable:
         self.tid[row] = tid
         self.pid[row] = pid
         self.group[row] = group
+        self.serial[row] = self._attaches
+        self._attaches += 1
         self.health[row] = health
         self.reported[row] = False
         self.value[row] = 0
@@ -222,17 +227,22 @@ class ProcessList:
         self.refresh_count += 1
         rows = watched(self.options, table)
         pids = table.pid[rows].tolist()
-        # tid -> pid of every task the filters let through, in pid order.
+        # Every task the filters let through and its pid, in listing
+        # order (pid order, then thread order).
         if self.options.per_thread:
-            tids = [table.tids[k] for k in rows.tolist()]
-            visible = {tid: pid for pid, group in zip(pids, tids) for tid in group}
+            groups = [table.tids[k] for k in rows.tolist()]
+            tids = [tid for group in groups for tid in group]
+            owners = [pid for pid, group in zip(pids, groups) for _ in group]
         else:
-            visible = dict(zip(pids, pids))
+            tids = owners = pids
+        visible = dict(zip(tids, range(len(tids))))
 
+        # New and gone tasks by set difference: the loops below visit
+        # only tasks that changed, new ones in listing order, gone ones
+        # in attach order.
         attached: list[int] = []
-        for tid, pid in visible.items():
-            if tid in self.tracked or tid in self.denied:
-                continue
+        fresh = visible.keys() - self.tracked.keys() - self.denied
+        for tid in sorted(fresh, key=visible.__getitem__):
             entry = self.quarantined.get(tid)
             if entry is not None and self.refresh_count < entry.eligible_at:
                 continue
@@ -243,14 +253,16 @@ class ProcessList:
                 continue
             self.quarantined.pop(tid, None)
             health = "ok" if entry is None else "reattached"
+            pid = owners[visible[tid]]
             self.tracked[tid] = self.tasks.alloc(tid, pid, group, health)
             attached.append(tid)
 
         detached: list[int] = []
-        for tid in list(self.tracked):
-            if tid not in visible:
-                self.tasks.free(self.tracked.pop(tid))
-                detached.append(tid)
+        gone = self.tracked.keys() - visible.keys()
+        tasks = self.tasks
+        for tid in sorted(gone, key=lambda tid: tasks.serial[self.tracked[tid]]):
+            tasks.free(self.tracked.pop(tid))
+            detached.append(tid)
         # A quarantined task that is no longer even listed has exited for
         # good; tids are not recycled, so its entry is dead weight.
         for tid in list(self.quarantined):

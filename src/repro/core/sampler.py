@@ -16,7 +16,12 @@ A pass works on the tracked rows of the process list's
 the columnar /proc listing with one ``searchsorted``, reads their
 counters in one :func:`~repro.perf.counter.read_groups` call, and
 computes %CPU and the scaled deltas of all of them in one numpy step
-each; the frame's columns are rows of those arrays and of the table. Reads follow the resilience policy of
+each; the frame's columns are rows of those arrays and of the table.
+The pass pays Python per task that changed since the last pass, not per
+task it tracks: the settle of the reads is array steps with Python only
+for rows whose read failed, and the process list, the listing and the
+backend's gather index each work only on tasks attached, detached or
+placed since. Reads follow the resilience policy of
 :mod:`repro.core.proclist`: transient perf errors are retried under the
 same rule as attaches (:func:`~repro.perf.counter.retry_transient`), hard
 per-task failures quarantine the task (counters closed immediately,
@@ -39,7 +44,7 @@ from repro.core.options import Options
 from repro.core.proclist import ProcessList
 from repro.core.screen import Screen
 from repro.errors import PerfError, TransientPerfError
-from repro.perf.counter import Backend, read_groups
+from repro.perf.counter import Backend, GroupReads, read_groups
 from repro.procfs.model import TaskProvider, cpu_percent
 
 
@@ -154,25 +159,7 @@ class Sampler:
         reads = read_groups(
             self.proclist.backend, [group.handles for group in tasks.group[rows]]
         )
-        history = self.proclist.quarantine_history
-        clean: list[int] = []
-        outcomes = zip(rows.tolist(), reads.errors, reads.retries)
-        for k, (row, error, retries) in enumerate(outcomes):
-            self.read_retries += retries
-            if error is not None:
-                self._read_failed(row, error)
-                continue
-            if retries:
-                tasks.health[row] = "retry"
-            elif tasks.health[row] == "reattached" and not tasks.reported[row]:
-                tasks.reported[row] = True
-            else:
-                tasks.health[row] = "ok"
-                # A full clean interval resets the quarantine backoff.
-                if history:
-                    history.pop(int(tasks.tid[row]), None)
-            clean.append(k)
-        settled = np.array(clean, dtype=np.intp)
+        settled = self._settle(rows, reads)
         rows, at, listed = rows[settled], at[settled], listed[settled]
         # %CPU since each listed task's last sample; an exit row reads
         # 0.0 and keeps its last sample as its identity.
@@ -186,7 +173,7 @@ class Sampler:
             now,
         )
         tasks.record(now_rows, table, now_at, now)
-        shape = (len(reads.errors), len(self.events))
+        shape = (len(reads.retries), len(self.events))
         deltas = tasks.fold(
             rows,
             reads.value.reshape(shape)[settled],
@@ -211,6 +198,37 @@ class Sampler:
             tasks=len(rows),
         )
         return frame
+
+    def _settle(self, rows: np.ndarray, reads: GroupReads) -> np.ndarray:
+        """Each read's outcome for its task; the positions of the clean
+        reads in ``rows``.
+
+        A failed read goes to :meth:`_read_failed`, in row order. A clean
+        read after retries shows health "retry"; the first clean read of
+        a reattached task keeps "reattached" once (``reported``); every
+        other clean read shows "ok", and that full clean interval resets
+        the task's quarantine backoff. Only failed rows cost Python.
+        """
+        tasks = self.proclist.tasks
+        self.read_retries += int(reads.retries.sum())
+        clean = np.ones(len(rows), dtype=bool)
+        for k, error in reads.errors.items():
+            clean[k] = False
+            self._read_failed(int(rows[k]), error)
+        settled = np.flatnonzero(clean)
+        mine = rows[settled]
+        retried = reads.retries[settled] > 0
+        reattached = tasks.health[mine] == "reattached"
+        first = ~retried & ~tasks.reported[mine] & reattached
+        tasks.health[mine[retried]] = "retry"
+        tasks.reported[mine[first]] = True
+        fine = mine[~(retried | first)]
+        tasks.health[fine] = "ok"
+        history = self.proclist.quarantine_history
+        if history:
+            for tid in history.keys() & set(tasks.tid[fine].tolist()):
+                del history[tid]
+        return settled
 
     def _read_failed(self, row: int, error: PerfError) -> None:
         """Settle a task whose counter read failed once retries were spent.

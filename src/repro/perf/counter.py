@@ -302,16 +302,17 @@ class GroupReads:
             groups concatenated in order (zero for a failed group).
         time_enabled: the kernel's enabled clock per handle, float64.
         time_running: the kernel's running clock per handle, float64.
-        errors: per group, the error that failed its read once retries
-            were spent, or None.
-        retries: per group, the transient retries it used.
+        errors: the error that failed a group's read once retries were
+            spent, by group index in ascending order; clean groups are
+            absent.
+        retries: per group, the transient retries it used (int64).
     """
 
     value: np.ndarray
     time_enabled: np.ndarray
     time_running: np.ndarray
-    errors: list[PerfError | None]
-    retries: list[int]
+    errors: dict[int, PerfError]
+    retries: np.ndarray
 
 
 def read_groups(backend: Backend, groups: Sequence[Sequence[int]]) -> GroupReads:
@@ -344,23 +345,22 @@ def read_each_group(
     value = np.zeros(n, dtype=np.int64)
     enabled = np.zeros(n)
     running = np.zeros(n)
-    errors: list[PerfError | None] = []
-    retries: list[int] = []
+    errors: dict[int, PerfError] = {}
+    retries = np.zeros(len(groups), dtype=np.int64)
     start = 0
-    for handles in groups:
+    for k, handles in enumerate(groups):
         spent: list[None] = []
         try:
             readings = retry_transient(
                 lambda: read_group(handles), lambda: spent.append(None)
             )
         except PerfError as exc:
-            errors.append(exc)
+            errors[k] = exc
         else:
-            errors.append(None)
             stop = start + len(handles)
             value[start:stop] = [r.value for r in readings]
             enabled[start:stop] = [r.time_enabled for r in readings]
             running[start:stop] = [r.time_running for r in readings]
-        retries.append(len(spent))
+        retries[k] = len(spent)
         start += len(handles)
     return GroupReads(value, enabled, running, errors, retries)

@@ -57,6 +57,44 @@ class _Handle:
     last_reading: Reading | None = None
 
 
+class _GatherIndex(dict):
+    """Read group (a tuple of open handles) -> what a batched read gathers
+    for it: the handles' kernel slots in order (row 0) and which slot
+    starts a handle (row 1).
+
+    A group's entry is built at its first lookup and kept until one of
+    its handles closes (:meth:`drop`), so a pass builds entries only for
+    groups that are new since the last pass.
+
+    Raises:
+        KeyError: on the lookup of a group with a handle that is not open.
+    """
+
+    def __init__(self, slots: dict[int, tuple[int, ...]]) -> None:
+        super().__init__()
+        self.slots = slots
+        self.groups_of: dict[int, list[tuple[int, ...]]] = {}
+
+    def __missing__(self, group: tuple[int, ...]) -> np.ndarray:
+        owned = [self.slots[handle] for handle in group]
+        entry = np.array(
+            [
+                [slot for slots in owned for slot in slots],
+                [k == 0 for slots in owned for k in range(len(slots))],
+            ],
+            dtype=np.intp,
+        )
+        self[group] = entry
+        for handle in group:
+            self.groups_of.setdefault(handle, []).append(group)
+        return entry
+
+    def drop(self, handle: int) -> None:
+        """Forget every group of ``handle`` (at its close)."""
+        for group in self.groups_of.pop(handle, ()):
+            self.pop(group, None)
+
+
 class SimBackend:
     """perf backend over a simulated machine.
 
@@ -82,8 +120,10 @@ class SimBackend:
         self.faults = faults
         self._handles: dict[int, _Handle] = {}
         #: Column slots of each open handle's kernel counters, fixed until
-        #: close (what :meth:`read_groups` gathers).
+        #: close.
         self._slots: dict[int, tuple[int, ...]] = {}
+        #: What :meth:`read_groups` gathers, per read group.
+        self._index = _GatherIndex(self._slots)
         self._ids = itertools.count(100)
         #: lifetime open/close tally, for leak accounting in tests.
         self.opened_total = 0
@@ -210,7 +250,8 @@ class SimBackend:
         :func:`repro.perf.counter.read_groups`).
 
         Without a fault plan the pass is one gather over the counter
-        table's columns, with the arithmetic of
+        table's columns through the groups' kept gather indices (built
+        for a group at its first read), with the arithmetic of
         :meth:`CounterTable.read_group`: each kernel counter truncates to
         an int before an inherit handle sums its threads, and the clocks
         are the per-handle maximum, floored at 0.0. No read can starve
@@ -223,24 +264,25 @@ class SimBackend:
         """
         if self.faults is not None:
             return read_each_group(self._read_group, groups)
-        handles = list(itertools.chain.from_iterable(groups))
+        index = self._index
         try:
-            slots = list(map(self._slots.__getitem__, handles))
+            try:
+                parts = [index[group] for group in groups]
+            except TypeError:  # groups given as lists
+                parts = [index[tuple(group)] for group in groups]
         except KeyError:
             # A stale handle: let the per-group path fail just its group.
             return read_each_group(self._read_group, groups)
-        total = sum(map(len, slots))
-        flat = np.fromiter(
-            itertools.chain.from_iterable(slots), dtype=np.intp, count=total
-        )
+        if not parts:
+            parts = [np.empty((2, 0), dtype=np.intp)]
+        flat, starts = np.concatenate(parts, axis=1)
         columns = self.machine.counters.columns
         value = columns.value[flat].astype(np.int64)
         enabled = columns.time_enabled[flat]
         running = columns.time_running[flat]
-        if total != len(handles):
+        if not starts.all():
             # Inherit handles fan out over threads (always >= 1 each).
-            counts = np.fromiter(map(len, slots), dtype=np.intp, count=len(slots))
-            starts = np.cumsum(counts) - counts
+            starts = np.flatnonzero(starts)
             value = np.add.reduceat(value, starts)
             enabled = np.maximum.reduceat(enabled, starts)
             running = np.maximum.reduceat(running, starts)
@@ -248,8 +290,8 @@ class SimBackend:
             value,
             np.maximum(enabled, 0.0),
             np.maximum(running, 0.0),
-            [None] * len(groups),
-            [0] * len(groups),
+            {},
+            np.zeros(len(groups), dtype=np.int64),
         )
 
     def _read_group(self, handles: Sequence[int]) -> list[Reading]:
@@ -300,6 +342,7 @@ class SimBackend:
         h.closed = True
         del self._handles[handle]
         del self._slots[handle]
+        self._index.drop(handle)
         self.closed_total += 1
         self._inject("close", h.tid)
 

@@ -1,4 +1,11 @@
-"""Simulated /proc: the TaskProvider view over a SimMachine."""
+"""Simulated /proc: the TaskProvider view over a SimMachine.
+
+A listing costs one comprehension per column over the live processes
+and Python per changed process only: each process's CPU time and
+processor are the figures :meth:`SimMachine.listing` keeps, re-tallied
+for the processes placed since the last listing, so no row walks its
+threads.
+"""
 
 from __future__ import annotations
 
@@ -22,15 +29,17 @@ class SimProcReader:
 
     @staticmethod
     def _table(procs: list[SimProcess]) -> ProcessTable:
-        """The /proc view of ``procs``, one comprehension per column."""
+        """The /proc view of ``procs``, one comprehension per column.
+
+        CPU time and processor are the figures the machine's listing
+        keeps (:meth:`SimMachine.listing`): no row walks its threads.
+        """
         return ProcessTable(
             pid=np.array([p.pid for p in procs], dtype=np.int64),
             uid=np.array([p.uid for p in procs], dtype=np.int64),
-            cpu_seconds=np.array([p.cpu_time for p in procs], dtype=np.float64),
+            cpu_seconds=np.array([p.listed_cpu for p in procs], dtype=np.float64),
             start_time=np.array([p.start_time for p in procs], dtype=np.float64),
-            processor=np.array(
-                [max(p.threads[0].last_pu, 0) for p in procs], dtype=np.int64
-            ),
+            processor=np.array([p.listed_pu for p in procs], dtype=np.int64),
             user=tuple([p.user for p in procs]),
             comm=tuple([p.command[:15] for p in procs]),
             tids=tuple([p.tids for p in procs]),
@@ -43,6 +52,7 @@ class SimProcReader:
             ProcfsError: unknown pid or already-exited process (its /proc
                 entry is gone).
         """
+        self.machine.listing()
         proc = self.machine.processes.get(pid)
         if proc is None or not proc.alive:
             raise ProcfsError(f"no /proc entry for pid {pid}")
@@ -50,4 +60,4 @@ class SimProcReader:
 
     def list_processes(self) -> ProcessTable:
         """All live simulated processes, in pid order."""
-        return self._table(self.machine.live_processes())
+        return self._table(self.machine.listing())

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError, WorkloadError
 from repro.sim.arch import ArchModel, CacheLevelSpec, CacheScope
+from repro.util.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class CacheInstance:
         epsilon keeps the share positive for idle-but-present sharers.
         """
         own = pressures.get(task_key, 0.0)
-        total = sum(pressures.values())
+        total = left_sum(pressures.values())
         if total <= 0:
             return float(self.spec.size)
         eps = 0.02 * total

@@ -50,8 +50,8 @@ class KernelCounter:
     The hot fields (``value``, ``time_enabled``, ``time_running``,
     ``enabled``) are properties into one slot of the owning table's
     :class:`~repro.sim.columns.CounterColumns`; everything else lives on
-    the handle itself. Closed counters are detached onto a private
-    single-slot column so their final reading stays stable while the
+    the handle itself. A closed counter keeps its final reading in a
+    private one-slot holder of plain lists, so it stays stable while the
     shared slot is recycled.
 
     Attributes:
@@ -180,14 +180,22 @@ class KernelCounter:
     def _detach(self) -> None:
         """Move this counter's state onto a private slot (at close)."""
         shared, slot = self._cols, self._slot
-        mini = CounterColumns(capacity=1)
-        s = mini.alloc()
-        mini.value[s] = shared.value[slot]
-        mini.time_enabled[s] = shared.time_enabled[slot]
-        mini.time_running[s] = shared.time_running[slot]
-        mini.enabled[s] = shared.enabled[slot]
-        self._cols, self._slot = mini, s
+        self._cols, self._slot = _FinalReading(shared, slot), 0
         shared.free(slot)
+
+
+class _FinalReading:
+    """A closed counter's last state as one-slot columns (slot 0), read
+    and written through the same properties as a shared slot."""
+
+    __slots__ = ("value", "time_enabled", "time_running", "enabled", "version")
+
+    def __init__(self, shared: CounterColumns, slot: int) -> None:
+        self.value = [shared.value.item(slot)]
+        self.time_enabled = [shared.time_enabled.item(slot)]
+        self.time_running = [shared.time_running.item(slot)]
+        self.enabled = [shared.enabled.item(slot)]
+        self.version = 0
 
 
 class CounterTable:

@@ -189,6 +189,7 @@ class SimMachine:
             self.scheduler.forget(t)
             self._kernel.drop(t)
         self._live.pop(pid, None)
+        self.scheduler.placed.discard(proc)
         # Kills land at timer boundaries (or between runs), where ``now``
         # already is a tick boundary — that is when a reaper first sees it.
         self.death_observed.setdefault(pid, self.now)
@@ -217,6 +218,21 @@ class SimMachine:
 
     def live_processes(self) -> list[SimProcess]:
         """Processes with at least one live thread, by pid."""
+        return list(self._live.values())
+
+    def listing(self) -> list[SimProcess]:
+        """:meth:`live_processes`, each with its ``listed_cpu`` and
+        ``listed_pu`` current.
+
+        Only processes the scheduler placed since the last listing are
+        tallied again: a thread's CPU time and processor change on no
+        other tick, so the cost follows the processes that ran, not the
+        processes alive.
+        """
+        placed = self.scheduler.placed
+        for proc in placed:
+            proc.tally()
+        placed.clear()
         return list(self._live.values())
 
     def at(self, when: float, callback: Callable[[], None]) -> None:
@@ -491,6 +507,7 @@ class SimMachine:
         proc = thread.process
         if not proc.alive:
             del self._live[proc.pid]
+            self.scheduler.placed.discard(proc)
             # ``now`` is still pre-increment inside a slice: the death is
             # first observable at the end of this tick.
             self.death_observed.setdefault(proc.pid, self.now + dt)

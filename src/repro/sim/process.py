@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.workload import Phase, Workload
+from repro.util.stats import left_sum
 
 
 class TaskState(enum.Enum):
@@ -103,6 +104,9 @@ class SimProcess:
         threads: the schedulable threads.
         tids: their thread ids, fixed at spawn (threads never change
             after it).
+        listed_cpu: :attr:`cpu_time` as of the machine's last listing.
+        listed_pu: the first thread's PU as of that listing (0 before
+            its first dispatch).
         rng: per-process deterministic noise source.
     """
 
@@ -117,6 +121,8 @@ class SimProcess:
     start_time: float = 0.0
     threads: list[SimThread] = field(default_factory=list)
     tids: tuple[int, ...] = ()
+    listed_cpu: float = 0.0
+    listed_pu: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
@@ -141,9 +147,14 @@ class SimProcess:
     @property
     def retired(self) -> float:
         """Total instructions retired by all threads."""
-        return sum(t.retired for t in self.threads)
+        return left_sum(t.retired for t in self.threads)
 
     @property
     def cpu_time(self) -> float:
-        """Total CPU seconds across threads."""
-        return sum(t.cpu_time for t in self.threads)
+        """Total CPU seconds across threads, added in thread order."""
+        return left_sum(t.cpu_time for t in self.threads)
+
+    def tally(self) -> None:
+        """Bring :attr:`listed_cpu` and :attr:`listed_pu` up to date."""
+        self.listed_cpu = self.cpu_time
+        self.listed_pu = max(self.threads[0].last_pu, 0)

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from repro.sim.cpu_topology import Topology
-from repro.sim.process import SimThread
+from repro.sim.process import SimProcess, SimThread
 
 #: vruntime weight per nice level, approximating Linux's 1.25x per step.
 NICE_WEIGHT_STEP = 1.25
@@ -34,6 +34,10 @@ class Scheduler:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._last_assignment: dict[int, SimThread] = {}
+        #: Live processes with a thread placed since the machine's last
+        #: listing took the set (:meth:`SimMachine.listing`). A thread's
+        #: CPU time and processor change only on a tick that placed it.
+        self.placed: set[SimProcess] = set()
 
     def _eligible_pus(self, thread: SimThread) -> list[int]:
         affinity = thread.process.affinity
@@ -85,8 +89,8 @@ class Scheduler:
         Each thread picks, in preference order: its previous PU if free
         and eligible; a free PU on a fully idle core; any free eligible
         PU. Unplaced threads wait. All scheduler side effects (vruntime,
-        ``last_pu``, context switches, placement memory) happen here,
-        identically for the kernel and the reference.
+        ``last_pu``, context switches, placement memory, :attr:`placed`)
+        happen here, identically for the kernel and the reference.
         """
         free_pus = {p.pu_id for p in self.topology.pus}
         core_busy: dict[int, int] = {}
@@ -105,12 +109,14 @@ class Scheduler:
             assignment[chosen] = thread
 
         previous = self._last_assignment
+        placed = self.placed
         for pu, thread in assignment.items():
             if previous.get(pu) is not thread:
                 thread.context_switches += 1
             weight = NICE_WEIGHT_STEP ** thread.process.nice
             thread.vruntime += dt * weight
             thread.last_pu = pu
+            placed.add(thread.process)
         self._last_assignment = dict(assignment)
         return assignment
 

@@ -18,6 +18,7 @@ from repro.errors import WorkloadError
 from repro.sim.branch import BranchBehavior
 from repro.sim.cache import MemoryBehavior
 from repro.sim.isa import FINITE_OPERANDS, InstructionMix, OperandProfile
+from repro.util.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class Workload:
         """
         cached = self.__dict__.get("_locate_tables")
         if cached is None:
-            per_pass = sum(p.instructions for p in self.phases)
+            per_pass = left_sum(p.instructions for p in self.phases)
             cums: list[float] = []
             cum = 0.0
             for phase in self.phases:

@@ -36,6 +36,7 @@ from repro.sim.cache import MemoryBehavior
 from repro.sim.core import calibrate_phase
 from repro.sim.isa import InstructionMix
 from repro.sim.workload import Phase, Workload
+from repro.util.stats import left_sum
 
 #: Compilers of §3.3 (Fig. 9). GCC 4.4.3 and icc 11.0 in the paper.
 GCC = "gcc"
@@ -658,7 +659,7 @@ def workload(name: str, compiler: str = GCC) -> Workload:
         raise WorkloadError(
             f"{name} has no {compiler!r} variant (has {model.compilers()})"
         ) from exc
-    weight_sum = sum(s.weight for s in shapes)
+    weight_sum = left_sum(s.weight for s in shapes)
     if abs(weight_sum - 1.0) > 1e-6:
         raise WorkloadError(f"{name}/{compiler} phase weights sum to {weight_sum}")
     phases: list[Phase] = []

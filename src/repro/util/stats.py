@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0: ``((0 + a) + b) + c``.
+
+    This is what ``sum()`` returns up to Python 3.11. From 3.12 on,
+    ``sum()`` over floats compensates its rounding (Neumaier), so
+    ``sum([0.1, 0.2, 0.3])`` reads 0.6 there and 0.6000000000000001
+    on 3.11. The simulator sums its floats through this helper, so its
+    outputs, and every digest recorded from them, are the same on every
+    interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def ewma(samples: Sequence[float], alpha: float) -> np.ndarray:

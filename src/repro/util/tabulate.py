@@ -3,15 +3,17 @@
 Tiptop has no graphics (§2.1) — output is fixed-width text in the spirit of
 ``top``. This module owns alignment, truncation and header rendering so the
 formatter only decides *what* to show. Tables are laid out column by
-column: each column's texts are fitted in one pass, and rows are joined
-from the fitted columns.
+column: each cell is converted, padded and (for text) truncated by one
+``%`` format (:meth:`ColumnFormat.spec`), so a column costs one format
+per cell, and rows are joined from the formatted columns.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 
 class Align(enum.Enum):
@@ -39,14 +41,17 @@ class ColumnFormat:
     align: Align = Align.RIGHT
     truncate: bool = False
 
-    def fit(self, texts: Sequence[str]) -> list[str]:
-        """Truncate (when set) and pad every text of this column."""
-        width = self.width
-        if self.truncate:
-            texts = [text[:width] for text in texts]
-        if self.align is Align.LEFT:
-            return [text.ljust(width) for text in texts]
-        return [text.rjust(width) for text in texts]
+    def spec(self, conversion: str = "s") -> str:
+        """The ``%`` format that converts one cell and pads it to this
+        column: ``%-8s``, ``%6d``, ``%5.1f``, and for a truncated column
+        ``%-15.15s`` (only a ``s`` conversion truncates)."""
+        flag = "-" if self.align is Align.LEFT else ""
+        cap = f".{self.width}" if self.truncate and conversion == "s" else ""
+        return f"%{flag}{self.width}{cap}{conversion}"
+
+    def cells(self, values: Iterable[str]) -> list[str]:
+        """Every text of this column as its cell, one format each."""
+        return list(map(self.spec().__mod__, values))
 
 
 def render_table(
@@ -56,13 +61,14 @@ def render_table(
     sep: str = " ",
     header: bool = True,
 ) -> str:
-    """Render column-major ``cells`` (one list of texts per column) into a
-    newline-joined string, each line stripped of trailing blanks.
+    """Join column-major ``cells`` (one list of cells per column, each
+    already formatted to its column, as :meth:`ColumnFormat.cells` does)
+    into a newline-joined string, each line stripped of trailing blanks.
 
-    The header goes through the same fitting as the data cells.
+    The header is formatted as a text cell of its column.
 
     Raises:
-        ValueError: unless there is one list of texts per column and all
+        ValueError: unless there is one list of cells per column and all
             lists are equally long.
     """
     if len(cells) != len(columns) or len({len(texts) for texts in cells}) > 1:
@@ -70,8 +76,7 @@ def render_table(
             f"expected {len(columns)} equally long columns of cells, got "
             f"lengths {[len(texts) for texts in cells]}"
         )
-    fitted = [
-        c.fit([c.header, *texts] if header else texts)
-        for c, texts in zip(columns, cells)
-    ]
-    return "\n".join(sep.join(line).rstrip() for line in zip(*fitted))
+    lines = map(sep.join, zip(*cells))
+    if header:
+        lines = chain([sep.join(c.spec() % c.header for c in columns)], lines)
+    return "\n".join(map(str.rstrip, lines))

@@ -105,12 +105,12 @@ class TestColumns:
 
     def test_format_renders_nan_as_dash(self):
         col = expr_column("IPC", "a / b")
-        assert col.format_values([math.nan, 1.0]) == ["-", "1.00"]
+        assert col.cells([math.nan, 1.0]) == ["       -", "    1.00"]
 
     def test_format_decimals(self):
         col = expr_column("IPC", "a", decimals=1)
-        assert col.format_values([1.966]) == ["2.0"]
+        assert col.cells([1.966]) == ["     2.0"]
 
     def test_command_truncates(self):
         fmt = COMMAND_COLUMN.to_format()
-        assert fmt.fit(["a-very-long-command-name"]) == ["a-very-long-com"]
+        assert fmt.cells(["a-very-long-command-name"]) == ["a-very-long-com"]

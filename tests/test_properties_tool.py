@@ -113,7 +113,7 @@ def test_batch_blocks_always_reparse(rows, time):
         [f"{v:.2f}" for v in ipcs],
         list(comms),
     ]
-    table = render_table(cols, cells)
+    table = render_table(cols, [c.cells(texts) for c, texts in zip(cols, cells)])
     text = f"--- t={time:.1f}s interval=2.0s ---\n{table}\n"
     blocks = parse_blocks(text)
     assert len(blocks) == 1
