@@ -160,11 +160,11 @@ class ColumnKernel:
     :meth:`Scheduler.dispatch_columns` ranks the open slots with one
     ``np.lexsort`` over (vruntime, tid); :meth:`_idle_step` advances every
     unscheduled live task's enabled clock with one masked add; and
-    :meth:`_slice` retires each scheduled task, summing its event deltas
-    in a dense vector. A *simple* counter set (all enabled, none
-    sampling, within the PMU) lands with one fancy-indexed add; any other
-    set lands through :meth:`CounterTable.accrue`, at the same point in
-    slice order as in the reference, so its multiplex window, sampling
+    :meth:`_slice` retires each scheduled task, summing a counted task's
+    event deltas in a dense vector. A *simple* counter set (all enabled,
+    none sampling, within the PMU) lands with one fancy-indexed add; any
+    other set lands through :meth:`CounterTable.accrue`, at the same point
+    in slice order as in the reference, so its multiplex window, sampling
     draws and enabled bits follow the one shared rule.
     """
 
@@ -336,7 +336,7 @@ class ColumnKernel:
                 self._settle()
             assignment = scheduler.dispatch_columns(
                 self.threads, self.tids, self.vruntime,
-                np.flatnonzero(self._gate()), dt,
+                self._gate().nonzero()[0], dt,
             )
             work = []
             if assignment:
@@ -398,7 +398,9 @@ class ColumnKernel:
         segment loop, same noise draw, same phase-boundary rules; only the
         event accumulation differs mechanically — one vector multiply-add
         per segment instead of the reference's walk over the lanes.
-        ``entry`` is the thread's ``tid_slots`` answer.
+        ``entry`` is the thread's ``tid_slots`` answer. A thread with no
+        open counter (every grid job) skips the event lanes, as
+        ``accrue`` returns at once for it in the reference.
         """
         located = thread.current_phase()
         if located is None:
@@ -406,12 +408,14 @@ class ColumnKernel:
             return
         self.slices += 1
         cslots, codes, simple = entry
+        counted = cslots.size > 0
         arch = m.arch
         rate_cache = m._rate_cache
         cycle_budget = arch.freq_hz * dt
         consumed_cycles = 0.0
         dvec = self._dvec
-        dvec.fill(0.0)
+        if counted:
+            dvec.fill(0.0)
         seg = self._seg
         noise = (
             math.exp(thread.process.rng.normal(0.0, located[0].noise))
@@ -434,8 +438,9 @@ class ColumnKernel:
             cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
             instructions = min(cycle_budget / cpi, remaining)
             cycles = instructions * cpi
-            np.multiply(rates.events, instructions, out=seg)
-            dvec += seg
+            if counted:
+                np.multiply(rates.events, instructions, out=seg)
+                dvec += seg
             thread.retired += instructions
             thread.cycles += cycles
             consumed_cycles += cycles
@@ -450,26 +455,27 @@ class ColumnKernel:
         scheduled_dt = dt * min(1.0, consumed_cycles / (arch.freq_hz * dt))
         thread.cpu_time += scheduled_dt
         done = located is None
-        # A thread that finishes mid-tick stops its enabled clock at death;
-        # otherwise user-space scaling (enabled/running) would extrapolate
-        # the dead fraction of the tick as multiplexed time.
-        wall_dt = scheduled_dt if done else dt
-        # CYCLES comes from the noised CPI, not the published rate.
-        dvec[_CYCLES_CODE] = consumed_cycles
-        if not simple:
-            self._counters.accrue(
-                thread.tid,
-                dvec,
-                wall_dt=wall_dt,
-                scheduled_dt=scheduled_dt,
-                alive=True,
-            )
-        elif cslots.size:
-            cols = self._counters.columns
-            cols.time_enabled[cslots] += wall_dt
-            if scheduled_dt > 0:
-                cols.time_running[cslots] += scheduled_dt
-                cols.value[cslots] += dvec[codes]
+        if counted:
+            # A thread that finishes mid-tick stops its enabled clock at
+            # death; otherwise user-space scaling (enabled/running) would
+            # extrapolate the dead fraction of the tick as multiplexed time.
+            wall_dt = scheduled_dt if done else dt
+            # CYCLES comes from the noised CPI, not the published rate.
+            dvec[_CYCLES_CODE] = consumed_cycles
+            if not simple:
+                self._counters.accrue(
+                    thread.tid,
+                    dvec,
+                    wall_dt=wall_dt,
+                    scheduled_dt=scheduled_dt,
+                    alive=True,
+                )
+            else:
+                cols = self._counters.columns
+                cols.time_enabled[cslots] += wall_dt
+                if scheduled_dt > 0:
+                    cols.time_running[cslots] += scheduled_dt
+                    cols.value[cslots] += dvec[codes]
         if contended is not None:
             m._last_rates[thread.tid] = contended
         if done:

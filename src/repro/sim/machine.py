@@ -139,17 +139,28 @@ class SimMachine:
 
         Returns the new :class:`SimProcess` (its pid is the handle for
         everything else).
+
+        Raises:
+            SimulationError: no thread, an empty affinity or one naming an
+                unknown PU, or a duty cycle outside (0, 1]. A refused spawn
+                takes no pid, so it moves no later process's noise stream.
         """
-        pid = next(self._next_pid)
-        if uid is None:
-            uid = 1000 + (zlib.crc32(user.encode()) % 1000)
+        if nthreads < 1:
+            raise SimulationError(f"a process needs >= 1 thread, got {nthreads}")
         if affinity is not None:
+            if not affinity:
+                # sched_setaffinity(2) refuses an empty mask (EINVAL): a
+                # task pinned to no PU would never run and never exit.
+                raise SimulationError("affinity must name at least one PU")
             bad = set(affinity) - {p.pu_id for p in self.topology.pus}
             if bad:
                 raise SimulationError(f"affinity references unknown PUs {sorted(bad)}")
             affinity = frozenset(affinity)
         if not 0 < duty_cycle <= 1:
             raise SimulationError(f"duty_cycle must be in (0, 1], got {duty_cycle}")
+        pid = next(self._next_pid)
+        if uid is None:
+            uid = 1000 + (zlib.crc32(user.encode()) % 1000)
         proc = SimProcess(
             pid=pid,
             uid=uid,

@@ -29,21 +29,18 @@ NICE_WEIGHT_STEP = 1.25
 
 
 class Scheduler:
-    """Tick-based dispatcher over a :class:`Topology`."""
+    """Tick-based dispatcher over a :class:`Topology`, whose PU ids (in
+    ascending order) and PU-to-core map it builds once, at construction."""
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        self._pus = [p.pu_id for p in topology.pus]
+        self._core_of = topology.pu_to_core()
         self._last_assignment: dict[int, SimThread] = {}
         #: Live processes with a thread placed since the machine's last
         #: listing took the set (:meth:`SimMachine.listing`). A thread's
         #: CPU time and processor change only on a tick that placed it.
         self.placed: set[SimProcess] = set()
-
-    def _eligible_pus(self, thread: SimThread) -> list[int]:
-        affinity = thread.process.affinity
-        if affinity is None:
-            return [p.pu_id for p in self.topology.pus]
-        return [p.pu_id for p in self.topology.pus if p.pu_id in affinity]
 
     def dispatch_columns(
         self,
@@ -87,25 +84,34 @@ class Scheduler:
         return the ``{pu: thread}`` assignment.
 
         Each thread picks, in preference order: its previous PU if free
-        and eligible; a free PU on a fully idle core; any free eligible
-        PU. Unplaced threads wait. All scheduler side effects (vruntime,
-        ``last_pu``, context switches, placement memory, :attr:`placed`)
-        happen here, identically for the kernel and the reference.
+        and eligible; the lowest free eligible PU on a fully idle core;
+        the lowest free eligible PU. Unplaced threads wait. ``free`` stays
+        in PU order, so a pool's lowest PU is its first. All scheduler
+        side effects (vruntime, ``last_pu``, context switches, placement
+        memory, :attr:`placed`) happen here, identically for the kernel
+        and the reference.
         """
-        free_pus = {p.pu_id for p in self.topology.pus}
-        core_busy: dict[int, int] = {}
+        free = self._pus.copy()
+        core_of = self._core_of
+        busy_cores: list[int] = []
         assignment: dict[int, SimThread] = {}
 
         for thread in order:
-            if not free_pus:
+            if not free:
                 break
-            eligible = [pu for pu in self._eligible_pus(thread) if pu in free_pus]
-            if not eligible:
+            affinity = thread.process.affinity
+            eligible = (
+                free if affinity is None else [pu for pu in free if pu in affinity]
+            )
+            idle = [pu for pu in eligible if core_of[pu] not in busy_cores]
+            pool = idle or eligible
+            if not pool:
                 continue
-            chosen = self._pick_pu(thread, eligible, core_busy)
-            free_pus.discard(chosen)
-            core = self.topology.pu(chosen).core_id
-            core_busy[core] = core_busy.get(core, 0) + 1
+            chosen = thread.last_pu
+            if chosen not in pool:
+                chosen = pool[0]
+            free.remove(chosen)
+            busy_cores.append(core_of[chosen])
             assignment[chosen] = thread
 
         previous = self._last_assignment
@@ -119,18 +125,6 @@ class Scheduler:
             placed.add(thread.process)
         self._last_assignment = dict(assignment)
         return assignment
-
-    def _pick_pu(
-        self, thread: SimThread, eligible: list[int], core_busy: dict[int, int]
-    ) -> int:
-        def core_of(pu: int) -> int:
-            return self.topology.pu(pu).core_id
-
-        idle_core = [pu for pu in eligible if core_busy.get(core_of(pu), 0) == 0]
-        pool = idle_core or eligible
-        if thread.last_pu in pool:
-            return thread.last_pu
-        return min(pool)
 
     def forget(self, thread: SimThread) -> None:
         """Drop a dead thread from placement memory."""

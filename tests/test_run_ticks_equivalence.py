@@ -15,9 +15,10 @@ Scenarios cover the regimes the kernel special-cases: seeds, tick sizes,
 oversubscription, SMT co-runs pinned to sibling hardware threads,
 duty-cycled tasks (per-tick RNG draws, past several gate blocks),
 multi-threaded processes with nice levels, sampling-mode counters,
-multiplexed and partly disabled counter sets, timers that spawn, kill and
-toggle counters mid-run, a death wave that compacts the columns, state
-carried across calls, and fractional steps.
+multiplexed and partly disabled counter sets, tasks no counter reads
+(whose slices skip the event lanes) next to counted ones, timers that
+spawn, kill, open, close and toggle counters mid-run, a death wave that
+compacts the columns, state carried across calls, and fractional steps.
 """
 
 from __future__ import annotations
@@ -260,6 +261,61 @@ class TestCounterModes:
             return machine
 
         assert_paths_equal(build, 50)
+
+
+class TestUncountedSlices:
+    """A thread no counter reads skips its event lanes; the counted slices
+    around it must still land exactly what the reference lands."""
+
+    def test_only_some_tasks_counted(self):
+        def build(cache):
+            machine = make_machine(cache=cache, tick=0.1, seed=79)
+            populate(machine, 5, spec_seed=48)
+            populate(machine, 5, spec_seed=49, events=(), duty_cycle=0.8)
+            return machine
+
+        assert_paths_equal(build, 50)
+
+    def test_counters_open_and_close_on_a_running_task(self):
+        """One task runs uncounted, gets a simple set from a timer, then a
+        multiplexed set, then loses every counter mid-batch. Its slices
+        and its counted neighbours' share the kernel's lane vector, so a
+        lane left from an uncounted slice would show in some reading."""
+        narrow = replace(NEHALEM, pmu_width=4)
+        more = (Event.BRANCH_INSTRUCTIONS, Event.BRANCH_MISSES,
+                Event.CACHE_REFERENCES)
+        kept = []
+
+        def build(cache):
+            machine = make_machine(narrow, cache=cache, tick=0.1, seed=83)
+            populate(machine, 3, spec_seed=50, events=())
+            populate(machine, 3, spec_seed=51)
+            target = next(iter(machine.processes))
+            opened = []
+
+            def open_events(events):
+                for event in events:
+                    opened.append(machine.counters.open(event, target, 0))
+
+            def close_all():
+                for counter in machine.counters.counters_for(target):
+                    machine.counters.close(counter.counter_id)
+
+            machine.at(0.75, lambda: open_events(EVENTS[:2]))
+            machine.at(1.55, lambda: open_events(more))
+            machine.at(2.65, close_all)
+            kept.append(opened)
+            return machine
+
+        assert_paths_equal(build, 40)
+        # Closed counters leave the table; their final readings must agree.
+        readings = [
+            [(c.value, c.time_enabled, c.time_running) for c in opened]
+            for opened in kept
+        ]
+        assert len(readings[0]) == len(EVENTS[:2]) + len(more)
+        assert readings[1] == readings[0] and readings[2] == readings[0]
+        assert all(value > 0 for value, _, _ in readings[0])
 
 
 class TestTimersAndLifecycles:

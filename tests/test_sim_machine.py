@@ -53,6 +53,24 @@ class TestLifecycle:
         with pytest.raises(SimulationError):
             nehalem_machine.spawn("x", endless_workload, affinity={99})
 
+    @pytest.mark.parametrize("empty", [set(), frozenset()])
+    def test_empty_affinity_rejected(self, nehalem_machine, endless_workload,
+                                     empty):
+        """Like sched_setaffinity(2)'s EINVAL: a task pinned to no PU
+        would never run and never exit."""
+        with pytest.raises(SimulationError, match="at least one PU"):
+            nehalem_machine.spawn("x", endless_workload, affinity=empty)
+
+    def test_refused_spawn_takes_no_pid(self, nehalem_machine, endless_workload):
+        """A pid seeds its process's noise stream, so a refused spawn must
+        leave the next process the pid (and stream) it would have had."""
+        assert nehalem_machine.spawn("a", endless_workload).pid == 1000
+        for bad in ({"affinity": set()}, {"affinity": {99}},
+                    {"duty_cycle": 0.0}, {"nthreads": 0}):
+            with pytest.raises(SimulationError):
+                nehalem_machine.spawn("x", endless_workload, **bad)
+        assert nehalem_machine.spawn("b", endless_workload).pid == 1001
+
 
 class TestClockAndTimers:
     def test_run_until_exact(self, nehalem_machine):

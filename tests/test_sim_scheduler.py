@@ -3,16 +3,21 @@
 ``TestDispatch`` drives placement through the scalar reference dispatch
 (:func:`repro.verify.reference.dispatch`), which shares the scheduler's
 placement walk with the kernel's columnar dispatch.
+``test_place_matches_the_old_walk`` checks that walk against the one it
+replaced, which rebuilt its PU lists from the topology on every call.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import NEHALEM, SimMachine
+from repro.sim.arch import CORE2
 from repro.sim.cpu_topology import Topology
 from repro.sim.process import SimProcess, SimThread, TaskState
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import NICE_WEIGHT_STEP, Scheduler
 from repro.sim.workload import Workload
 from repro.verify.reference import dispatch
 
@@ -154,3 +159,121 @@ class TestMachineScheduling:
         m = SimMachine(NEHALEM, tick=0.5)
         with pytest.raises(SimulationError):
             m.spawn("x", endless_workload, duty_cycle=0.0)
+
+
+def _old_place(sched, order, dt):
+    """The placement walk before the scheduler kept its PU tables: an
+    eligible list and a ``topology.pu()`` lookup per candidate on every
+    call (``_eligible_pus`` plus ``_pick_pu``), kept as the oracle."""
+    topology = sched.topology
+
+    def eligible_pus(thread):
+        affinity = thread.process.affinity
+        if affinity is None:
+            return [p.pu_id for p in topology.pus]
+        return [p.pu_id for p in topology.pus if p.pu_id in affinity]
+
+    def pick_pu(thread, eligible, core_busy):
+        def core_of(pu):
+            return topology.pu(pu).core_id
+
+        idle_core = [pu for pu in eligible if core_busy.get(core_of(pu), 0) == 0]
+        pool = idle_core or eligible
+        if thread.last_pu in pool:
+            return thread.last_pu
+        return min(pool)
+
+    free_pus = {p.pu_id for p in topology.pus}
+    core_busy = {}
+    assignment = {}
+    for thread in order:
+        if not free_pus:
+            break
+        eligible = [pu for pu in eligible_pus(thread) if pu in free_pus]
+        if not eligible:
+            continue
+        chosen = pick_pu(thread, eligible, core_busy)
+        free_pus.discard(chosen)
+        core = topology.pu(chosen).core_id
+        core_busy[core] = core_busy.get(core, 0) + 1
+        assignment[chosen] = thread
+
+    previous = sched._last_assignment
+    for pu, thread in assignment.items():
+        if previous.get(pu) is not thread:
+            thread.context_switches += 1
+        thread.vruntime += dt * NICE_WEIGHT_STEP ** thread.process.nice
+        thread.last_pu = pu
+        sched.placed.add(thread.process)
+    sched._last_assignment = dict(assignment)
+    return assignment
+
+
+@st.composite
+def _placement_cases(draw):
+    arch = draw(st.sampled_from([NEHALEM, CORE2]))
+    topology = Topology(arch, draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    pus = [p.pu_id for p in topology.pus]
+    procs = draw(st.lists(
+        st.tuples(
+            st.none() | st.frozensets(st.sampled_from(pus), min_size=1),
+            st.integers(-2, 3),
+        ),
+        min_size=1, max_size=8,
+    ))
+    threads = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(procs) - 1),
+            st.sampled_from([-1, *pus]),
+        ),
+        max_size=20,
+    ))
+    calls = draw(st.lists(
+        st.permutations(range(len(threads))).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda k: order[:k])
+        ),
+        min_size=1, max_size=5,
+    ))
+    return topology, procs, threads, calls
+
+
+def _placement_state(sched, threads, assignment):
+    return (
+        [(pu, t.tid) for pu, t in assignment.items()],
+        [(t.vruntime, t.last_pu, t.context_switches) for t in threads],
+        sorted(p.pid for p in sched.placed),
+        [(pu, t.tid) for pu, t in sched._last_assignment.items()],
+    )
+
+
+@given(_placement_cases())
+@settings(max_examples=150, deadline=None)
+def test_place_matches_the_old_walk(case):
+    """``_place`` picks the PUs, in the order, of the walk it replaced,
+    with the same side effects, call after call."""
+    topology, procs, threads, calls = case
+
+    def build():
+        made = []
+        for i, (affinity, nice) in enumerate(procs):
+            proc = SimProcess.__new__(SimProcess)
+            proc.pid = 100 + i
+            proc.affinity = affinity
+            proc.nice = nice
+            made.append(proc)
+        out = []
+        for i, (owner, last_pu) in enumerate(threads):
+            thread = SimThread(tid=500 + i, process=made[owner])
+            thread.last_pu = last_pu
+            out.append(thread)
+        return Scheduler(topology), out
+
+    new_sched, new_threads = build()
+    old_sched, old_threads = build()
+    for k, call in enumerate(calls):
+        dt = 0.1 * (k + 1)
+        got = new_sched._place((new_threads[i] for i in call), dt)
+        want = _old_place(old_sched, (old_threads[i] for i in call), dt)
+        assert _placement_state(new_sched, new_threads, got) == (
+            _placement_state(old_sched, old_threads, want)
+        ), f"call {k} diverged"
